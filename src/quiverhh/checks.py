@@ -28,6 +28,7 @@ from .higher import check_high_degree_gluing
 from .linalg import (
     LabeledBasis,
     LinearMap,
+    accumulate,
     contains_subspace,
     is_direct_sum,
     kernel,
@@ -119,14 +120,6 @@ class GluingContext:
         }
         return vec
 
-    def vec_sub(self, u: dict, v: dict) -> dict:
-        f = self.f
-        out = dict(u)
-        for i, c in v.items():
-            s = f.sub(out.get(i, f.zero), c)
-            out.pop(i, None) if f.is_zero(s) else out.__setitem__(i, s)
-        return out
-
 
 def _na(check: str, reason: str) -> CheckReport:
     return CheckReport(check, "not-applicable", reason=reason)
@@ -196,8 +189,7 @@ def _restriction_kernel(ctx: GluingContext):
         vec: dict = {}
         for i, c in coords.items():
             for j, x in rows[i].items():
-                s = f.add(vec.get(j, f.zero), f.mul(c, x))
-                vec.pop(j, None) if f.is_zero(s) else vec.__setitem__(j, s)
+                accumulate(f, vec, j, f.mul(c, x))
         vectors.append(vec)
     return span(f, ctx.CA.basis1, vectors)
 
@@ -224,7 +216,7 @@ def check_ker_delta1_hom(ctx: GluingContext) -> CheckReport:
                 rhs = ctx.CB.bracket(
                     g.psi1.apply(f, rows[i]), g.psi1.apply(f, rows[j])
                 )
-                if ctx.vec_sub(lhs, rhs):
+                if lhs != rhs:
                     ok = False
                     detail = f"bracket mismatch on kernel rows ({i}, {j})"
                     break
@@ -399,8 +391,7 @@ def _center_embedding(ctx: GluingContext):
         pos = {i: x for i, x in vec.items() if i not in triv_a}
         out = dict(g.psi0.apply(f, pos))
         for i, x in unit_b.items():
-            s = f.add(out.get(i, f.zero), f.mul(c, x))
-            out.pop(i, None) if f.is_zero(s) else out.__setitem__(i, s)
+            accumulate(f, out, i, f.mul(c, x))
         return out
 
     return mu
@@ -430,7 +421,7 @@ def check_center_indec(ctx: GluingContext) -> CheckReport:
             prod_a = central_mult(ctx.CA, rows[i], rows[j])
             lhs_vec = mu(prod_a)
             rhs_vec = central_mult(ctx.CB, images[i], images[j])
-            if lhs_vec is None or ctx.vec_sub(lhs_vec, rhs_vec):
+            if lhs_vec is None or lhs_vec != rhs_vec:
                 ok = False
                 detail = f"embedding is not multiplicative at ({i}, {j})"
                 break
@@ -488,7 +479,7 @@ def check_center_diff_blocks(ctx: GluingContext) -> CheckReport:
             rhs_vec = central_mult(
                 ctx.CB, g.psi0.apply(f, rows[i]), g.psi0.apply(f, rows[j])
             )
-            if ctx.vec_sub(lhs_vec, rhs_vec):
+            if lhs_vec != rhs_vec:
                 ok = False
                 detail = f"positive parts are not multiplicative at ({i}, {j})"
                 break

@@ -64,16 +64,19 @@ def cmd_info(args) -> int:
 
 
 def _parse_degrees(spec: str):
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return int(lo), int(hi)
-    d = int(spec)
-    return d, d
+    lo, sep, hi = spec.partition("..")
+    try:
+        degrees = (int(lo), int(hi) if sep else int(lo))
+    except ValueError:
+        degrees = None
+    if degrees is None or not 0 <= degrees[0] <= degrees[1]:
+        raise QuiverHHError(f"--degrees expects N or N..M with 0 <= N <= M, got {spec!r}")
+    return degrees
 
 
 def cmd_hh(args) -> int:
-    A = _load(args.file)
     lo, hi = _parse_degrees(args.degrees)
+    A = _load(args.file)
     C = complex_data(A)
     for n in range(lo, hi + 1):
         if n == 0:

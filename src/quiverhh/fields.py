@@ -11,16 +11,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# Miller-Rabin with the first twelve primes as bases is exact below 3.18e23
+# (Sorenson and Webster, Math. Comp. 2017), which covers every p < 2^64.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -31,6 +45,8 @@ class FieldSpec:
     char: int = 0
 
     def __post_init__(self):
+        if self.char >= 2**64:
+            raise ValueError(f"field characteristic must be below 2^64, got {self.char}")
         if self.char != 0 and not _is_prime(self.char):
             raise ValueError(f"field characteristic must be 0 or prime, got {self.char}")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .algebra import MonomialAlgebra
 from .errors import BridgeError, QuiverHHError
 from .gluing import GluedAlgebra
-from .linalg import LabeledBasis, member, span, subspace_sum
+from .linalg import LabeledBasis, accumulate, member, span, subspace_sum
 from .quiver import (
     FORWARD,
     INVERSE,
@@ -256,8 +256,7 @@ def check_theta_diagram(g: GluedAlgebra) -> ThetaDiagramReport:
         lhs = g.psi1.apply(f, t_A)
         diff = dict(lhs)
         for i, c in t_B.items():
-            s = f.sub(diff.get(i, f.zero), c)
-            diff.pop(i, None) if f.is_zero(s) else diff.__setitem__(i, s)
+            accumulate(f, diff, i, f.neg(c))
         results.append((QB.arrow_name(c_star), member(f, quotient, diff)))
     outside = not member(f, CB.im0, gamma_vec)
     return ThetaDiagramReport(True, "", tuple(results), new_dual_ok, outside)

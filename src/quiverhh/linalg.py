@@ -1,10 +1,14 @@
 """Deterministic exact linear algebra on labeled bases.
 
-Vectors are sparse dicts ``index -> scalar`` over a :class:`LabeledBasis`.
-A :class:`Subspace` is stored as the reduced row echelon form of its
-spanning set, which is unique: two subspaces are equal iff their stored
-rows are identical.  Pivoting is positional (first nonzero column, first
-nonzero row), never numerical.
+Vectors are sparse dicts ``index -> scalar`` over a :class:`LabeledBasis`
+with no zero entries.  A :class:`Subspace` is stored as the reduced row
+echelon form of its spanning set: each row is a tuple of ``(column,
+value)`` pairs sorted by column, whose lowest column is its pivot with
+value one, and no row has an entry in another row's pivot column.  That
+form is unique, so two subspaces are equal iff their stored rows are
+identical, whatever order or pivot choice produced them.  Every kernel,
+image, intersection and solve goes through the one sparse elimination
+routine :func:`_rref`.
 """
 
 from __future__ import annotations
@@ -34,56 +38,47 @@ class LabeledBasis:
     def __len__(self):
         return len(self.labels)
 
-    def vector(self, assignment: dict) -> dict:
-        """Sparse vector from a ``label -> scalar`` mapping."""
-        return {self.index[lab]: c for lab, c in assignment.items() if c != 0}
+
+def accumulate(field: FieldSpec, out: dict, key, c) -> None:
+    """Add the scalar ``c`` to ``out[key]`` in place; a sum of zero is removed."""
+    s = field.add(out.get(key, 0), c)
+    if field.is_zero(s):
+        out.pop(key, None)
+    else:
+        out[key] = s
 
 
-def vec_add(field: FieldSpec, u: dict, v: dict) -> dict:
-    out = dict(u)
-    for i, c in v.items():
-        s = field.add(out.get(i, field.zero), c)
-        if field.is_zero(s):
-            out.pop(i, None)
-        else:
-            out[i] = s
-    return out
+def _rref(field: FieldSpec, rows) -> dict:
+    """Reduced row echelon form of sparse rows as ``{pivot column: row dict}``.
 
-def vec_scale(field: FieldSpec, c, v: dict) -> dict:
-    if field.is_zero(c):
-        return {}
-    return {i: field.mul(c, x) for i, x in v.items()}
+    Each incoming row is reduced against the pivots found so far, its
+    lowest remaining column becomes a new pivot (scaled to one), and that
+    column is cleared from the earlier rows.  The result depends only on
+    the span of ``rows``.
+    """
+    mul, neg, inv = field.mul, field.neg, field.inv
+    piv: dict = {}
 
-def vec_sub(field: FieldSpec, u: dict, v: dict) -> dict:
-    return vec_add(field, u, vec_scale(field, field.neg(field.one), v))
+    def axpy(r: dict, c, row: dict):
+        for k, x in row.items():
+            accumulate(field, r, k, mul(c, x))
 
-
-def _rref(field: FieldSpec, rows: list, width: int) -> tuple:
-    """Reduced row echelon form; returns (rows, pivots) with dense tuple rows."""
-    work = [list(r) for r in rows if any(not field.is_zero(x) for x in r)]
-    pivots = []
-    r = 0
-    for c in range(width):
-        pr = None
-        for i in range(r, len(work)):
-            if not field.is_zero(work[i][c]):
-                pr = i
-                break
-        if pr is None:
+    for v in rows:
+        r = {k: x for k, x in v.items() if not field.is_zero(x)}
+        # pivot rows vanish on each other's pivots, so one pass suffices
+        for p in [k for k in r if k in piv]:
+            axpy(r, neg(r[p]), piv[p])
+        if not r:
             continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = field.inv(work[r][c])
-        work[r] = [field.mul(inv, x) for x in work[r]]
-        for i in range(len(work)):
-            if i != r and not field.is_zero(work[i][c]):
-                f = work[i][c]
-                work[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    work = [tuple(row) for row in work[:r]]
-    return tuple(work), tuple(pivots)
+        p = min(r)
+        s = inv(r[p])
+        r = {k: mul(s, x) for k, x in r.items()}
+        for row in piv.values():
+            c = row.get(p)
+            if c is not None:
+                axpy(row, neg(c), r)
+        piv[p] = r
+    return piv
 
 
 @dataclass(frozen=True)
@@ -99,46 +94,29 @@ class Subspace:
         return len(self.rows)
 
     def row_vectors(self) -> list:
-        """Rows as sparse dicts (field-zero entries dropped)."""
-        return [{i: c for i, c in enumerate(row) if c != 0} for row in self.rows]
-
-    def __contains__(self, vec: dict) -> bool:  # pragma: no cover - alias
-        raise TypeError("use member(space, vector)")
+        """Rows as sparse dicts."""
+        return [dict(row) for row in self.rows]
 
 
 def span(field: FieldSpec, basis: LabeledBasis, vectors: Sequence[dict]) -> Subspace:
     """Canonical subspace spanned by sparse vectors."""
-    width = len(basis)
-    dense = []
-    for v in vectors:
-        row = [field.zero] * width
-        for i, c in v.items():
-            row[i] = c
-        dense.append(row)
-    rows, pivots = _rref(field, dense, width)
+    piv = _rref(field, vectors)
+    pivots = tuple(sorted(piv))
+    rows = tuple(tuple(sorted(piv[p].items())) for p in pivots)
     return Subspace(basis, rows, pivots)
-
-
-def zero_subspace(basis: LabeledBasis) -> Subspace:
-    return Subspace(basis, (), ())
 
 
 def reduce_against(field: FieldSpec, space: Subspace, vec: dict) -> tuple:
     """Split ``vec`` as (coefficients along space.rows, remainder)."""
     rem = dict(vec)
     coeffs = []
+    zero, mul, neg = field.zero, field.mul, field.neg
     for row, p in zip(space.rows, space.pivots):
-        c = rem.get(p, field.zero)
+        c = rem.get(p, zero)
         coeffs.append(c)
         if not field.is_zero(c):
-            for i, x in enumerate(row):
-                if field.is_zero(x):
-                    continue
-                s = field.sub(rem.get(i, field.zero), field.mul(c, x))
-                if field.is_zero(s):
-                    rem.pop(i, None)
-                else:
-                    rem[i] = s
+            for i, x in row:
+                accumulate(field, rem, i, neg(mul(c, x)))
     return coeffs, rem
 
 
@@ -156,32 +134,18 @@ def intersect(field: FieldSpec, s: Subspace, t: Subspace) -> Subspace:
     """Zassenhaus: echelonize [S|S] over [T|0]; zero-left rows carry the meet."""
     _check_same_basis(s, t)
     width = len(s.basis)
-    rows = []
-    for r in s.rows:
-        rows.append(list(r) + list(r))
-    zero = [field.zero] * width
-    for r in t.rows:
-        rows.append(list(r) + zero)
-    ech, _ = _rref(field, rows, 2 * width)
-    meet = []
-    for row in ech:
-        if all(field.is_zero(x) for x in row[:width]):
-            v = {i: c for i, c in enumerate(row[width:]) if not field.is_zero(c)}
-            if v:
-                meet.append(v)
+    rows = [dict(r + tuple((width + i, x) for i, x in r)) for r in s.rows]
+    rows += t.row_vectors()
+    meet = [
+        {i - width: x for i, x in row.items()}
+        for p, row in _rref(field, rows).items()
+        if p >= width
+    ]
     return span(field, s.basis, meet)
 
 
 def is_direct_sum(field: FieldSpec, s: Subspace, t: Subspace) -> bool:
     return subspace_sum(field, s, t).dim == s.dim + t.dim
-
-
-def quotient_dim(field: FieldSpec, sub: Subspace, total: Subspace) -> int:
-    _check_same_basis(sub, total)
-    for v in sub.row_vectors():
-        if not member(field, total, v):
-            raise ContainmentError("subspace is not contained in the total space")
-    return total.dim - sub.dim
 
 
 def contains_subspace(field: FieldSpec, big: Subspace, small: Subspace) -> bool:
@@ -209,66 +173,52 @@ class LinearMap:
         out: dict = {}
         for j, c in vec.items():
             for i, x in self.columns[j].items():
-                s = field.add(out.get(i, field.zero), field.mul(c, x))
-                if field.is_zero(s):
-                    out.pop(i, None)
-                else:
-                    out[i] = s
+                accumulate(field, out, i, field.mul(c, x))
         return out
 
     def is_zero_on(self, field: FieldSpec, vec: dict) -> bool:
         return not self.apply(field, vec)
 
 
+def _transpose(columns, height: int) -> list:
+    rows = [{} for _ in range(height)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            rows[i][j] = x
+    return rows
+
+
 def image(field: FieldSpec, m: LinearMap) -> Subspace:
     return span(field, m.codomain, list(m.columns))
 
 
+def null_space(field: FieldSpec, domain: LabeledBasis, rows: Sequence[dict]) -> Subspace:
+    """Canonical kernel of the matrix whose sparse rows are indexed by ``domain``."""
+    piv = _rref(field, rows)
+    gens = {j: {j: field.one} for j in range(len(domain)) if j not in piv}
+    for p, row in piv.items():
+        for j, x in row.items():
+            if j != p:
+                gens[j][p] = field.neg(x)
+    return span(field, domain, list(gens.values()))
+
+
 def kernel(field: FieldSpec, m: LinearMap) -> Subspace:
     """Canonical kernel via RREF of the coefficient matrix."""
-    ncols = len(m.domain)
-    nrows = len(m.codomain)
-    rows = [[field.zero] * ncols for _ in range(nrows)]
-    for j, col in enumerate(m.columns):
-        for i, x in col.items():
-            rows[i][j] = x
-    ech, pivots = _rref(field, rows, ncols)
-    pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
-    gens = []
-    for f in free:
-        v = {f: field.one}
-        for row, p in zip(ech, pivots):
-            if not field.is_zero(row[f]):
-                v[p] = field.neg(row[f])
-        gens.append(v)
-    return span(field, m.domain, gens)
+    return null_space(field, m.domain, _transpose(m.columns, len(m.codomain)))
 
 
 def solve_columns(field: FieldSpec, width: int, columns, target: dict):
     """Coefficients expressing ``target`` in ``columns`` (free parts zero),
     or None when the system is inconsistent."""
-    ncols = len(columns) + 1
-    rows = [[field.zero] * ncols for _ in range(width)]
-    for j, col in enumerate(columns):
-        for i, x in col.items():
-            rows[i][j] = x
-    for i, x in target.items():
-        rows[i][ncols - 1] = x
-    ech, pivots = _rref(field, rows, ncols)
-    if ncols - 1 in pivots:
+    n = len(columns)
+    piv = _rref(field, _transpose(list(columns) + [target], width))
+    if n in piv:
         return None
-    sol = [field.zero] * len(columns)
-    for row, p in zip(ech, pivots):
-        sol[p] = row[ncols - 1]
+    sol = [field.zero] * n
+    for p, row in piv.items():
+        sol[p] = row.get(n, field.zero)
     return sol
-
-
-def compose_maps(field: FieldSpec, outer: LinearMap, inner: LinearMap) -> LinearMap:
-    if outer.domain != inner.codomain:
-        raise ShapeError("maps are not composable")
-    cols = tuple(outer.apply(field, col) for col in inner.columns)
-    return LinearMap(inner.domain, outer.codomain, cols)
 
 
 class QuotientView:

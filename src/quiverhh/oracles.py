@@ -12,27 +12,8 @@ vanishing of the expanded relations.
 from __future__ import annotations
 
 from .algebra import MonomialAlgebra
-from .linalg import LabeledBasis, LinearMap, kernel, span
+from .linalg import LabeledBasis, LinearMap, accumulate, kernel, null_space, span
 from .quiver import Path
-
-
-def _solve_rows(field, rows, ncols):
-    """Kernel of a sparse row system; returns a Subspace over range(ncols)."""
-    unknowns = LabeledBasis(tuple(range(ncols)))
-    columns = [dict() for _ in range(ncols)]
-    distinct = {}
-    for row in rows:
-        if not row:
-            continue
-        key = tuple(sorted(row.items()))
-        if key in distinct:
-            continue
-        distinct[key] = True
-        r = len(distinct) - 1
-        for u, c in row.items():
-            columns[u][r] = c
-    eq_space = LabeledBasis(tuple(range(len(distinct))))
-    return kernel(field, LinearMap(unknowns, eq_space, tuple(columns)))
 
 
 def _generators(A: MonomialAlgebra):
@@ -51,25 +32,23 @@ def oracle_center(A: MonomialAlgebra):
     f = A.field
     basis = A.basis
     index = A.basis_index
-    rows = []
-    for gpath in _generators(A):
-        per_coord: dict = {}
-
-        def bump(coord, pi, delta):
-            d = per_coord.setdefault(coord, {})
-            d[pi] = f.add(d.get(pi, f.zero), delta)
-
-        for pi, p in enumerate(basis):
+    gens = _generators(A)
+    n = len(basis)
+    columns = []
+    for p in basis:
+        # [p, g] for every generator g, stacked generator by generator
+        col: dict = {}
+        for gi, gpath in enumerate(gens):
             left = A.multiply(p, gpath)
             if left is not None:
-                bump(index[left], pi, f.one)
+                accumulate(f, col, gi * n + index[left], f.one)
             right = A.multiply(gpath, p)
             if right is not None:
-                bump(index[right], pi, f.neg(f.one))
-        for coord_row in per_coord.values():
-            row = {u: c for u, c in coord_row.items() if not f.is_zero(c)}
-            rows.append(row)
-    sol = _solve_rows(f, rows, len(basis))
+                accumulate(f, col, gi * n + index[right], f.neg(f.one))
+        columns.append(col)
+    domain = LabeledBasis(tuple(range(n)))
+    commutators = LabeledBasis(tuple(range(len(gens) * n)))
+    sol = kernel(f, LinearMap(domain, commutators, tuple(columns)))
     elements = [
         {basis[i]: c for i, c in v.items()} for v in sol.row_vectors()
     ]
@@ -121,9 +100,7 @@ class _DerivationSystem:
             r = self.A.multiply(q, y)
             if r is None:
                 continue
-            key = (r, u)
-            s = self.f.add(out.get(key, self.f.zero), c)
-            out.pop(key, None) if self.f.is_zero(s) else out.__setitem__(key, s)
+            accumulate(self.f, out, (r, u), c)
         return out
 
     def _mul_left(self, x: Path, form: dict) -> dict:
@@ -132,16 +109,13 @@ class _DerivationSystem:
             r = self.A.multiply(x, q)
             if r is None:
                 continue
-            key = (r, u)
-            s = self.f.add(out.get(key, self.f.zero), c)
-            out.pop(key, None) if self.f.is_zero(s) else out.__setitem__(key, s)
+            accumulate(self.f, out, (r, u), c)
         return out
 
     def _add(self, a: dict, b: dict) -> dict:
         out = dict(a)
         for k, c in b.items():
-            s = self.f.add(out.get(k, self.f.zero), c)
-            out.pop(k, None) if self.f.is_zero(s) else out.__setitem__(k, s)
+            accumulate(self.f, out, k, c)
         return out
 
     def _scale(self, c, form: dict) -> dict:
@@ -217,7 +191,8 @@ def derivation_dims(A: MonomialAlgebra):
     """(dim Der, dim InnDer) from the generator-value parametrization."""
     f = A.field
     system = _DerivationSystem(A)
-    der = _solve_rows(f, system.equations(), system.n_unknowns)
+    unknown_basis = LabeledBasis(tuple(range(system.n_unknowns)))
+    der = null_space(f, unknown_basis, system.equations())
 
     inner = []
     for b in A.basis:
@@ -225,17 +200,12 @@ def derivation_dims(A: MonomialAlgebra):
         for g in system.gens:
             left = A.multiply(b, g)
             if left is not None:
-                u = system.unknown(g, A.basis_index[left])
-                s = f.add(vec.get(u, f.zero), f.one)
-                vec.pop(u, None) if f.is_zero(s) else vec.__setitem__(u, s)
+                accumulate(f, vec, system.unknown(g, A.basis_index[left]), f.one)
             right = A.multiply(g, b)
             if right is not None:
-                u = system.unknown(g, A.basis_index[right])
-                s = f.sub(vec.get(u, f.zero), f.one)
-                vec.pop(u, None) if f.is_zero(s) else vec.__setitem__(u, s)
+                accumulate(f, vec, system.unknown(g, A.basis_index[right]), f.neg(f.one))
         if vec:
             inner.append(vec)
-    unknown_basis = LabeledBasis(tuple(range(system.n_unknowns)))
     inner_space = span(f, unknown_basis, inner)
     return der.dim, inner_space.dim
 

@@ -22,6 +22,7 @@ from .linalg import (
     LinearMap,
     QuotientView,
     Subspace,
+    accumulate,
     image,
     kernel,
     reduce_against,
@@ -124,15 +125,11 @@ class PairComplex:
             for a in Q.arrows_from[v]:
                 q = A.multiply(Q.arrow_path(a), p)
                 if q is not None:
-                    i = idx1[(a, q)]
-                    s = f.add(col.get(i, f.zero), f.one)
-                    col.pop(i, None) if f.is_zero(s) else col.__setitem__(i, s)
+                    accumulate(f, col, idx1[(a, q)], f.one)
             for a in Q.arrows_into[v]:
                 q = A.multiply(p, Q.arrow_path(a))
                 if q is not None:
-                    i = idx1[(a, q)]
-                    s = f.sub(col.get(i, f.zero), f.one)
-                    col.pop(i, None) if f.is_zero(s) else col.__setitem__(i, s)
+                    accumulate(f, col, idx1[(a, q)], f.neg(f.one))
             cols.append(col)
         return LinearMap(self.basis0, self.basis1, tuple(cols))
 
@@ -144,9 +141,7 @@ class PairComplex:
             col: dict = {}
             for ri, r in enumerate(A.relations):
                 for q in substitute(A, r, a, gamma):
-                    i = idxZ[(ri, q)]
-                    s = f.add(col.get(i, f.zero), f.one)
-                    col.pop(i, None) if f.is_zero(s) else col.__setitem__(i, s)
+                    accumulate(f, col, idxZ[(ri, q)], f.one)
             cols.append(col)
         return LinearMap(self.basis1, self.basisZ, tuple(cols))
 
@@ -183,20 +178,15 @@ class PairComplex:
         labels = self.basis1.labels
         idx = self.basis1.index
         out: dict = {}
-
-        def add(i, c):
-            s = f.add(out.get(i, f.zero), c)
-            out.pop(i, None) if f.is_zero(s) else out.__setitem__(i, s)
-
         for i, ci in x.items():
             a, gamma = labels[i]
             for j, cj in y.items():
                 b, eps = labels[j]
                 c = f.mul(ci, cj)
                 for q in substitute(A, eps, a, gamma):
-                    add(idx[(b, q)], c)
+                    accumulate(f, out, idx[(b, q)], c)
                 for q in substitute(A, gamma, b, eps):
-                    add(idx[(a, q)], f.neg(c))
+                    accumulate(f, out, idx[(a, q)], f.neg(c))
         return out
 
     # -- cohomology --------------------------------------------------------------
@@ -216,28 +206,6 @@ class PairComplex:
 @lru_cache(maxsize=64)
 def complex_data(A: MonomialAlgebra) -> PairComplex:
     return PairComplex(A)
-
-
-def delta0(A: MonomialAlgebra) -> LinearMap:
-    return complex_data(A).delta0
-
-
-def delta1(A: MonomialAlgebra) -> LinearMap:
-    return complex_data(A).delta1
-
-
-def hh0(A: MonomialAlgebra) -> Subspace:
-    return complex_data(A).hh0
-
-
-def hh1(A: MonomialAlgebra):
-    """(representative vectors inside the degree-one kernel, dimension)."""
-    C = complex_data(A)
-    return C.hh1_representatives(), C.hh1_dim
-
-
-def bracket(A: MonomialAlgebra, x: dict, y: dict) -> dict:
-    return complex_data(A).bracket(x, y)
 
 
 @dataclass(frozen=True)
@@ -342,8 +310,7 @@ def central_mult(C: PairComplex, u: dict, v: dict) -> dict:
             r = A.multiply(p, q)
             if r is None:
                 continue
-            s = f.add(prod.get(r, f.zero), f.mul(cp, cq))
-            prod.pop(r, None) if f.is_zero(s) else prod.__setitem__(r, s)
+            accumulate(f, prod, r, f.mul(cp, cq))
     return {C.basis0.index[(r.source, r)]: c for r, c in prod.items()}
 
 

@@ -52,33 +52,41 @@ def _random_walk_word(rng: random.Random, Q: Quiver, length: int):
     return tuple(word) if len(word) >= 2 else None
 
 
+def _sample_algebra(rng: random.Random, Q: Quiver, spec: RandomSpec):
+    """Sample relations on ``Q``, then cut relation-free cycles until it builds.
+
+    Returns None when a cycle survives all its cuts or the algebra exceeds
+    ``spec.max_dim``.  Only the sampling draws from ``rng``.
+    """
+    n_rel = int(round(spec.relation_density * Q.num_arrows))
+    words = set()
+    for _ in range(n_rel):
+        length = rng.randint(2, max(2, spec.max_relation_length))
+        w = _random_walk_word(rng, Q, length)
+        if w is not None:
+            words.add(w)
+    for _ in range(64):
+        rels = [Q.path(w) for w in sorted(words)]
+        try:
+            A = build(Q, rels, spec.field, minimalize=True)
+        except DimensionalityError as err:
+            cycle = err.cycle
+            cut = tuple((cycle * 2)[:2]) if len(cycle) == 1 else tuple(cycle[:2])
+            if cut in words:
+                return None
+            words.add(cut)
+            continue
+        return A if A.dim <= spec.max_dim else None
+    return None
+
+
 def random_instance(spec: RandomSpec) -> MonomialAlgebra:
     """Reproducible monomial algebra; always passes build validation."""
     rng = random.Random(spec.seed)
     for _ in range(256):
-        Q = _random_quiver(rng, spec)
-        n_rel = int(round(spec.relation_density * Q.num_arrows))
-        words = set()
-        for _ in range(n_rel):
-            length = rng.randint(2, max(2, spec.max_relation_length))
-            w = _random_walk_word(rng, Q, length)
-            if w is not None:
-                words.add(w)
-        for _ in range(64):
-            rels = [Q.path(w) for w in sorted(words)]
-            try:
-                A = build(Q, rels, spec.field, minimalize=True)
-            except DimensionalityError as err:
-                cycle = err.cycle
-                cut = tuple((cycle * 2)[:2]) if len(cycle) == 1 else tuple(cycle[:2])
-                if cut in words:
-                    # cycle survives all its cuts; give up on this quiver
-                    break
-                words.add(cut)
-                continue
-            if A.dim <= spec.max_dim:
-                return A
-            break
+        A = _sample_algebra(rng, _random_quiver(rng, spec), spec)
+        if A is not None:
+            return A
     raise RuntimeError("random generation failed to produce a valid algebra")
 
 
@@ -169,28 +177,8 @@ def source_sink_instance(spec: RandomSpec):
             ("beta", t1, t2),
         )
         Q = Quiver(names, arrows)
-        n_rel = int(round(spec.relation_density * Q.num_arrows))
-        words = set()
-        for _ in range(n_rel):
-            length = rng.randint(2, max(2, spec.max_relation_length))
-            w = _random_walk_word(rng, Q, length)
-            if w is not None:
-                words.add(w)
-        A = None
-        for _ in range(64):
-            rels = [Q.path(w) for w in sorted(words)]
-            try:
-                A = build(Q, rels, spec.field, minimalize=True)
-            except DimensionalityError as err:
-                cycle = err.cycle
-                cut = tuple((cycle * 2)[:2]) if len(cycle) == 1 else tuple(cycle[:2])
-                if cut in words:
-                    A = None
-                    break
-                words.add(cut)
-                continue
-            break
-        if A is None or A.dim > spec.max_dim:
+        A = _sample_algebra(rng, Q, spec)
+        if A is None:
             continue
         alpha = Q.arrow_index["alpha"]
         beta = Q.arrow_index["beta"]

@@ -64,6 +64,15 @@ def test_hh_degrees(capsys, line_bound_file):
     assert out.splitlines() == ["HH^0: 1", "HH^1: 0", "HH^2: 0", "HH^3: 0"]
 
 
+@pytest.mark.parametrize("spec", ["abc", "-1..0", "3..1", "1..x"])
+def test_hh_bad_degrees_exit_code(capsys, line_bound_file, spec):
+    code, out, err = run(capsys, "hh", line_bound_file, f"--degrees={spec}")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"error: --degrees expects N or N..M with 0 <= N <= M, got {spec!r}"
+    ]
+
+
 def test_center_and_pi1(capsys, line_bound_file):
     code, out, _ = run(capsys, "center", line_bound_file)
     assert code == 0 and "dim Z: 1" in out
@@ -131,6 +140,22 @@ def test_determinism_byte_identical(capsys, line_bound_file):
     _, oa, _ = run(capsys, "hh", line_bound_file, "--degrees", "0..6")
     _, ob, _ = run(capsys, "hh", line_bound_file, "--degrees", "0..6")
     assert oa == ob
+
+
+@pytest.mark.parametrize("p", [10**18 + 1, 2**64 + 13])
+def test_field_characteristic_exit_code(capsys, tmp_path, p):
+    path = tmp_path / "big.alg"
+    path.write_text(f"field F {p}\nvertex v\n")
+    code, _, err = run(capsys, "info", str(path))
+    assert code == 2
+    assert err.startswith("error: line 1, column 9: field characteristic must be")
+
+
+def test_large_prime_field_parses(capsys, tmp_path):
+    path = tmp_path / "prime.alg"
+    path.write_text("field F 1000000000000000003\nvertex v\n")
+    code, out, _ = run(capsys, "info", str(path))
+    assert code == 0 and out.startswith("field: F1000000000000000003\n")
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

@@ -1,8 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-from quiverhh.fields import GF, QQ, FieldSpec
+from quiverhh.fields import GF, QQ, FieldSpec, _is_prime
 
 
 def test_rationals_arithmetic():
@@ -36,3 +37,33 @@ def test_characteristic_must_be_prime():
         with pytest.raises(ValueError):
             FieldSpec(bad)
     GF(2), GF(97)  # fine
+
+
+def _trial_division_is_prime(p: int) -> bool:
+    """Reference: the trial division the field check used before Miller-Rabin."""
+    if p < 2:
+        return False
+    if p % 2 == 0:
+        return p == 2
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_miller_rabin_matches_trial_division():
+    # includes strong pseudoprimes to small bases: 2047, 1373653, 25326001
+    for n in list(range(-3, 20000)) + [2047, 1373653, 25326001, 3215031751]:
+        assert _is_prime(n) == _trial_division_is_prime(n), n
+
+
+def test_large_characteristics():
+    start = time.perf_counter()
+    assert GF(1000000000000000003).char == 1000000000000000003
+    assert GF(2**64 - 59).char == 2**64 - 59  # the largest prime below 2^64
+    assert time.perf_counter() - start < 1.0
+    for bad in (10**18 + 1, 2**64 - 1, 2**64 + 13):
+        with pytest.raises(ValueError):
+            FieldSpec(bad)

@@ -1,0 +1,240 @@
+"""Differential tests: the sparse elimination core against dense RREF.
+
+The reference below is the positional dense ``Fraction``-row elimination
+the package used before its sparse core, kept here unchanged, with the
+dense forms of ``span``, ``kernel``, ``intersect``, ``solve_columns`` and
+``reduce_against`` built on it.  RREF is unique, so both must agree
+exactly on every input.
+"""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from quiverhh.fields import GF, QQ
+from quiverhh.linalg import (
+    LabeledBasis,
+    LinearMap,
+    intersect,
+    kernel,
+    reduce_against,
+    solve_columns,
+    span,
+)
+
+
+def _rref(field, rows: list, width: int) -> tuple:
+    """Reduced row echelon form; returns (rows, pivots) with dense tuple rows."""
+    work = [list(r) for r in rows if any(not field.is_zero(x) for x in r)]
+    pivots = []
+    r = 0
+    for c in range(width):
+        pr = None
+        for i in range(r, len(work)):
+            if not field.is_zero(work[i][c]):
+                pr = i
+                break
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        inv = field.inv(work[r][c])
+        work[r] = [field.mul(inv, x) for x in work[r]]
+        for i in range(len(work)):
+            if i != r and not field.is_zero(work[i][c]):
+                f = work[i][c]
+                work[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    work = [tuple(row) for row in work[:r]]
+    return tuple(work), tuple(pivots)
+
+
+def _dense(field, vectors, width):
+    rows = []
+    for v in vectors:
+        row = [field.zero] * width
+        for i, c in v.items():
+            row[i] = c
+        rows.append(row)
+    return rows
+
+
+def ref_span(field, width, vectors):
+    return _rref(field, _dense(field, vectors, width), width)
+
+
+def ref_kernel(field, width, columns):
+    ncols = len(columns)
+    rows = [[field.zero] * ncols for _ in range(width)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            rows[i][j] = x
+    ech, pivots = _rref(field, rows, ncols)
+    pivset = set(pivots)
+    gens = []
+    for f in (j for j in range(ncols) if j not in pivset):
+        v = {f: field.one}
+        for row, p in zip(ech, pivots):
+            if not field.is_zero(row[f]):
+                v[p] = field.neg(row[f])
+        gens.append(v)
+    return ref_span(field, ncols, gens)
+
+
+def ref_intersect(field, width, s_rows, t_rows):
+    rows = [list(r) + list(r) for r in s_rows]
+    rows += [list(r) + [field.zero] * width for r in t_rows]
+    ech, _ = _rref(field, rows, 2 * width)
+    meet = []
+    for row in ech:
+        if all(field.is_zero(x) for x in row[:width]):
+            v = {i: c for i, c in enumerate(row[width:]) if not field.is_zero(c)}
+            if v:
+                meet.append(v)
+    return ref_span(field, width, meet)
+
+
+def ref_solve_columns(field, width, columns, target):
+    ncols = len(columns) + 1
+    rows = [[field.zero] * ncols for _ in range(width)]
+    for j, col in enumerate(list(columns) + [target]):
+        for i, x in col.items():
+            rows[i][j] = x
+    ech, pivots = _rref(field, rows, ncols)
+    if ncols - 1 in pivots:
+        return None
+    sol = [field.zero] * len(columns)
+    for row, p in zip(ech, pivots):
+        sol[p] = row[ncols - 1]
+    return sol
+
+
+def ref_reduce_against(field, rows, pivots, vec):
+    rem = dict(vec)
+    coeffs = []
+    for row, p in zip(rows, pivots):
+        c = rem.get(p, field.zero)
+        coeffs.append(c)
+        if not field.is_zero(c):
+            for i, x in enumerate(row):
+                if field.is_zero(x):
+                    continue
+                s = field.sub(rem.get(i, field.zero), field.mul(c, x))
+                if field.is_zero(s):
+                    rem.pop(i, None)
+                else:
+                    rem[i] = s
+    return coeffs, rem
+
+
+def as_dense(field, space):
+    """(dense rows, pivots) of a sparse-stored subspace."""
+    width = len(space.basis)
+    return tuple(map(tuple, _dense(field, space.row_vectors(), width))), space.pivots
+
+
+FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5)}
+# (rows lo, rows hi, columns lo, columns hi)
+SHAPES = {"square": (0, 6, 0, 6), "tall": (6, 14, 1, 2), "wide": (1, 3, 6, 14)}
+
+
+@st.composite
+def matrices(draw):
+    """(field, width, rows): sparse zero-free rows over ``range(width)``,
+    with some zero rows and repeated rows mixed in."""
+    f = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    rlo, rhi, clo, chi = SHAPES[draw(st.sampled_from(sorted(SHAPES)))]
+    width = draw(st.integers(clo, chi))
+    if f.char:
+        scalar = st.integers(1, f.char - 1)
+    else:
+        scalar = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    if width:
+        entry = st.dictionaries(st.integers(0, width - 1), scalar, max_size=min(width, 4))
+    else:
+        entry = st.just({})
+    rows = draw(st.lists(st.one_of(entry, st.just({})), min_size=rlo, max_size=rhi))
+    if rows:
+        repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))
+        rows += [dict(rows[i]) for i in repeats]
+    return f, width, rows
+
+
+QUARTER = [{0: Fraction(1), 1: Fraction(2)}, {}, {0: Fraction(1), 1: Fraction(2)}, {1: Fraction(1, 3)}]
+TALL = [{0: 1}, {0: 1}, {}, {1: 1}, {0: 1, 1: 1}, {}, {1: 1}]
+WIDE = [{0: 2, 7: 1, 11: 4}, {3: 1, 7: 3}]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+@example((QQ, 0, []))
+@example((QQ, 0, [{}, {}]))
+@example((QQ, 4, QUARTER))
+@example((GF(2), 2, TALL))
+@example((GF(5), 12, WIDE))
+def test_span_matches_dense(case):
+    f, width, rows = case
+    got = span(f, LabeledBasis(tuple(range(width))), rows)
+    assert as_dense(f, got) == ref_span(f, width, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+@example((QQ, 0, []))
+@example((QQ, 3, [{}, {}]))
+@example((QQ, 4, QUARTER))
+@example((GF(2), 2, TALL))
+@example((GF(5), 12, WIDE))
+def test_kernel_matches_dense(case):
+    # the rows are the columns of a map into range(width)
+    f, width, cols = case
+    m = LinearMap(
+        LabeledBasis(tuple(range(len(cols)))), LabeledBasis(tuple(range(width))), tuple(cols)
+    )
+    assert as_dense(f, kernel(f, m)) == ref_kernel(f, width, cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.integers(0, 20))
+@example((QQ, 0, []), 0)
+@example((QQ, 4, QUARTER), 2)
+@example((GF(2), 2, TALL), 3)
+@example((GF(5), 12, WIDE), 1)
+def test_intersect_matches_dense(case, cut):
+    f, width, rows = case
+    basis = LabeledBasis(tuple(range(width)))
+    s = span(f, basis, rows[:cut])
+    t = span(f, basis, rows[cut:])
+    want = ref_intersect(f, width, as_dense(f, s)[0], as_dense(f, t)[0])
+    assert as_dense(f, intersect(f, s, t)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+@example((QQ, 0, []))
+@example((QQ, 4, QUARTER))
+@example((GF(2), 2, TALL))
+@example((GF(5), 12, WIDE))
+def test_solve_columns_matches_dense(case):
+    f, width, rows = case
+    columns, target = rows[:-1], (rows[-1] if rows else {})
+    assert solve_columns(f, width, columns, target) == ref_solve_columns(
+        f, width, columns, target
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.integers(0, 20))
+@example((QQ, 0, []), 0)
+@example((QQ, 4, QUARTER), 2)
+@example((GF(2), 2, TALL), 3)
+@example((GF(5), 12, WIDE), 1)
+def test_reduce_against_matches_dense(case, cut):
+    f, width, rows = case
+    space = span(f, LabeledBasis(tuple(range(width))), rows[:cut])
+    dense_rows, pivots = as_dense(f, space)
+    for vec in rows[cut:] or [{}]:
+        assert reduce_against(f, space, vec) == ref_reduce_against(f, dense_rows, pivots, vec)
