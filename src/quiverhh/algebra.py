@@ -86,10 +86,6 @@ class MonomialAlgebra:
                     return False
         return True
 
-    def cycles_at(self, v: int) -> list:
-        """Basis cycles of length >= 1 based at ``v``."""
-        return [p for p in self.basis if p.length >= 1 and p.source == v and p.target == v]
-
 
 def _check_minimal(relations) -> None:
     words = [r.arrows for r in relations]

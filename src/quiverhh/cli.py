@@ -179,7 +179,10 @@ def cmd_verify(args) -> int:
 
 def cmd_examples(args) -> int:
     if args.show:
-        entry = example_by_name(args.show)
+        try:
+            entry = example_by_name(args.show)
+        except KeyError:
+            raise QuiverHHError(f"--show: no example named {args.show!r}") from None
         sys.stdout.write(entry.text)
         return 0
     if not args.run:
@@ -213,6 +216,8 @@ def cmd_examples(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    if args.count < 0:
+        raise QuiverHHError(f"--count expects a non-negative integer, got {args.count}")
     checks = FUZZ_CHECKS if args.checks == "default" else tuple(
         c.strip() for c in args.checks.split(",")
     )

@@ -1,213 +1,109 @@
 """Independent cross-checks for degree-zero and degree-one cohomology.
 
 Both oracles work on the algebra's multiplication directly, never through
-the parallel-pair complex: the center is the commutant of the generators,
-and the degree-one dimension is the derivation space modulo inner
-derivations.  Derivations are parametrized by their values on vertices
-and arrows; values on longer basis paths are forced by the product rule,
-and the constraints are the vertex/arrow compatibility equations plus the
-vanishing of the expanded relations.
+the parallel-pair complex.  They share one matrix: the commutator matrix,
+whose column for a basis path p holds [p, g] for every vertex and arrow
+generator g.  The center is its kernel, since commuting with the
+generators is commuting with everything, and the inner derivations are
+its image.  A derivation is parametrized by its values on the generators;
+the derivation space is cut out by the product rule on every generator
+pair other than two arrows, plus the vanishing of d on every relation.
 """
 
 from __future__ import annotations
 
 from .algebra import MonomialAlgebra
-from .linalg import LabeledBasis, LinearMap, accumulate, kernel, null_space, span
-from .quiver import Path
+from .linalg import LabeledBasis, LinearMap, accumulate, kernel, span
 
 
-def _generators(A: MonomialAlgebra):
+def _generators(A: MonomialAlgebra) -> list:
     Q = A.quiver
     gens = [Q.trivial_path(v) for v in range(Q.num_vertices)]
     gens += [Q.arrow_path(a) for a in range(Q.num_arrows)]
     return gens
 
 
-def oracle_center(A: MonomialAlgebra):
-    """(dimension, central elements as path-coefficient dicts).
+def _commutators(A: MonomialAlgebra) -> list:
+    """One column per basis path p: [p, g] at ``gi * dim A + coord``.
 
-    Solves z*g = g*z for every vertex idempotent and arrow generator g;
-    commuting with generators is commuting with everything.
+    Generator by generator, the column of p is the value of the inner
+    derivation ad p in the unknowns of :func:`derivation_dims`.
     """
     f = A.field
-    basis = A.basis
+    n = A.dim
     index = A.basis_index
     gens = _generators(A)
-    n = len(basis)
     columns = []
-    for p in basis:
-        # [p, g] for every generator g, stacked generator by generator
+    for p in A.basis:
         col: dict = {}
-        for gi, gpath in enumerate(gens):
-            left = A.multiply(p, gpath)
+        for gi, g in enumerate(gens):
+            left = A.multiply(p, g)
             if left is not None:
                 accumulate(f, col, gi * n + index[left], f.one)
-            right = A.multiply(gpath, p)
+            right = A.multiply(g, p)
             if right is not None:
                 accumulate(f, col, gi * n + index[right], f.neg(f.one))
         columns.append(col)
-    domain = LabeledBasis(tuple(range(n)))
-    commutators = LabeledBasis(tuple(range(len(gens) * n)))
-    sol = kernel(f, LinearMap(domain, commutators, tuple(columns)))
-    elements = [
-        {basis[i]: c for i, c in v.items()} for v in sol.row_vectors()
-    ]
+    return columns
+
+
+def oracle_center(A: MonomialAlgebra):
+    """(dimension, central elements as path-coefficient dicts).
+
+    Solves z*g = g*z for every vertex idempotent and arrow generator g.
+    """
+    n = A.dim
+    commutators = LabeledBasis(tuple(range(len(_generators(A)) * n)))
+    m = LinearMap(LabeledBasis(tuple(range(n))), commutators, tuple(_commutators(A)))
+    sol = kernel(A.field, m)
+    elements = [{A.basis[i]: c for i, c in v.items()} for v in sol.row_vectors()]
     return sol.dim, elements
 
 
-class _DerivationSystem:
-    """Linear forms for d(p) with unknowns = generator values."""
+def _add_derivative(A: MonomialAlgebra, gen_index: dict, rows: dict, word, c) -> None:
+    """Add ``c`` times d(x_k ⋯ x_1) to ``rows`` for ``word = (x_1, ..., x_k)``.
 
-    def __init__(self, A: MonomialAlgebra):
-        self.A = A
-        self.f = A.field
-        self.gens = _generators(A)
-        self.gen_index = {g: i for i, g in enumerate(self.gens)}
-        self.dim = A.dim
-        self.n_unknowns = len(self.gens) * A.dim
-        self._forms: dict = {}
-
-    def unknown(self, gen_path: Path, coord: int) -> int:
-        return self.gen_index[gen_path] * self.dim + coord
-
-    def generator_form(self, gpath: Path) -> dict:
-        # d(g) is the free vector of unknowns (g, q) over all coords q.
-        return {
-            (q, self.unknown(gpath, qi)): self.f.one
-            for qi, q in enumerate(self.A.basis)
-        }
-
-    def form_of(self, p: Path) -> dict:
-        """Form of d(p) for a basis path, by splitting off the last arrow."""
-        if p in self._forms:
-            return self._forms[p]
-        A, f = self.A, self.f
-        if p.length <= 1:
-            form = self.generator_form(p)
-        else:
-            x = A.quiver.arrow_path(p.arrows[-1])
-            rest = Path(p.source, A.quiver.source(p.arrows[-1]), p.arrows[:-1])
-            form = self._add(
-                self._mul_right(self.form_of(x), rest),
-                self._mul_left(x, self.form_of(rest)),
-            )
-        self._forms[p] = form
-        return form
-
-    def _mul_right(self, form: dict, y: Path) -> dict:
-        out: dict = {}
-        for (q, u), c in form.items():
-            r = self.A.multiply(q, y)
-            if r is None:
-                continue
-            accumulate(self.f, out, (r, u), c)
-        return out
-
-    def _mul_left(self, x: Path, form: dict) -> dict:
-        out: dict = {}
-        for (q, u), c in form.items():
-            r = self.A.multiply(x, q)
-            if r is None:
-                continue
-            accumulate(self.f, out, (r, u), c)
-        return out
-
-    def _add(self, a: dict, b: dict) -> dict:
-        out = dict(a)
-        for k, c in b.items():
-            accumulate(self.f, out, k, c)
-        return out
-
-    def _scale(self, c, form: dict) -> dict:
-        if self.f.is_zero(c):
-            return {}
-        return {k: self.f.mul(c, v) for k, v in form.items()}
-
-    def equations(self):
-        """Sparse unknown-coefficient rows whose kernel is the derivation space."""
-        A, f = self.A, self.f
-        Q = A.quiver
-        rows = []
-
-        def emit(form: dict):
-            per_coord: dict = {}
-            for (q, u), c in form.items():
-                per_coord.setdefault(q, {})[u] = c
-            for row in per_coord.values():
-                rows.append({u: c for u, c in row.items() if not f.is_zero(c)})
-
-        verts = [Q.trivial_path(v) for v in range(Q.num_vertices)]
-        # Idempotent pairs: d(e_i)e_j + e_i d(e_j) = [i == j] d(e_i).
-        for i, ei in enumerate(verts):
-            for j, ej in enumerate(verts):
-                form = self._add(
-                    self._mul_right(self.generator_form(ei), ej),
-                    self._mul_left(ei, self.generator_form(ej)),
-                )
-                if i == j:
-                    form = self._add(form, self._scale(f.neg(f.one), self.generator_form(ei)))
-                emit(form)
-        # Vertex/arrow pairs in both orders.
-        for a in range(Q.num_arrows):
-            ap = Q.arrow_path(a)
-            for i, ei in enumerate(verts):
-                form = self._add(
-                    self._mul_right(self.generator_form(ei), ap),
-                    self._mul_left(ei, self.generator_form(ap)),
-                )
-                if i == Q.target(a):
-                    form = self._add(form, self._scale(f.neg(f.one), self.generator_form(ap)))
-                emit(form)
-                form = self._add(
-                    self._mul_right(self.generator_form(ap), ei),
-                    self._mul_left(ap, self.generator_form(ei)),
-                )
-                if i == Q.source(a):
-                    form = self._add(form, self._scale(f.neg(f.one), self.generator_form(ap)))
-                emit(form)
-        # Expanded relations must map to zero.
-        for r in A.relations:
-            emit(self._word_form(r))
-        return rows
-
-    def _word_form(self, r: Path) -> dict:
-        """Leibniz expansion of d along the word of ``r``, evaluated in A."""
-        A = self.A
-        word = r.arrows
-        total: dict = {}
-        for i in range(len(word)):
-            x = A.quiver.arrow_path(word[i])
-            form = self.generator_form(x)
-            # multiply by the prefix on the right, then the suffix on the left
-            for j in range(i - 1, -1, -1):
-                form = self._mul_right(form, A.quiver.arrow_path(word[j]))
-            for j in range(i + 1, len(word)):
-                form = self._mul_left(A.quiver.arrow_path(word[j]), form)
-            total = self._add(total, form)
-        return total
+    By the product rule d(x_k ⋯ x_1) is the sum over i of
+    x_k ⋯ x_{i+1} d(x_i) x_{i-1} ⋯ x_1, where d(x_i) is the sum over basis
+    paths q of the unknown ``(x_i, q)`` times q; each term is evaluated in
+    A.  ``rows`` maps the basis index of the product to ``{unknown: coeff}``.
+    """
+    f, n, index = A.field, A.dim, A.basis_index
+    for i, x in enumerate(word):
+        offset = gen_index[x] * n
+        for qi, q in enumerate(A.basis):
+            r = q
+            for y in reversed(word[:i]):
+                r = r if r is None else A.multiply(r, y)
+            for y in word[i + 1 :]:
+                r = r if r is None else A.multiply(y, r)
+            if r is not None:
+                accumulate(f, rows.setdefault(index[r], {}), offset + qi, c)
 
 
 def derivation_dims(A: MonomialAlgebra):
     """(dim Der, dim InnDer) from the generator-value parametrization."""
     f = A.field
-    system = _DerivationSystem(A)
-    unknown_basis = LabeledBasis(tuple(range(system.n_unknowns)))
-    der = null_space(f, unknown_basis, system.equations())
-
-    inner = []
-    for b in A.basis:
-        vec: dict = {}
-        for g in system.gens:
-            left = A.multiply(b, g)
-            if left is not None:
-                accumulate(f, vec, system.unknown(g, A.basis_index[left]), f.one)
-            right = A.multiply(g, b)
-            if right is not None:
-                accumulate(f, vec, system.unknown(g, A.basis_index[right]), f.neg(f.one))
-        if vec:
-            inner.append(vec)
-    inner_space = span(f, unknown_basis, inner)
-    return der.dim, inner_space.dim
+    Q = A.quiver
+    gens = _generators(A)
+    gen_index = {g: i for i, g in enumerate(gens)}
+    # The relations presenting A: yx = 0 or a generator for every generator
+    # pair other than two arrows, and r = 0 for every relation.  A derivation
+    # must respect each: d(y)x + y d(x) = d(yx) and d(r) = 0.
+    words = [
+        ((x, y), A.multiply(y, x)) for y in gens for x in gens if x.length + y.length < 2
+    ]
+    words += [(tuple(Q.arrow_path(a) for a in r.arrows), None) for r in A.relations]
+    equations = []
+    for word, product in words:
+        rows: dict = {}
+        _add_derivative(A, gen_index, rows, word, f.one)
+        if product is not None:
+            _add_derivative(A, gen_index, rows, (product,), f.neg(f.one))
+        equations.extend(rows.values())
+    unknowns = LabeledBasis(tuple(range(len(gens) * A.dim)))
+    der = len(unknowns) - span(f, unknowns, equations).dim
+    return der, span(f, unknowns, _commutators(A)).dim
 
 
 def oracle_hh1_dim(A: MonomialAlgebra) -> int:

@@ -145,21 +145,12 @@ class PairComplex:
             cols.append(col)
         return LinearMap(self.basis1, self.basisZ, tuple(cols))
 
-    # -- degree-zero block split ----------------------------------------------
-
-    def degree0_split(self):
-        """Column index sets of the vertex-pair block and the cycle-pair block."""
-        triv = [i for i, (v, p) in enumerate(self.basis0.labels) if p.length == 0]
-        pos = [i for i, (v, p) in enumerate(self.basis0.labels) if p.length >= 1]
-        return triv, pos
-
-    def im0_block(self, positions) -> Subspace:
-        return span(self.field, self.basis1, [self.delta0.columns[i] for i in positions])
+    # -- degree-zero cycle block ----------------------------------------------
 
     def ker0_positive(self) -> Subspace:
         """Kernel of the differential restricted to cycle pairs of length >= 1,
         as a subspace of the full degree-zero space."""
-        _, pos = self.degree0_split()
+        pos = [i for i, (v, p) in enumerate(self.basis0.labels) if p.length >= 1]
         sub_basis = LabeledBasis(tuple(self.basis0.labels[i] for i in pos))
         restricted = LinearMap(
             sub_basis, self.basis1, tuple(self.delta0.columns[i] for i in pos)
@@ -195,10 +186,6 @@ class PairComplex:
     def hh0(self) -> Subspace:
         return self.ker0
 
-    @property
-    def hh1_dim(self) -> int:
-        return self.hh1_view.dim
-
     def hh1_representatives(self) -> list:
         return self.hh1_view.representatives()
 
@@ -229,23 +216,30 @@ class LieAlgebraPresentation:
         return all(all(self.field.is_zero(c) for c in v) for v in self.constants.values())
 
     def check_jacobi(self) -> bool:
+        """True iff [[x_i, x_j], x_k] + [[x_j, x_k], x_i] + [[x_k, x_i], x_j] = 0.
+
+        ``bracket_coords`` is antisymmetric by construction, so this
+        Jacobiator is alternating and the triples i < j < k decide it; each
+        term multiplies only nonzero structure constants.
+        """
         f = self.field
         d = self.dim
+        nonzero = {
+            (i, j): [(l, c) for l, c in enumerate(self.bracket_coords(i, j)) if not f.is_zero(c)]
+            for i in range(d)
+            for j in range(d)
+            if i != j
+        }
         for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    for m in range(d):
-                        total = f.zero
-                        for cyc in ((i, j, k), (j, k, i), (k, i, j)):
-                            inner = self.bracket_coords(cyc[0], cyc[1])
-                            for l in range(d):
-                                if f.is_zero(inner[l]):
-                                    continue
-                                total = f.add(
-                                    total, f.mul(inner[l], self.bracket_coords(l, cyc[2])[m])
-                                )
-                        if not f.is_zero(total):
-                            return False
+            for j in range(i + 1, d):
+                for k in range(j + 1, d):
+                    total: dict = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for l, x in nonzero[(a, b)]:
+                            for m, y in nonzero.get((l, c), ()):
+                                accumulate(f, total, m, f.mul(x, y))
+                    if total:
+                        return False
         return True
 
 

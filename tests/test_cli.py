@@ -73,6 +73,19 @@ def test_hh_bad_degrees_exit_code(capsys, line_bound_file, spec):
     ]
 
 
+def test_examples_unknown_name_exit_code(capsys):
+    code, out, err = run(capsys, "examples", "--show", "nope")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: --show: no example named 'nope'"]
+
+
+@pytest.mark.parametrize("count", ["-3", "-1"])
+def test_fuzz_negative_count_exit_code(capsys, count):
+    code, out, err = run(capsys, "fuzz", "--seed", "1", f"--count={count}")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: --count expects a non-negative integer, got {count}"]
+
+
 def test_center_and_pi1(capsys, line_bound_file):
     code, out, _ = run(capsys, "center", line_bound_file)
     assert code == 0 and "dim Z: 1" in out
