@@ -1,5 +1,11 @@
 """One checker per comparison statement about a gluing, plus a runner.
 
+Every checker takes the :class:`GluedAlgebra` and reads the data derived
+from the gluing (pair complexes, transported kernels and images,
+special-path data, the Lie structure of A, the oracle dimensions) from its
+lazily computed attributes, so each is built once per gluing however many
+checkers use it.
+
 Every checker returns a structured report: pass/fail with the compared
 values, a not-applicable status naming the unmet precondition, or an
 assumption-violated status carrying the loop witness.  A fail report
@@ -12,32 +18,25 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import combinations, product
 
 from .errors import QuiverHHError
 from .fundgroup import check_theta_diagram, pi1_rank
-from .gluing import (
-    GluedAlgebra,
-    assumption_holds,
-    crucial_paths,
-    nsp_data,
-    special_pairs,
-    special_paths,
-)
+from .gluing import GluedAlgebra, crucial_paths
 from .higher import check_high_degree_gluing
 from .linalg import (
     LabeledBasis,
     LinearMap,
+    QuotientView,
     accumulate,
     contains_subspace,
-    is_direct_sum,
     kernel,
     member,
-    solve_columns,
+    solve_columns,  # unused; the perfbench tracer self-test reads checks.solve_columns
     span,
     subspace_sum,
 )
-from .paircomplex import central_mult, complex_data, hh1_lie, lie_center_dim
+from .paircomplex import central_mult, hh1_lie, lie_center_dim
 
 
 @dataclass
@@ -67,60 +66,6 @@ class CheckReport:
         return out
 
 
-class GluingContext:
-    """Shared lazily computed data for the checkers of one gluing."""
-
-    def __init__(self, g: GluedAlgebra):
-        self.g = g
-        self.f = g.B.field
-
-    @cached_property
-    def CA(self):
-        return complex_data(self.g.A)
-
-    @cached_property
-    def CB(self):
-        return complex_data(self.g.B)
-
-    @cached_property
-    def sp(self):
-        return special_paths(self.g)
-
-    @cached_property
-    def spp(self):
-        return special_pairs(self.g)
-
-    @cached_property
-    def nsp(self):
-        return nsp_data(self.g)
-
-    @cached_property
-    def assumption(self):
-        return assumption_holds(self.g)
-
-    @cached_property
-    def gamma_span(self):
-        return span(self.f, self.CB.basis1, [self.g.gamma_pair_vector()])
-
-    @cached_property
-    def psi1_im0(self):
-        return self.g.psi_subspace(self.g.psi1, self.CA.im0)
-
-    @cached_property
-    def psi1_ker1(self):
-        return self.g.psi_subspace(self.g.psi1, self.CA.ker1)
-
-    @cached_property
-    def alpha_minus_beta(self):
-        g, f = self.g, self.f
-        QA = g.A.quiver
-        vec = {
-            self.CA.basis1.index[(g.alpha, QA.arrow_path(g.alpha))]: f.one,
-            self.CA.basis1.index[(g.beta, QA.arrow_path(g.beta))]: f.neg(f.one),
-        }
-        return vec
-
-
 def _na(check: str, reason: str) -> CheckReport:
     return CheckReport(check, "not-applicable", reason=reason)
 
@@ -137,53 +82,59 @@ def _verdict(check: str, ok: bool, lhs=None, rhs=None, reason: str = "") -> Chec
 # -- image of the degree-zero differential ------------------------------------
 
 
-def check_im_delta0_dim(ctx: GluingContext) -> CheckReport:
-    g = ctx.g
+def check_im_delta0_dim(g: GluedAlgebra) -> CheckReport:
+    CA, CB = g.complexes
     c_a, c_b = g.components
-    lhs = ctx.CA.im0.dim
-    rhs = ctx.CB.im0.dim + 2 + c_b - c_a - ctx.sp.sp
+    lhs = CA.im0.dim
+    rhs = CB.im0.dim + 2 + c_b - c_a - g.sp.sp
     return _verdict("im_delta0_dim", lhs == rhs, lhs, rhs)
 
 
-def check_im_delta0_structure(ctx: GluingContext) -> CheckReport:
-    g, f = ctx.g, ctx.f
+def check_im_delta0_structure(g: GluedAlgebra) -> CheckReport:
+    f = g.B.field
     if not g.source_sink:
         return _na("im_delta0_structure", "requires a source-sink gluing")
-    enlarged = subspace_sum(f, ctx.CB.im0, ctx.gamma_span)
-    decomposed = subspace_sum(f, ctx.psi1_im0, ctx.sp.z_sp)
+    CA, CB = g.complexes
+    enlarged = g.im0_gamma
+    decomposed = subspace_sum(f, g.psi1_im0, g.sp.z_sp)
     ok = enlarged == decomposed
-    ok = ok and is_direct_sum(f, ctx.psi1_im0, ctx.sp.z_sp)
-    ok = ok and ctx.psi1_im0.dim == ctx.CA.im0.dim - 1
+    ok = ok and decomposed.dim == g.psi1_im0.dim + g.sp.z_sp.dim
+    ok = ok and g.psi1_im0.dim == CA.im0.dim - 1
     if g.same_block:
-        ok = ok and not member(f, ctx.CB.im0, g.gamma_pair_vector())
+        ok = ok and not member(f, CB.im0, g.gamma_pair_vector())
     else:
-        ok = ok and ctx.CB.im0 == ctx.psi1_im0
+        ok = ok and CB.im0 == g.psi1_im0
     return _verdict("im_delta0_structure", ok, enlarged.dim, decomposed.dim)
 
 
-def check_rad_sq_zero_im(ctx: GluingContext) -> CheckReport:
-    g, f = ctx.g, ctx.f
+def check_rad_sq_zero_im(g: GluedAlgebra) -> CheckReport:
     if not g.source_sink:
         return _na("rad_sq_zero_im", "requires a source-sink gluing")
     if not g.A.is_radical_square_zero():
         return _na("rad_sq_zero_im", "requires a radical-square-zero algebra")
+    CA, CB = g.complexes
     c_a, c_b = g.components
-    enlarged = subspace_sum(f, ctx.CB.im0, ctx.gamma_span)
-    ok = enlarged == ctx.psi1_im0
-    ok = ok and ctx.CA.im0.dim == ctx.CB.im0.dim + 2 + c_b - c_a
-    return _verdict("rad_sq_zero_im", ok, ctx.CA.im0.dim, ctx.CB.im0.dim + 2 + c_b - c_a)
+    ok = g.im0_gamma == g.psi1_im0
+    ok = ok and CA.im0.dim == CB.im0.dim + 2 + c_b - c_a
+    return _verdict("rad_sq_zero_im", ok, CA.im0.dim, CB.im0.dim + 2 + c_b - c_a)
 
 
 # -- kernel of the degree-one differential --------------------------------------
 
 
-def _restriction_kernel(ctx: GluingContext):
+def _first_failure(pairs, holds):
+    """The first index pair ``(i, j)`` of ``pairs`` where ``holds(i, j)`` is false, or None."""
+    return next(((i, j) for i, j in pairs if not holds(i, j)), None)
+
+
+def _restriction_kernel(g: GluedAlgebra):
     """Kernel of the pair-space transport restricted to the degree-one kernel."""
-    g, f = ctx.g, ctx.f
-    rows = ctx.CA.ker1.row_vectors()
+    f = g.B.field
+    CA, CB = g.complexes
+    rows = CA.ker1.row_vectors()
     dom = LabeledBasis(tuple(range(len(rows))))
     cols = tuple(g.psi1.apply(f, r) for r in rows)
-    coord_kernel = kernel(f, LinearMap(dom, ctx.CB.basis1, cols))
+    coord_kernel = kernel(f, LinearMap(dom, CB.basis1, cols))
     vectors = []
     for coords in coord_kernel.row_vectors():
         vec: dict = {}
@@ -191,67 +142,70 @@ def _restriction_kernel(ctx: GluingContext):
             for j, x in rows[i].items():
                 accumulate(f, vec, j, f.mul(c, x))
         vectors.append(vec)
-    return span(f, ctx.CA.basis1, vectors)
+    return span(f, CA.basis1, vectors)
 
 
-def check_ker_delta1_hom(ctx: GluingContext) -> CheckReport:
-    g, f = ctx.g, ctx.f
+def check_ker_delta1_hom(g: GluedAlgebra) -> CheckReport:
+    f = g.B.field
     if not g.source_sink:
-        ok_assum, witness = ctx.assumption
+        ok_assum, witness = g.assumption
         if not ok_assum:
-            return _violated("ker_delta1_hom", _loop_witness(ctx, witness))
+            return _violated("ker_delta1_hom", _loop_witness(g, witness))
+    CA, CB = g.complexes
     # transported kernel elements stay in the kernel
-    ok = contains_subspace(f, ctx.CB.ker1, ctx.psi1_ker1)
+    ok = contains_subspace(f, CB.ker1, g.psi1_ker1)
     # kernel of the restriction is spanned by the arrow-pair difference
-    expected = span(f, ctx.CA.basis1, [ctx.alpha_minus_beta])
-    ok = ok and _restriction_kernel(ctx) == expected
+    QA = g.A.quiver
+    alpha_minus_beta = {
+        CA.basis1.index[(g.alpha, QA.arrow_path(g.alpha))]: f.one,
+        CA.basis1.index[(g.beta, QA.arrow_path(g.beta))]: f.neg(f.one),
+    }
+    ok = ok and _restriction_kernel(g) == span(f, CA.basis1, [alpha_minus_beta])
     detail = ""
     if g.source_sink:
         # bracket preservation at the cochain level (source-sink only: the
         # glued arrows appear in no off-diagonal kernel pair there)
-        rows = ctx.CA.ker1.row_vectors()
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                lhs = g.psi1.apply(f, ctx.CA.bracket(rows[i], rows[j]))
-                rhs = ctx.CB.bracket(
-                    g.psi1.apply(f, rows[i]), g.psi1.apply(f, rows[j])
-                )
-                if lhs != rhs:
-                    ok = False
-                    detail = f"bracket mismatch on kernel rows ({i}, {j})"
-                    break
-            if detail:
-                break
+        rows = CA.ker1.row_vectors()
+        psi = [g.psi1.apply(f, r) for r in rows]
+
+        def preserved(i, j):
+            return g.psi1.apply(f, CA.bracket(rows[i], rows[j])) == CB.bracket(psi[i], psi[j])
+
+        bad = _first_failure(combinations(range(len(rows)), 2), preserved)
+        if bad is not None:
+            ok = False
+            detail = f"bracket mismatch on kernel rows {bad}"
     return _verdict("ker_delta1_hom", ok, reason=detail)
 
 
-def check_ker_delta1_structure(ctx: GluingContext) -> CheckReport:
-    g, f = ctx.g, ctx.f
+def check_ker_delta1_structure(g: GluedAlgebra) -> CheckReport:
+    f = g.B.field
     if not g.source_sink:
-        ok_assum, witness = ctx.assumption
+        ok_assum, witness = g.assumption
         if not ok_assum:
-            return _violated("ker_delta1_structure", _loop_witness(ctx, witness))
-    ok = is_direct_sum(f, ctx.psi1_ker1, ctx.spp.z_spp)
-    total = subspace_sum(f, ctx.psi1_ker1, ctx.spp.z_spp)
-    ok = ok and total == ctx.CB.ker1
-    lhs = ctx.CB.ker1.dim
-    rhs = ctx.CA.ker1.dim - 1 + ctx.spp.kspp
+            return _violated("ker_delta1_structure", _loop_witness(g, witness))
+    CA, CB = g.complexes
+    total = subspace_sum(f, g.psi1_ker1, g.spp.z_spp)
+    ok = total.dim == g.psi1_ker1.dim + g.spp.z_spp.dim
+    ok = ok and total == CB.ker1
+    lhs = CB.ker1.dim
+    rhs = CA.ker1.dim - 1 + g.spp.kspp
     ok = ok and lhs == rhs
     if g.source_sink:
-        crucial = crucial_paths(ctx.g)
+        crucial = crucial_paths(g)
         generators = []
         for p in crucial:
             word = (g.gamma,) + tuple(g.arrow_map[a] for a in p.arrows) + (g.gamma,)
             long_path = g.B.quiver.path(word)
-            generators.append({ctx.CB.basis1.index[(g.gamma, long_path)]: f.one})
-        stated = span(f, ctx.CB.basis1, generators)
-        ok = ok and ctx.spp.z_spp == stated == ctx.sp.z_sp
-        ok = ok and ctx.spp.kspp == ctx.sp.sp == len(crucial)
+            generators.append({CB.basis1.index[(g.gamma, long_path)]: f.one})
+        stated = span(f, CB.basis1, generators)
+        ok = ok and g.spp.z_spp == stated == g.sp.z_sp
+        ok = ok and g.spp.kspp == g.sp.sp == len(crucial)
     rep = _verdict("ker_delta1_structure", ok, lhs, rhs)
     rep.witness = {
-        "ker_a": ctx.CA.ker1.dim,
-        "ker_b": ctx.CB.ker1.dim,
-        "kspp": ctx.spp.kspp,
+        "ker_a": CA.ker1.dim,
+        "ker_b": CB.ker1.dim,
+        "kspp": g.spp.kspp,
     }
     return rep
 
@@ -259,120 +213,113 @@ def check_ker_delta1_structure(ctx: GluingContext) -> CheckReport:
 # -- degree-one cohomology --------------------------------------------------------
 
 
-def _quotient_view_b(ctx: GluingContext):
-    from .linalg import QuotientView
+def check_hh1_lie_iso(g: GluedAlgebra) -> CheckReport:
+    """The transport induces a Lie isomorphism HH^1(A) -> ker/(im + gamma) of B.
 
-    f = ctx.f
-    y = subspace_sum(f, ctx.CB.im0, ctx.gamma_span)
-    return QuotientView(f, ctx.CB.ker1, y)
-
-
-def check_hh1_lie_iso(ctx: GluingContext) -> CheckReport:
-    g, f = ctx.g, ctx.f
+    Once the transported matrix M (A's classes in B's quotient coordinates)
+    is square of full rank, the map is a Lie homomorphism iff M applied to
+    each structure-constant vector of A equals the projected B bracket of
+    the transported representatives.
+    """
+    f = g.B.field
     if not g.source_sink:
         return _na("hh1_lie_iso", "requires a source-sink gluing")
-    view_b = _quotient_view_b(ctx)
-    reps_a = ctx.CA.hh1_view.representatives()
-    cols = []
-    for r in reps_a:
-        coords = view_b.project(g.psi1.apply(f, r))
-        cols.append({i: c for i, c in enumerate(coords) if not f.is_zero(c)})
+    CA, CB = g.complexes
+    view_b = QuotientView(f, CB.ker1, g.im0_gamma)
+
+    def sparse(coords) -> dict:
+        return {k: c for k, c in enumerate(coords) if not f.is_zero(c)}
+
+    reps_a = CA.hh1_view.representatives()
+    psi_reps = [g.psi1.apply(f, r) for r in reps_a]
+    cols = [sparse(view_b.project(v)) for v in psi_reps]
     dim_target = view_b.dim
+    coord_basis = LabeledBasis(tuple(range(dim_target)))
     ok = len(reps_a) == dim_target
-    coord_basis = LabeledBasis(tuple(range(dim_target))) if dim_target else LabeledBasis(())
-    rank = span(f, coord_basis, cols).dim if dim_target else 0
-    ok = ok and rank == dim_target
+    ok = ok and span(f, coord_basis, cols).dim == dim_target
     detail = ""
     if ok:
-        for i in range(len(reps_a)):
-            for j in range(i + 1, len(reps_a)):
-                want = ctx.CA.hh1_view.project(ctx.CA.bracket(reps_a[i], reps_a[j]))
-                got_vec = view_b.project(
-                    ctx.CB.bracket(g.psi1.apply(f, reps_a[i]), g.psi1.apply(f, reps_a[j]))
-                )
-                sol = solve_columns(
-                    f, dim_target, cols, {k: c for k, c in enumerate(got_vec) if not f.is_zero(c)}
-                )
-                if sol is None or tuple(sol) != tuple(want):
-                    ok = False
-                    detail = f"structure constants differ at basis pair ({i}, {j})"
-                    break
-            if detail:
-                break
-    return _verdict("hh1_lie_iso", ok, ctx.CA.hh1_view.dim, dim_target, reason=detail)
+        transported = LinearMap(coord_basis, coord_basis, tuple(cols))
+        constants = g.lie_a.constants
+
+        def preserved(i, j):
+            got = view_b.project(CB.bracket(psi_reps[i], psi_reps[j]))
+            return transported.apply(f, sparse(constants[(i, j)])) == sparse(got)
+
+        bad = _first_failure(combinations(range(len(reps_a)), 2), preserved)
+        if bad is not None:
+            ok = False
+            detail = f"structure constants differ at basis pair {bad}"
+    return _verdict("hh1_lie_iso", ok, CA.hh1_view.dim, dim_target, reason=detail)
 
 
-def check_hh1_central_summand(ctx: GluingContext) -> CheckReport:
-    g, f = ctx.g, ctx.f
+def check_hh1_central_summand(g: GluedAlgebra) -> CheckReport:
+    f = g.B.field
     if not g.source_sink:
         return _na("hh1_central_summand", "requires a source-sink gluing")
     if not g.same_block:
         return _na("hh1_central_summand", "requires a same-block gluing")
     if f.char != 0:
         return _na("hh1_central_summand", "requires characteristic zero")
+    CA, CB = g.complexes
     gamma_vec = g.gamma_pair_vector()
-    ok = True
-    for w in ctx.CB.ker1.row_vectors():
-        if not member(f, ctx.CB.im0, ctx.CB.bracket(gamma_vec, w)):
-            ok = False
-            break
-    lhs = ctx.CB.hh1_view.dim
-    rhs = ctx.CA.hh1_view.dim + 1
+    ok = all(member(f, CB.im0, CB.bracket(gamma_vec, w)) for w in CB.ker1.row_vectors())
+    lhs = CB.hh1_view.dim
+    rhs = CA.hh1_view.dim + 1
     ok = ok and lhs == rhs
     return _verdict("hh1_central_summand", ok, lhs, rhs)
 
 
-def check_hh1_dim_general(ctx: GluingContext) -> CheckReport:
-    g, f = ctx.g, ctx.f
-    ok_assum, witness = ctx.assumption
+def check_hh1_dim_general(g: GluedAlgebra) -> CheckReport:
+    ok_assum, witness = g.assumption
     if not ok_assum:
-        return _violated("hh1_dim_general", _loop_witness(ctx, witness))
+        return _violated("hh1_dim_general", _loop_witness(g, witness))
+    CA, CB = g.complexes
     c_a, c_b = g.components
-    lhs = ctx.CA.hh1_view.dim
-    rhs = ctx.CB.hh1_view.dim - 1 - ctx.spp.kspp + ctx.sp.sp + c_a - c_b
+    lhs = CA.hh1_view.dim
+    rhs = CB.hh1_view.dim - 1 - g.spp.kspp + g.sp.sp + c_a - c_b
     return _verdict("hh1_dim_general", lhs == rhs, lhs, rhs)
 
 
-def check_rad_sq_zero_summand(ctx: GluingContext) -> CheckReport:
-    g, f = ctx.g, ctx.f
+def check_rad_sq_zero_summand(g: GluedAlgebra) -> CheckReport:
     if not g.A.is_radical_square_zero():
         return _na("rad_sq_zero_summand", "requires a radical-square-zero algebra")
     if not g.same_block:
         return _na("rad_sq_zero_summand", "requires a same-block gluing")
-    if f.char != 0:
+    if g.B.field.char != 0:
         return _na("rad_sq_zero_summand", "requires characteristic zero")
-    if ctx.spp.kspp != 0:
+    if g.spp.kspp != 0:
         return _na("rad_sq_zero_summand", "requires a vanishing special-pair kernel part")
-    dims_ok = ctx.CB.hh1_view.dim == ctx.CA.hh1_view.dim + 1
+    CA, CB = g.complexes
+    dims_ok = CB.hh1_view.dim == CA.hh1_view.dim + 1
     # abstract one-dimensional central factor: Lie centers differ by one
-    center_ok = lie_center_dim(hh1_lie(g.B)) == lie_center_dim(hh1_lie(g.A)) + 1
+    center_ok = lie_center_dim(hh1_lie(g.B)) == lie_center_dim(g.lie_a) + 1
     return _verdict(
         "rad_sq_zero_summand",
         dims_ok and center_ok,
-        ctx.CB.hh1_view.dim,
-        ctx.CA.hh1_view.dim + 1,
+        CB.hh1_view.dim,
+        CA.hh1_view.dim + 1,
     )
 
 
 # -- center ---------------------------------------------------------------------
 
 
-def check_center_geq1(ctx: GluingContext) -> CheckReport:
-    g, f = ctx.g, ctx.f
-    ker_b_pos = ctx.CB.ker0_positive()
-    psi0_ker = g.psi_subspace(g.psi0, ctx.CA.ker0_positive())
-    ok = is_direct_sum(f, psi0_ker, ctx.nsp.z_nsp)
-    ok = ok and subspace_sum(f, psi0_ker, ctx.nsp.z_nsp) == ker_b_pos
-    return _verdict(
-        "center_geq1", ok, ker_b_pos.dim, psi0_ker.dim + ctx.nsp.nsp
-    )
+def check_center_geq1(g: GluedAlgebra) -> CheckReport:
+    f = g.B.field
+    ker_b_pos = g.ker0_positive[1]
+    psi0_ker = g.psi0_ker0_positive
+    total = subspace_sum(f, psi0_ker, g.nsp.z_nsp)
+    ok = total.dim == psi0_ker.dim + g.nsp.z_nsp.dim
+    ok = ok and total == ker_b_pos
+    return _verdict("center_geq1", ok, ker_b_pos.dim, psi0_ker.dim + g.nsp.nsp)
 
 
-def _center_embedding(ctx: GluingContext):
+def _center_embedding(g: GluedAlgebra):
     """The unital map on degree-zero kernels: unit to unit, positive part
     transported along the quiver morphism.  Only valid for connected input."""
-    g, f = ctx.g, ctx.f
-    CA, CB = ctx.CA, ctx.CB
+    f = g.B.field
+    CA, CB = g.complexes
     n_b = g.B.quiver.num_vertices
     unit_b = {
         CB.basis0.index[(v, g.B.quiver.trivial_path(v))]: f.one for v in range(n_b)
@@ -397,41 +344,36 @@ def _center_embedding(ctx: GluingContext):
     return mu
 
 
-def check_center_indec(ctx: GluingContext) -> CheckReport:
-    g, f = ctx.g, ctx.f
+def check_center_indec(g: GluedAlgebra) -> CheckReport:
+    f = g.B.field
     c_a, _ = g.components
     if c_a != 1:
         return _na("center_indec", "requires an indecomposable algebra")
-    lhs = ctx.CB.hh0.dim
-    rhs = ctx.CA.hh0.dim + ctx.nsp.nsp
+    CA, CB = g.complexes
+    lhs = CB.hh0.dim
+    rhs = CA.hh0.dim + g.nsp.nsp
     ok = lhs == rhs
-    mu = _center_embedding(ctx)
-    rows = ctx.CA.hh0.row_vectors()
+    mu = _center_embedding(g)
+    rows = CA.hh0.row_vectors()
     images = []
     for r in rows:
         img = mu(r)
-        if img is None or not member(f, ctx.CB.hh0, img):
+        if img is None or not member(f, CB.hh0, img):
             return _verdict("center_indec", False, lhs, rhs,
                             reason="transported central element is not central")
         images.append(img)
-    ok = ok and span(f, ctx.CB.basis0, images).dim == len(rows)
-    detail = ""
-    for i in range(len(rows)):
-        for j in range(len(rows)):
-            prod_a = central_mult(ctx.CA, rows[i], rows[j])
-            lhs_vec = mu(prod_a)
-            rhs_vec = central_mult(ctx.CB, images[i], images[j])
-            if lhs_vec is None or lhs_vec != rhs_vec:
-                ok = False
-                detail = f"embedding is not multiplicative at ({i}, {j})"
-                break
-        if detail:
-            break
-    return _verdict("center_indec", ok, lhs, rhs, reason=detail)
+    ok = ok and span(f, CB.basis0, images).dim == len(rows)
+
+    def multiplicative(i, j):
+        lhs_vec = mu(central_mult(CA, rows[i], rows[j]))
+        return lhs_vec is not None and lhs_vec == central_mult(CB, images[i], images[j])
+
+    bad = _first_failure(product(range(len(rows)), repeat=2), multiplicative)
+    detail = "" if bad is None else f"embedding is not multiplicative at {bad}"
+    return _verdict("center_indec", ok and bad is None, lhs, rhs, reason=detail)
 
 
-def check_center_source_sink(ctx: GluingContext) -> CheckReport:
-    g = ctx.g
+def check_center_source_sink(g: GluedAlgebra) -> CheckReport:
     if not g.source_sink:
         return _na("center_source_sink", "requires a source-sink gluing")
     c_a, _ = g.components
@@ -440,75 +382,69 @@ def check_center_source_sink(ctx: GluingContext) -> CheckReport:
     e1, e2, e3, e4 = g.endpoints
     if g.A.path_set(e3, e2):
         return _na("center_source_sink", "connecting paths exist; criterion is silent here")
-    ok = ctx.CA.hh0.dim == ctx.CB.hh0.dim and ctx.nsp.nsp == 0
-    return _verdict("center_source_sink", ok, ctx.CA.hh0.dim, ctx.CB.hh0.dim)
+    CA, CB = g.complexes
+    ok = CA.hh0.dim == CB.hh0.dim and g.nsp.nsp == 0
+    return _verdict("center_source_sink", ok, CA.hh0.dim, CB.hh0.dim)
 
 
-def check_center_rad_sq_zero(ctx: GluingContext) -> CheckReport:
-    g = ctx.g
+def check_center_rad_sq_zero(g: GluedAlgebra) -> CheckReport:
     if not g.A.is_radical_square_zero():
         return _na("center_rad_sq_zero", "requires a radical-square-zero algebra")
     c_a, _ = g.components
     if c_a != 1:
         return _na("center_rad_sq_zero", "requires an indecomposable algebra")
+    CA, CB = g.complexes
     e1, e2, e3, e4 = g.endpoints
     Q = g.A.quiver
     no_cross_arrows = not any(
         {Q.source(a), Q.target(a)} in ({e1, e3}, {e2, e4}) for a in range(Q.num_arrows)
     )
-    iso = ctx.CA.hh0.dim == ctx.CB.hh0.dim
+    iso = CA.hh0.dim == CB.hh0.dim
     return _verdict("center_rad_sq_zero", iso == no_cross_arrows, iso, no_cross_arrows)
 
 
-def check_center_diff_blocks(ctx: GluingContext) -> CheckReport:
-    g, f = ctx.g, ctx.f
+def check_center_diff_blocks(g: GluedAlgebra) -> CheckReport:
+    f = g.B.field
     c_a, _ = g.components
     if g.same_block or c_a != 2:
         return _na("center_diff_blocks", "requires gluing across exactly two blocks")
-    lhs = ctx.CA.hh0.dim
-    rhs = ctx.CB.hh0.dim + 1
-    ok = lhs == rhs and ctx.nsp.nsp == 0
-    ker_a_pos = ctx.CA.ker0_positive()
-    psi0_pos = g.psi_subspace(g.psi0, ker_a_pos)
-    ok = ok and psi0_pos == ctx.CB.ker0_positive()
-    detail = ""
-    rows = ker_a_pos.row_vectors()
-    for i in range(len(rows)):
-        for j in range(len(rows)):
-            lhs_vec = g.psi0.apply(f, central_mult(ctx.CA, rows[i], rows[j]))
-            rhs_vec = central_mult(
-                ctx.CB, g.psi0.apply(f, rows[i]), g.psi0.apply(f, rows[j])
-            )
-            if lhs_vec != rhs_vec:
-                ok = False
-                detail = f"positive parts are not multiplicative at ({i}, {j})"
-                break
-        if detail:
-            break
-    return _verdict("center_diff_blocks", ok, lhs, rhs, reason=detail)
+    CA, CB = g.complexes
+    lhs = CA.hh0.dim
+    rhs = CB.hh0.dim + 1
+    ok = lhs == rhs and g.nsp.nsp == 0
+    ok = ok and g.psi0_ker0_positive == g.ker0_positive[1]
+    rows = g.ker0_positive[0].row_vectors()
+    psi = [g.psi0.apply(f, r) for r in rows]
+
+    def multiplicative(i, j):
+        return g.psi0.apply(f, central_mult(CA, rows[i], rows[j])) == central_mult(
+            CB, psi[i], psi[j]
+        )
+
+    bad = _first_failure(product(range(len(rows)), repeat=2), multiplicative)
+    detail = "" if bad is None else f"positive parts are not multiplicative at {bad}"
+    return _verdict("center_diff_blocks", ok and bad is None, lhs, rhs, reason=detail)
 
 
 # -- fundamental group and higher degrees ------------------------------------------
 
 
-def check_pi1_rank(ctx: GluingContext) -> CheckReport:
-    g = ctx.g
+def check_pi1_rank(g: GluedAlgebra) -> CheckReport:
     c_a, c_b = g.components
     lhs = pi1_rank(g.A)
     rhs = pi1_rank(g.B) + c_a - c_b - 1
     return _verdict("pi1_rank", lhs == rhs, lhs, rhs)
 
 
-def check_gamma_not_in_image(ctx: GluingContext) -> CheckReport:
-    g, f = ctx.g, ctx.f
+def check_gamma_not_in_image(g: GluedAlgebra) -> CheckReport:
     if not (g.source_sink and g.same_block):
         return _na("gamma_not_in_image", "requires a same-block source-sink gluing")
-    outside = not member(f, ctx.CB.im0, g.gamma_pair_vector())
+    outside = not member(g.B.field, g.complexes[1].im0, g.gamma_pair_vector())
     return _verdict("gamma_not_in_image", outside, outside, True)
 
 
-def check_theta(ctx: GluingContext) -> CheckReport:
-    rep = check_theta_diagram(ctx.g)
+def check_theta(g: GluedAlgebra) -> CheckReport:
+    rep = check_theta_diagram(g)
     if not rep.applicable:
         return _na("theta_diagram", rep.reason)
     return _verdict(
@@ -519,10 +455,10 @@ def check_theta(ctx: GluingContext) -> CheckReport:
     )
 
 
-def check_high_degrees(ctx: GluingContext, cap: int = 6) -> CheckReport:
+def check_high_degrees(g: GluedAlgebra, cap: int = 6) -> CheckReport:
     reports = []
     for n in range(2, cap + 1):
-        r = check_high_degree_gluing(ctx.g, n)
+        r = check_high_degree_gluing(g, n)
         if not r.applicable:
             return _na("high_degrees", r.reason)
         reports.append(r)
@@ -535,9 +471,9 @@ def check_high_degrees(ctx: GluingContext, cap: int = 6) -> CheckReport:
     )
 
 
-def _loop_witness(ctx: GluingContext, witness):
+def _loop_witness(g: GluedAlgebra, witness):
     a, m = witness
-    return (ctx.g.A.quiver.arrow_name(a), m)
+    return (g.A.quiver.arrow_name(a), m)
 
 
 CHECKS = {
@@ -574,7 +510,6 @@ def _repro_text(g: GluedAlgebra) -> str:
 
 def run_checks(g: GluedAlgebra, names=None) -> list:
     """Run the named checks (all by default) and collect reports."""
-    ctx = GluingContext(g)
     selected = list(CHECKS) if names is None else list(names)
     reports = []
     for name in selected:
@@ -582,7 +517,7 @@ def run_checks(g: GluedAlgebra, names=None) -> list:
             raise QuiverHHError(f"unknown check: {name}")
         t0 = time.perf_counter()
         try:
-            rep = CHECKS[name](ctx)
+            rep = CHECKS[name](g)
         except QuiverHHError as err:
             rep = CheckReport(name, "fail", reason=f"checker raised: {err}")
         rep.elapsed = time.perf_counter() - t0
@@ -605,24 +540,23 @@ FUZZ_CHECKS = (
 def confirm_failure(g: GluedAlgebra, report: CheckReport) -> bool:
     """Re-derive the failed comparison through the derivation/commutant
     oracles; True means the failure is a confirmed counterexample to the
-    stated formula rather than an artifact defect."""
-    from .oracles import oracle_center, oracle_hh1_dim
+    stated formula rather than an artifact defect.  The oracle dimensions
+    are attributes of ``g``, so every failing check of one gluing shares
+    one oracle run."""
+    CA, CB = g.complexes
 
-    ctx = GluingContext(g)
+    def hh1_ok():
+        return g.oracle_hh1_dims == (CA.hh1_view.dim, CB.hh1_view.dim)
+
+    def center_ok():
+        return g.oracle_center_dims == (CA.hh0.dim, CB.hh0.dim)
+
     if report.check in ("hh1_dim_general", "ker_delta1_structure", "ker_delta1_hom"):
-        ok_a = oracle_hh1_dim(g.A) == ctx.CA.hh1_view.dim
-        ok_b = oracle_hh1_dim(g.B) == ctx.CB.hh1_view.dim
-        return ok_a and ok_b
+        return hh1_ok()
     if report.check.startswith("center"):
-        ok_a = oracle_center(g.A)[0] == ctx.CA.hh0.dim
-        ok_b = oracle_center(g.B)[0] == ctx.CB.hh0.dim
-        return ok_a and ok_b
+        return center_ok()
     if report.check == "im_delta0_dim":
-        ok_a = oracle_hh1_dim(g.A) == ctx.CA.hh1_view.dim
-        ok_b = oracle_hh1_dim(g.B) == ctx.CB.hh1_view.dim
-        ok_c = oracle_center(g.A)[0] == ctx.CA.hh0.dim
-        ok_d = oracle_center(g.B)[0] == ctx.CB.hh0.dim
-        return ok_a and ok_b and ok_c and ok_d
+        return hh1_ok() and center_ok()
     return False
 
 

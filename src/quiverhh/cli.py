@@ -19,7 +19,7 @@ from .errors import QuiverHHError
 from .examples_data import EXAMPLES, example_by_name
 from .fileformat import parse, print_algebra
 from .fundgroup import pi1_rank
-from .gluing import glue, gluing_kind
+from .gluing import glue
 from .higher import CrownUnsupported, hh_dim_high
 from .quiver import betti, connected_components, crown_order, is_sink_arrow, is_source_arrow, path_str
 from .paircomplex import center_product, complex_data, hh1_lie
@@ -139,12 +139,8 @@ def cmd_glue(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    kind = gluing_kind(g)
     print(f"# dim: {A.dim} -> {g.B.dim}", file=sys.stderr)
-    print(
-        f"# source-sink: {kind['source_sink']}, same block: {kind['same_block']}",
-        file=sys.stderr,
-    )
+    print(f"# source-sink: {g.source_sink}, same block: {g.same_block}", file=sys.stderr)
     new = ", ".join(path_str(g.B.quiver, p) for p in g.z_new)
     print(f"# new relations: {new if new else '-'}", file=sys.stderr)
     return 0

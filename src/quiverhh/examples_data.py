@@ -22,7 +22,8 @@ class ExampleEntry:
     expect_status: dict = field(default_factory=dict)
 
 
-def _fan_text(m: int, char: int = 0) -> str:
+def fan(m: int, char: int = 0) -> str:
+    """Line quiver with m parallel middle arrows, radical square zero."""
     lines = [f"field {'Q' if char == 0 else f'F {char}'}"]
     lines += [f"vertex e{i}" for i in range(1, 5)]
     lines.append("arrow alpha e1 e2")
@@ -33,7 +34,8 @@ def _fan_text(m: int, char: int = 0) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _zigzag_text(pairs: int) -> str:
+def zigzag(pairs: int) -> str:
+    """Alternating-orientation line on 2*pairs vertices, no relations."""
     assert pairs >= 2
     lines = ["field Q"]
     lines += [f"vertex e{i}" for i in range(1, 2 * pairs + 1)]
@@ -45,7 +47,8 @@ def _zigzag_text(pairs: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _loop_crowd_text(t: int) -> str:
+def loop_crowd(t: int) -> str:
+    """t loops at the source of alpha, one loop beside beta, radical square zero."""
     lines = ["field Q"]
     lines += [f"vertex e{i}" for i in range(1, 5)]
     lines.append("arrow alpha e1 e2")
@@ -59,21 +62,6 @@ def _loop_crowd_text(t: int) -> str:
     lines.append("rel p p")
     lines.append("rel p beta")
     return "\n".join(lines) + "\n"
-
-
-def fan(m: int, char: int = 0) -> str:
-    """Line quiver with m parallel middle arrows, radical square zero."""
-    return _fan_text(m, char)
-
-
-def zigzag(pairs: int) -> str:
-    """Alternating-orientation line on 2*pairs vertices, no relations."""
-    return _zigzag_text(pairs)
-
-
-def loop_crowd(t: int) -> str:
-    """t loops at the source of alpha, one loop beside beta, radical square zero."""
-    return _loop_crowd_text(t)
 
 
 _BILINE = """\
@@ -280,7 +268,7 @@ EXAMPLES = (
     ExampleEntry(
         "loop-crowd-2",
         "two loops at the source of alpha and one beside beta, radical square zero",
-        _loop_crowd_text(2),
+        loop_crowd(2),
         "alpha",
         "beta",
     ),
@@ -323,14 +311,14 @@ EXAMPLES = (
     ExampleEntry(
         "zigzag-6",
         "alternating line on six vertices, no compositions at all",
-        _zigzag_text(3),
+        zigzag(3),
         "alpha",
         "beta",
     ),
     ExampleEntry(
         "midfan-2",
         "line with two parallel middle arrows, radical square zero",
-        _fan_text(2),
+        fan(2),
         "alpha",
         "beta",
     ),

@@ -84,9 +84,6 @@ class FieldSpec:
             return pow(a, self.char - 2, self.char)
         return 1 / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return a == 0
 

@@ -92,6 +92,7 @@ def parse(text: str, minimalize: bool = False) -> MonomialAlgebra:
 
     quiver = Quiver(tuple(vertices), tuple(arrows))
     relations = []
+    rel_at: dict = {}  # arrow word -> (line, column, text) of its first rel line
     for lineno, col0, args in rel_lines:
         word = []
         for name, col in args:
@@ -102,9 +103,19 @@ def parse(text: str, minimalize: bool = False) -> MonomialAlgebra:
             relations.append(quiver.path(word))
         except CompositionError as err:
             raise ParseError(str(err), lineno, col0) from None
+        rel_at.setdefault(tuple(word), (lineno, col0, "rel " + " ".join(n for n, _ in args)))
     try:
         return build(quiver, relations, field or QQ, minimalize=minimalize)
-    except (AdmissibilityError, MinimalityError, DimensionalityError) as err:
+    except MinimalityError as err:
+        lineno, col0, container = rel_at[err.container.arrows]
+        inner_line, _, contained = rel_at[err.contained.arrows]
+        raise ParseError(
+            f"relation set is not minimal: '{contained}' (line {inner_line}) "
+            f"is a proper subpath of '{container}'",
+            lineno,
+            col0,
+        ) from None
+    except (AdmissibilityError, DimensionalityError) as err:
         raise ParseError(str(err), len(text.splitlines()) or 1) from None
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .algebra import MonomialAlgebra
 from .errors import BridgeError, QuiverHHError
 from .gluing import GluedAlgebra
-from .linalg import LabeledBasis, accumulate, member, span, subspace_sum
+from .linalg import LabeledBasis, accumulate, member, span
 from .quiver import (
     FORWARD,
     INVERSE,
@@ -241,9 +241,8 @@ def check_theta_diagram(g: GluedAlgebra) -> ThetaDiagramReport:
         walks_A_list[v] = pull_back(w_B, src)
     walks_A = ParadeData((), tuple(walks_A_list))
 
-    CA, CB = g.complexes
+    CB = g.complexes[1]
     gamma_vec = g.gamma_pair_vector()
-    quotient = subspace_sum(f, CB.im0, span(f, CB.basis1, [gamma_vec]))
 
     results = []
     new_dual_ok = None
@@ -257,6 +256,6 @@ def check_theta_diagram(g: GluedAlgebra) -> ThetaDiagramReport:
         diff = dict(lhs)
         for i, c in t_B.items():
             accumulate(f, diff, i, f.neg(c))
-        results.append((QB.arrow_name(c_star), member(f, quotient, diff)))
+        results.append((QB.arrow_name(c_star), member(f, g.im0_gamma, diff)))
     outside = not member(f, CB.im0, gamma_vec)
     return ThetaDiagramReport(True, "", tuple(results), new_dual_ok, outside)

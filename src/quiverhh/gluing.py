@@ -18,7 +18,8 @@ from functools import cached_property
 
 from .algebra import MonomialAlgebra, build
 from .errors import GluingError, QuiverHHError
-from .linalg import LinearMap, Subspace, intersect, span
+from .linalg import LinearMap, Subspace, intersect, span, subspace_sum
+from .oracles import oracle_center, oracle_hh1_dim
 from .quiver import (
     Path,
     Quiver,
@@ -28,7 +29,7 @@ from .quiver import (
     is_source_arrow,
     parallel,
 )
-from .paircomplex import complex_data
+from .paircomplex import complex_data, hh1_lie
 
 
 def _unique_name(base: str, taken: set) -> str:
@@ -51,7 +52,13 @@ class GluingSpec:
 
 
 class GluedAlgebra:
-    """Result of gluing arrows ``alpha`` and ``beta`` of ``A``."""
+    """Result of gluing arrows ``alpha`` and ``beta`` of ``A``.
+
+    Everything derived from the gluing (transport maps, special-path data,
+    transported kernels and images, the Lie structure of A, oracle
+    dimensions) is a lazily computed attribute, so each is built at most
+    once per instance and is shared by every checker that reads it.
+    """
 
     def __init__(self, A, alpha, beta, B, vertex_map, arrow_map, gamma, z_new):
         self.A: MonomialAlgebra = A
@@ -158,6 +165,60 @@ class GluedAlgebra:
             len(connected_components(self.A.quiver)),
             len(connected_components(self.B.quiver)),
         )
+
+    # -- derived subspaces and invariants ---------------------------------------
+
+    @cached_property
+    def sp(self) -> "SpecialPathData":
+        return special_paths(self)
+
+    @cached_property
+    def spp(self) -> "SpecialPairData":
+        return special_pairs(self)
+
+    @cached_property
+    def nsp(self) -> "NspData":
+        return nsp_data(self)
+
+    @cached_property
+    def assumption(self) -> tuple:
+        return assumption_holds(self)
+
+    @cached_property
+    def im0_gamma(self) -> Subspace:
+        """The degree-zero image of B plus the merged arrow's diagonal pair."""
+        f, CB = self.B.field, self.complexes[1]
+        return subspace_sum(f, CB.im0, span(f, CB.basis1, [self.gamma_pair_vector()]))
+
+    @cached_property
+    def psi1_im0(self) -> Subspace:
+        return self.psi_subspace(self.psi1, self.complexes[0].im0)
+
+    @cached_property
+    def psi1_ker1(self) -> Subspace:
+        return self.psi_subspace(self.psi1, self.complexes[0].ker1)
+
+    @cached_property
+    def ker0_positive(self) -> tuple:
+        """Degree-zero kernels on cycles of length >= 1, of A and of B."""
+        return tuple(C.ker0_positive() for C in self.complexes)
+
+    @cached_property
+    def psi0_ker0_positive(self) -> Subspace:
+        return self.psi_subspace(self.psi0, self.ker0_positive[0])
+
+    @cached_property
+    def lie_a(self):
+        """Structure constants of the degree-one cohomology Lie algebra of A."""
+        return hh1_lie(self.A)
+
+    @cached_property
+    def oracle_hh1_dims(self) -> tuple:
+        return oracle_hh1_dim(self.A), oracle_hh1_dim(self.B)
+
+    @cached_property
+    def oracle_center_dims(self) -> tuple:
+        return oracle_center(self.A)[0], oracle_center(self.B)[0]
 
 
 def glue(A: MonomialAlgebra, alpha: int, beta: int, gamma_name: str = "gamma*") -> GluedAlgebra:
@@ -279,14 +340,6 @@ def glue(A: MonomialAlgebra, alpha: int, beta: int, gamma_name: str = "gamma*") 
     long_b = sum(1 for q in B.basis if q.length >= 2)
     _invariant(long_a == long_b, "gluing must preserve the span of length->=2 basis paths")
     return g
-
-
-def gluing_kind(g: GluedAlgebra) -> dict:
-    return {"source_sink": g.source_sink, "same_block": g.same_block}
-
-
-def psi_maps(g: GluedAlgebra) -> tuple:
-    return g.psi0, g.psi1, g.psi2
 
 
 # -- special paths --------------------------------------------------------------

@@ -144,10 +144,6 @@ def intersect(field: FieldSpec, s: Subspace, t: Subspace) -> Subspace:
     return span(field, s.basis, meet)
 
 
-def is_direct_sum(field: FieldSpec, s: Subspace, t: Subspace) -> bool:
-    return subspace_sum(field, s, t).dim == s.dim + t.dim
-
-
 def contains_subspace(field: FieldSpec, big: Subspace, small: Subspace) -> bool:
     return all(member(field, big, v) for v in small.row_vectors())
 

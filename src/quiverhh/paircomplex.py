@@ -48,17 +48,6 @@ def pair_str(A: MonomialAlgebra, label, kind: str) -> str:
     return f"{lhs} || {path_str(A.quiver, p)}"
 
 
-def pair_degree(A: MonomialAlgebra, label, kind: str) -> int:
-    """Internal grading: length of the right path minus length of the left."""
-    left, p = label
-    left_len = {"0": 0, "1": 1}.get(kind)
-    if left_len is None:
-        if kind != "Z":
-            raise ShapeError(f"unknown pair space kind {kind!r}")
-        left_len = A.relations[left].length
-    return p.length - left_len
-
-
 def substitute(A: MonomialAlgebra, target: Path, a: int, gamma: Path) -> list:
     """All basis paths obtained by replacing one occurrence of arrow ``a``
     in ``target`` by the parallel path ``gamma`` (with multiplicity)."""
@@ -186,9 +175,6 @@ class PairComplex:
     def hh0(self) -> Subspace:
         return self.ker0
 
-    def hh1_representatives(self) -> list:
-        return self.hh1_view.representatives()
-
 
 @lru_cache(maxsize=64)
 def complex_data(A: MonomialAlgebra) -> PairComplex:
@@ -266,7 +252,7 @@ def lie_center_dim(pres: LieAlgebraPresentation) -> int:
 def hh1_lie(A: MonomialAlgebra) -> LieAlgebraPresentation:
     """Structure constants on the deterministic degree-one representatives."""
     C = complex_data(A)
-    reps = C.hh1_representatives()
+    reps = C.hh1_view.representatives()
     d = len(reps)
     constants = {}
     for i in range(d):

@@ -127,60 +127,50 @@ def instance_with_gluing(spec: RandomSpec):
     raise RuntimeError("no gluable instance found")
 
 
+def _planted_quiver(rng: random.Random, spec: RandomSpec):
+    """A random quiver with a planted source arrow and sink arrow.
+
+    A fresh source arrow ``alpha: s1 -> s2`` is hung off a random vertex
+    by ``con_a: s2 -> w_in``, and dually a fresh sink arrow ``beta: t1 ->
+    t2`` by ``con_b: w_out -> t1``.  Returns the quiver and the gluing of
+    the planted pair.
+    """
+    base = _random_quiver(rng, spec)
+    n = base.num_vertices
+    w_in = rng.randrange(n)
+    w_out = rng.randrange(n)
+    s1, s2, t1, t2 = n, n + 1, n + 2, n + 3
+    Q = Quiver(
+        base.vertex_names + ("s1", "s2", "t1", "t2"),
+        base.arrows
+        + (
+            ("alpha", s1, s2),
+            ("con_a", s2, w_in),
+            ("con_b", w_out, t1),
+            ("beta", t1, t2),
+        ),
+    )
+    return Q, GluingSpec(Q.arrow_index["alpha"], Q.arrow_index["beta"])
+
+
 def source_sink_rad2_instance(spec: RandomSpec):
     """Radical-square-zero algebra with a planted source/sink arrow pair.
 
     Every composable length-2 word is a relation, so the instance always
     builds; the planted pair is glueable by construction.
     """
-    rng = random.Random(spec.seed)
-    base = _random_quiver(rng, spec)
-    n = base.num_vertices
-    w_in = rng.randrange(n)
-    w_out = rng.randrange(n)
-    names = base.vertex_names + ("s1", "s2", "t1", "t2")
-    s1, t1 = n, n + 2
-    arrows = base.arrows + (
-        ("alpha", s1, n + 1),
-        ("con_a", n + 1, w_in),
-        ("con_b", w_out, t1),
-        ("beta", t1, n + 3),
-    )
-    Q = Quiver(names, arrows)
-    rels = []
-    for a in range(Q.num_arrows):
-        for b in Q.arrows_from[Q.target(a)]:
-            rels.append(Q.path((a, b)))
-    A = build(Q, rels, spec.field)
-    return A, GluingSpec(Q.arrow_index["alpha"], Q.arrow_index["beta"])
+    Q, gs = _planted_quiver(random.Random(spec.seed), spec)
+    rels = [Q.path((a, b)) for a in range(Q.num_arrows) for b in Q.arrows_from[Q.target(a)]]
+    return build(Q, rels, spec.field), gs
 
 
 def source_sink_instance(spec: RandomSpec):
-    """(algebra, gluing) whose pair is a source arrow and a sink arrow.
-
-    A fresh source arrow is hung off a random vertex via a connector, and
-    dually a fresh sink arrow, so the planted pair always satisfies the
-    source/sink conditions; relations are then sampled as usual.
-    """
+    """(algebra, gluing) whose pair is a planted source arrow and sink arrow;
+    relations are sampled as usual on the planted quiver."""
     rng = random.Random(spec.seed)
     for _ in range(256):
-        base = _random_quiver(rng, spec)
-        n = base.num_vertices
-        w_in = rng.randrange(n)
-        w_out = rng.randrange(n)
-        names = base.vertex_names + ("s1", "s2", "t1", "t2")
-        s1, s2, t1, t2 = n, n + 1, n + 2, n + 3
-        arrows = base.arrows + (
-            ("alpha", s1, s2),
-            ("con_a", s2, w_in),
-            ("con_b", w_out, t1),
-            ("beta", t1, t2),
-        )
-        Q = Quiver(names, arrows)
+        Q, gs = _planted_quiver(rng, spec)
         A = _sample_algebra(rng, Q, spec)
-        if A is None:
-            continue
-        alpha = Q.arrow_index["alpha"]
-        beta = Q.arrow_index["beta"]
-        return A, GluingSpec(alpha, beta)
+        if A is not None:
+            return A, gs
     raise RuntimeError("random generation failed to produce a source-sink instance")

@@ -101,3 +101,27 @@ def test_robust_checks_never_fail_on_fuzz():
               "center_geq1")
     reports, failures = run_fuzz(77_000, 60, checks=robust, confirm=False)
     assert failures == []
+
+
+def test_confirm_failure_runs_the_degree_one_oracle_once_per_algebra(monkeypatch):
+    import sys
+
+    from quiverhh import oracles
+
+    original = oracles.oracle_hh1_dim
+    calls = []
+
+    def counting(A):
+        calls.append(A)
+        return original(A)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quiverhh") and getattr(module, "oracle_hh1_dim", None) is original:
+            monkeypatch.setattr(module, "oracle_hh1_dim", counting)
+    reports, failures = run_fuzz(20260809, 24)
+    failing = sorted({inst_seed for inst_seed, _, _ in failures})
+    assert len(failures) > len(failing) > 0  # some instance fails more than one check
+    assert all(confirmed for _, _, confirmed in failures)
+    # one call for A and one for B per failing instance, in that order
+    assert len(calls) == 2 * len(failing)
+    assert [A.dim - B.dim for A, B in zip(calls[::2], calls[1::2])] == [3] * len(failing)

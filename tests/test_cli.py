@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -137,6 +138,17 @@ def test_examples_run_and_show(capsys):
     code, out, _ = run(capsys, "examples", "--run")
     assert code == 0
     assert all(line.split()[-1] == "ok" for line in out.strip().splitlines())
+
+
+# sha256 of the output of ``quiverhh examples --run --json``: every check
+# report of every built-in example.  A refactor must leave it byte-identical.
+EXAMPLES_RUN_JSON_SHA256 = "d6b36485965e5a6121b544ef5c2e0df6c7d7581a212ee528817bbe8c9780a758"
+
+
+def test_examples_run_json_byte_identical(capsys):
+    code, out, _ = run(capsys, "examples", "--run", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXAMPLES_RUN_JSON_SHA256
 
 
 def test_fuzz_cli(capsys):

@@ -66,3 +66,17 @@ def test_bad_field():
 def test_infinite_dimensional_reported():
     e = err("vertex v\narrow x v v\n")
     assert "infinite-dimensional" in str(e)
+
+
+
+def test_non_minimal_relations_named_at_their_line():
+    text = (
+        "vertex u\nvertex v\nvertex w\nvertex t\n"
+        "arrow x u v\narrow y v w\narrow z w t\n"
+        "rel x y\n"  # line 8
+        "rel x y z\n"  # line 9
+        "\n# the relation set ends above\n"  # line 11
+    )
+    e = err(text)
+    assert (e.line, e.column) == (9, 1)
+    assert "'rel x y' (line 8) is a proper subpath of 'rel x y z'" in str(e)

@@ -12,9 +12,7 @@ from quiverhh.gluing import (
     assumption_holds,
     crucial_paths,
     glue,
-    gluing_kind,
     nsp_data,
-    psi_maps,
     special_pairs,
     special_paths,
 )
@@ -70,17 +68,17 @@ def test_glue_rejects_loops_shared_vertices_self():
 
 
 def test_gluing_kind():
-    assert gluing_kind(glued("line-free")) == {"source_sink": True, "same_block": True}
-    assert gluing_kind(glued("two-lines")) == {"source_sink": True, "same_block": False}
-    assert gluing_kind(glued("twin-pairs-rad2")) == {
-        "source_sink": False,
-        "same_block": True,
-    }
+    def kind(g):
+        return g.source_sink, g.same_block
+
+    assert kind(glued("line-free")) == (True, True)
+    assert kind(glued("two-lines")) == (True, False)
+    assert kind(glued("twin-pairs-rad2")) == (False, True)
 
 
 def test_psi_maps():
     g = glued("line-free")
-    psi0, psi1, psi2 = psi_maps(g)
+    psi0, psi1, psi2 = g.psi0, g.psi1, g.psi2
     CA, CB = g.complexes
     f = QQ
     QA = g.A.quiver

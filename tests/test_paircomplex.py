@@ -15,7 +15,6 @@ from quiverhh.paircomplex import (
     complex_data,
     hh1_lie,
     lie_center_dim,
-    pair_degree,
     substitute,
 )
 
@@ -147,7 +146,7 @@ def test_hh1_dim_and_representatives():
     g = glued("line-bound")
     CB = complex_data(g.B)
     assert CB.hh1_view.dim == CB.ker1.dim - CB.im0.dim
-    reps = CB.hh1_representatives()
+    reps = CB.hh1_view.representatives()
     assert len(reps) == CB.hh1_view.dim
     gamma_vec = g.gamma_pair_vector()
     assert not member(QQ, CB.im0, gamma_vec)
@@ -228,15 +227,6 @@ def test_center_rad_sq_zero_squares_vanish():
         from quiverhh.paircomplex import central_mult
 
         assert central_mult(C, nonunit, nonunit) == {}
-
-
-def test_pair_degree():
-    A = algebra("line-bound")
-    C = complex_data(A)
-    lab0 = C.basis0.labels[0]
-    assert pair_degree(A, lab0, "0") == lab0[1].length
-    a, p = C.basis1.labels[0]
-    assert pair_degree(A, (a, p), "1") == p.length - 1
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,13 +1,20 @@
+import random
+
 from quiverhh.algebra import build
 from quiverhh.fields import GF, QQ
+from quiverhh.fileformat import print_algebra
+from quiverhh.gluing import GluingSpec
 from quiverhh.quiver import Quiver
 from quiverhh.randomgen import (
     RandomSpec,
+    _random_quiver,
+    _sample_algebra,
     gluable_pairs,
     instance_with_gluing,
     random_gluing,
     random_instance,
     source_sink_instance,
+    source_sink_rad2_instance,
 )
 
 
@@ -69,3 +76,71 @@ def test_source_sink_instance_kind():
     A, gs = source_sink_instance(RandomSpec(seed=3))
     assert is_source_arrow(A.quiver, gs.alpha)
     assert is_sink_arrow(A.quiver, gs.beta)
+
+
+# Reference: the two planted-pair generators as they were before the planted
+# quiver moved into one helper.  Same seed, same instance.
+
+
+def ref_source_sink_rad2_instance(spec: RandomSpec):
+    rng = random.Random(spec.seed)
+    base = _random_quiver(rng, spec)
+    n = base.num_vertices
+    w_in = rng.randrange(n)
+    w_out = rng.randrange(n)
+    names = base.vertex_names + ("s1", "s2", "t1", "t2")
+    s1, t1 = n, n + 2
+    arrows = base.arrows + (
+        ("alpha", s1, n + 1),
+        ("con_a", n + 1, w_in),
+        ("con_b", w_out, t1),
+        ("beta", t1, n + 3),
+    )
+    Q = Quiver(names, arrows)
+    rels = []
+    for a in range(Q.num_arrows):
+        for b in Q.arrows_from[Q.target(a)]:
+            rels.append(Q.path((a, b)))
+    A = build(Q, rels, spec.field)
+    return A, GluingSpec(Q.arrow_index["alpha"], Q.arrow_index["beta"])
+
+
+def ref_source_sink_instance(spec: RandomSpec):
+    rng = random.Random(spec.seed)
+    for _ in range(256):
+        base = _random_quiver(rng, spec)
+        n = base.num_vertices
+        w_in = rng.randrange(n)
+        w_out = rng.randrange(n)
+        names = base.vertex_names + ("s1", "s2", "t1", "t2")
+        s1, s2, t1, t2 = n, n + 1, n + 2, n + 3
+        arrows = base.arrows + (
+            ("alpha", s1, s2),
+            ("con_a", s2, w_in),
+            ("con_b", w_out, t1),
+            ("beta", t1, t2),
+        )
+        Q = Quiver(names, arrows)
+        A = _sample_algebra(rng, Q, spec)
+        if A is None:
+            continue
+        alpha = Q.arrow_index["alpha"]
+        beta = Q.arrow_index["beta"]
+        return A, GluingSpec(alpha, beta)
+    raise RuntimeError("random generation failed to produce a source-sink instance")
+
+
+def test_planted_instances_match_reference():
+    fields = (QQ, GF(2), GF(3), GF(5))
+    for seed in range(200):
+        for kwargs in ({}, {"max_vertices": 4, "max_arrows": 5, "max_dim": 18}):
+            spec = RandomSpec(seed=seed, field=fields[seed % 4], **kwargs)
+            for new, ref in (
+                (source_sink_instance, ref_source_sink_instance),
+                (source_sink_rad2_instance, ref_source_sink_rad2_instance),
+            ):
+                A, gs = new(spec)
+                A_ref, gs_ref = ref(spec)
+                assert gs == gs_ref
+                assert A == A_ref
+                assert print_algebra(A) == print_algebra(A_ref)
