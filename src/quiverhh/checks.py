@@ -6,19 +6,23 @@ special-path data, the Lie structure of A, the oracle dimensions) from its
 lazily computed attributes, so each is built once per gluing however many
 checkers use it.
 
-Every checker returns a structured report: pass/fail with the compared
-values, a not-applicable status naming the unmet precondition, or an
-assumption-violated status carrying the loop witness.  A fail report
-embeds a reproduction (the serialized algebra and the glued arrow names);
-on valid inputs a fail indicates either a bug or a counterexample and is
-treated as release-blocking by the test suite.
+Each checker is declared with :func:`check`, which names it, lists the
+hypotheses of its statement and the oracles that can confirm a failure of
+it.  An unmet hypothesis yields a not-applicable report naming it, or an
+assumption-violated report carrying the loop witness, before the checker
+body runs; otherwise the report is pass/fail with the compared values.  A
+fail report embeds a reproduction (the serialized algebra and the glued
+arrow names); on valid inputs a fail indicates either a bug or a
+counterexample and is treated as release-blocking by the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from itertools import combinations, product
+from typing import Callable
 
 from .errors import QuiverHHError
 from .fundgroup import check_theta_diagram, pi1_rank
@@ -30,8 +34,8 @@ from .linalg import (
     QuotientView,
     accumulate,
     contains_subspace,
-    kernel,
     member,
+    restricted_kernel,
     solve_columns,  # unused; the perfbench tracer self-test reads checks.solve_columns
     span,
     subspace_sum,
@@ -66,34 +70,101 @@ class CheckReport:
         return out
 
 
-def _na(check: str, reason: str) -> CheckReport:
-    return CheckReport(check, "not-applicable", reason=reason)
+# -- hypotheses and the check registry ------------------------------------------
 
 
-def _violated(check: str, witness) -> CheckReport:
-    return CheckReport(check, "assumption-violated", witness=witness,
-                       reason="characteristic divides a glued-vertex loop power")
+@dataclass(frozen=True)
+class Hypothesis:
+    """A precondition of comparison statements; an unmet one yields ``status``."""
+
+    reason: str
+    holds: Callable[[GluedAlgebra], bool]
+    status: str = "not-applicable"
+    witness: Callable[[GluedAlgebra], object] = lambda g: None
 
 
-def _verdict(check: str, ok: bool, lhs=None, rhs=None, reason: str = "") -> CheckReport:
-    return CheckReport(check, "pass" if ok else "fail", lhs=lhs, rhs=rhs, reason=reason)
+SOURCE_SINK = Hypothesis("requires a source-sink gluing", lambda g: g.source_sink)
+SAME_BLOCK = Hypothesis("requires a same-block gluing", lambda g: g.same_block)
+SAME_BLOCK_SOURCE_SINK = Hypothesis(
+    "requires a same-block source-sink gluing", lambda g: g.source_sink and g.same_block
+)
+TWO_BLOCKS = Hypothesis(
+    "requires gluing across exactly two blocks",
+    lambda g: not g.same_block and g.components[0] == 2,
+)
+CHAR_ZERO = Hypothesis("requires characteristic zero", lambda g: g.B.field.char == 0)
+RAD_SQ_ZERO = Hypothesis(
+    "requires a radical-square-zero algebra", lambda g: g.A.is_radical_square_zero()
+)
+INDECOMPOSABLE = Hypothesis("requires an indecomposable algebra", lambda g: g.components[0] == 1)
+NO_CONNECTING_PATHS = Hypothesis(
+    "connecting paths exist; criterion is silent here",
+    lambda g: not g.A.path_set(g.endpoints[2], g.endpoints[1]),
+)
+NO_SPECIAL_PAIR_KERNEL = Hypothesis(
+    "requires a vanishing special-pair kernel part", lambda g: g.spp.kspp == 0
+)
+# No glued vertex of a source-sink gluing carries a loop, so this holds there.
+LOOP_POWER = Hypothesis(
+    "characteristic divides a glued-vertex loop power",
+    lambda g: g.assumption[0],
+    status="assumption-violated",
+    witness=lambda g: (g.A.quiver.arrow_name(g.assumption[1][0]), g.assumption[1][1]),
+)
+
+CHECKS: dict = {}  # name -> checker, in declaration order
+
+
+def check(name: str, *hypotheses: Hypothesis, oracles: tuple = ()):
+    """Declare the decorated body as the checker ``name``.
+
+    The checker reports the first unmet hypothesis instead of running the
+    body, and stamps ``name`` on the body's report.  ``oracles`` names
+    the oracle comparisons ("hh1", "center") that confirm a failure of it.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def checker(g: GluedAlgebra) -> CheckReport:
+            for h in checker.hypotheses:
+                if not h.holds(g):
+                    return CheckReport(name, h.status, witness=h.witness(g), reason=h.reason)
+            rep = body(g)
+            rep.check = name
+            return rep
+
+        checker.hypotheses = hypotheses
+        checker.oracles = oracles
+        CHECKS[name] = checker
+        return checker
+
+    return register
+
+
+def _verdict(ok: bool, lhs=None, rhs=None, reason: str = "") -> CheckReport:
+    return CheckReport("", "pass" if ok else "fail", lhs=lhs, rhs=rhs, reason=reason)
+
+
+def _first_failure(pairs, holds):
+    """The first index pair ``(i, j)`` of ``pairs`` where ``holds(i, j)`` is false, or None."""
+    return next(((i, j) for i, j in pairs if not holds(i, j)), None)
 
 
 # -- image of the degree-zero differential ------------------------------------
 
 
+@check("im_delta0_dim", oracles=("hh1", "center"))
 def check_im_delta0_dim(g: GluedAlgebra) -> CheckReport:
     CA, CB = g.complexes
     c_a, c_b = g.components
     lhs = CA.im0.dim
     rhs = CB.im0.dim + 2 + c_b - c_a - g.sp.sp
-    return _verdict("im_delta0_dim", lhs == rhs, lhs, rhs)
+    return _verdict(lhs == rhs, lhs, rhs)
 
 
+@check("im_delta0_structure", SOURCE_SINK)
 def check_im_delta0_structure(g: GluedAlgebra) -> CheckReport:
     f = g.B.field
-    if not g.source_sink:
-        return _na("im_delta0_structure", "requires a source-sink gluing")
     CA, CB = g.complexes
     enlarged = g.im0_gamma
     decomposed = subspace_sum(f, g.psi1_im0, g.sp.z_sp)
@@ -104,53 +175,24 @@ def check_im_delta0_structure(g: GluedAlgebra) -> CheckReport:
         ok = ok and not member(f, CB.im0, g.gamma_pair_vector())
     else:
         ok = ok and CB.im0 == g.psi1_im0
-    return _verdict("im_delta0_structure", ok, enlarged.dim, decomposed.dim)
+    return _verdict(ok, enlarged.dim, decomposed.dim)
 
 
+@check("rad_sq_zero_im", SOURCE_SINK, RAD_SQ_ZERO)
 def check_rad_sq_zero_im(g: GluedAlgebra) -> CheckReport:
-    if not g.source_sink:
-        return _na("rad_sq_zero_im", "requires a source-sink gluing")
-    if not g.A.is_radical_square_zero():
-        return _na("rad_sq_zero_im", "requires a radical-square-zero algebra")
     CA, CB = g.complexes
     c_a, c_b = g.components
     ok = g.im0_gamma == g.psi1_im0
     ok = ok and CA.im0.dim == CB.im0.dim + 2 + c_b - c_a
-    return _verdict("rad_sq_zero_im", ok, CA.im0.dim, CB.im0.dim + 2 + c_b - c_a)
+    return _verdict(ok, CA.im0.dim, CB.im0.dim + 2 + c_b - c_a)
 
 
 # -- kernel of the degree-one differential --------------------------------------
 
 
-def _first_failure(pairs, holds):
-    """The first index pair ``(i, j)`` of ``pairs`` where ``holds(i, j)`` is false, or None."""
-    return next(((i, j) for i, j in pairs if not holds(i, j)), None)
-
-
-def _restriction_kernel(g: GluedAlgebra):
-    """Kernel of the pair-space transport restricted to the degree-one kernel."""
-    f = g.B.field
-    CA, CB = g.complexes
-    rows = CA.ker1.row_vectors()
-    dom = LabeledBasis(tuple(range(len(rows))))
-    cols = tuple(g.psi1.apply(f, r) for r in rows)
-    coord_kernel = kernel(f, LinearMap(dom, CB.basis1, cols))
-    vectors = []
-    for coords in coord_kernel.row_vectors():
-        vec: dict = {}
-        for i, c in coords.items():
-            for j, x in rows[i].items():
-                accumulate(f, vec, j, f.mul(c, x))
-        vectors.append(vec)
-    return span(f, CA.basis1, vectors)
-
-
+@check("ker_delta1_hom", LOOP_POWER, oracles=("hh1",))
 def check_ker_delta1_hom(g: GluedAlgebra) -> CheckReport:
     f = g.B.field
-    if not g.source_sink:
-        ok_assum, witness = g.assumption
-        if not ok_assum:
-            return _violated("ker_delta1_hom", _loop_witness(g, witness))
     CA, CB = g.complexes
     # transported kernel elements stay in the kernel
     ok = contains_subspace(f, CB.ker1, g.psi1_ker1)
@@ -160,7 +202,9 @@ def check_ker_delta1_hom(g: GluedAlgebra) -> CheckReport:
         CA.basis1.index[(g.alpha, QA.arrow_path(g.alpha))]: f.one,
         CA.basis1.index[(g.beta, QA.arrow_path(g.beta))]: f.neg(f.one),
     }
-    ok = ok and _restriction_kernel(g) == span(f, CA.basis1, [alpha_minus_beta])
+    ok = ok and restricted_kernel(f, g.psi1, CA.ker1.row_vectors()) == span(
+        f, CA.basis1, [alpha_minus_beta]
+    )
     detail = ""
     if g.source_sink:
         # bracket preservation at the cochain level (source-sink only: the
@@ -175,15 +219,12 @@ def check_ker_delta1_hom(g: GluedAlgebra) -> CheckReport:
         if bad is not None:
             ok = False
             detail = f"bracket mismatch on kernel rows {bad}"
-    return _verdict("ker_delta1_hom", ok, reason=detail)
+    return _verdict(ok, reason=detail)
 
 
+@check("ker_delta1_structure", LOOP_POWER, oracles=("hh1",))
 def check_ker_delta1_structure(g: GluedAlgebra) -> CheckReport:
     f = g.B.field
-    if not g.source_sink:
-        ok_assum, witness = g.assumption
-        if not ok_assum:
-            return _violated("ker_delta1_structure", _loop_witness(g, witness))
     CA, CB = g.complexes
     total = subspace_sum(f, g.psi1_ker1, g.spp.z_spp)
     ok = total.dim == g.psi1_ker1.dim + g.spp.z_spp.dim
@@ -201,18 +242,15 @@ def check_ker_delta1_structure(g: GluedAlgebra) -> CheckReport:
         stated = span(f, CB.basis1, generators)
         ok = ok and g.spp.z_spp == stated == g.sp.z_sp
         ok = ok and g.spp.kspp == g.sp.sp == len(crucial)
-    rep = _verdict("ker_delta1_structure", ok, lhs, rhs)
-    rep.witness = {
-        "ker_a": CA.ker1.dim,
-        "ker_b": CB.ker1.dim,
-        "kspp": g.spp.kspp,
-    }
+    rep = _verdict(ok, lhs, rhs)
+    rep.witness = {"ker_a": CA.ker1.dim, "ker_b": CB.ker1.dim, "kspp": g.spp.kspp}
     return rep
 
 
 # -- degree-one cohomology --------------------------------------------------------
 
 
+@check("hh1_lie_iso", SOURCE_SINK)
 def check_hh1_lie_iso(g: GluedAlgebra) -> CheckReport:
     """The transport induces a Lie isomorphism HH^1(A) -> ker/(im + gamma) of B.
 
@@ -222,8 +260,6 @@ def check_hh1_lie_iso(g: GluedAlgebra) -> CheckReport:
     the transported representatives.
     """
     f = g.B.field
-    if not g.source_sink:
-        return _na("hh1_lie_iso", "requires a source-sink gluing")
     CA, CB = g.complexes
     view_b = QuotientView(f, CB.ker1, g.im0_gamma)
 
@@ -250,61 +286,43 @@ def check_hh1_lie_iso(g: GluedAlgebra) -> CheckReport:
         if bad is not None:
             ok = False
             detail = f"structure constants differ at basis pair {bad}"
-    return _verdict("hh1_lie_iso", ok, CA.hh1_view.dim, dim_target, reason=detail)
+    return _verdict(ok, CA.hh1_view.dim, dim_target, reason=detail)
 
 
+@check("hh1_central_summand", SOURCE_SINK, SAME_BLOCK, CHAR_ZERO)
 def check_hh1_central_summand(g: GluedAlgebra) -> CheckReport:
     f = g.B.field
-    if not g.source_sink:
-        return _na("hh1_central_summand", "requires a source-sink gluing")
-    if not g.same_block:
-        return _na("hh1_central_summand", "requires a same-block gluing")
-    if f.char != 0:
-        return _na("hh1_central_summand", "requires characteristic zero")
     CA, CB = g.complexes
     gamma_vec = g.gamma_pair_vector()
     ok = all(member(f, CB.im0, CB.bracket(gamma_vec, w)) for w in CB.ker1.row_vectors())
     lhs = CB.hh1_view.dim
     rhs = CA.hh1_view.dim + 1
     ok = ok and lhs == rhs
-    return _verdict("hh1_central_summand", ok, lhs, rhs)
+    return _verdict(ok, lhs, rhs)
 
 
+@check("hh1_dim_general", LOOP_POWER, oracles=("hh1",))
 def check_hh1_dim_general(g: GluedAlgebra) -> CheckReport:
-    ok_assum, witness = g.assumption
-    if not ok_assum:
-        return _violated("hh1_dim_general", _loop_witness(g, witness))
     CA, CB = g.complexes
     c_a, c_b = g.components
     lhs = CA.hh1_view.dim
     rhs = CB.hh1_view.dim - 1 - g.spp.kspp + g.sp.sp + c_a - c_b
-    return _verdict("hh1_dim_general", lhs == rhs, lhs, rhs)
+    return _verdict(lhs == rhs, lhs, rhs)
 
 
+@check("rad_sq_zero_summand", RAD_SQ_ZERO, SAME_BLOCK, CHAR_ZERO, NO_SPECIAL_PAIR_KERNEL)
 def check_rad_sq_zero_summand(g: GluedAlgebra) -> CheckReport:
-    if not g.A.is_radical_square_zero():
-        return _na("rad_sq_zero_summand", "requires a radical-square-zero algebra")
-    if not g.same_block:
-        return _na("rad_sq_zero_summand", "requires a same-block gluing")
-    if g.B.field.char != 0:
-        return _na("rad_sq_zero_summand", "requires characteristic zero")
-    if g.spp.kspp != 0:
-        return _na("rad_sq_zero_summand", "requires a vanishing special-pair kernel part")
     CA, CB = g.complexes
     dims_ok = CB.hh1_view.dim == CA.hh1_view.dim + 1
     # abstract one-dimensional central factor: Lie centers differ by one
     center_ok = lie_center_dim(hh1_lie(g.B)) == lie_center_dim(g.lie_a) + 1
-    return _verdict(
-        "rad_sq_zero_summand",
-        dims_ok and center_ok,
-        CB.hh1_view.dim,
-        CA.hh1_view.dim + 1,
-    )
+    return _verdict(dims_ok and center_ok, CB.hh1_view.dim, CA.hh1_view.dim + 1)
 
 
 # -- center ---------------------------------------------------------------------
 
 
+@check("center_geq1", oracles=("center",))
 def check_center_geq1(g: GluedAlgebra) -> CheckReport:
     f = g.B.field
     ker_b_pos = g.ker0_positive[1]
@@ -312,7 +330,7 @@ def check_center_geq1(g: GluedAlgebra) -> CheckReport:
     total = subspace_sum(f, psi0_ker, g.nsp.z_nsp)
     ok = total.dim == psi0_ker.dim + g.nsp.z_nsp.dim
     ok = ok and total == ker_b_pos
-    return _verdict("center_geq1", ok, ker_b_pos.dim, psi0_ker.dim + g.nsp.nsp)
+    return _verdict(ok, ker_b_pos.dim, psi0_ker.dim + g.nsp.nsp)
 
 
 def _center_embedding(g: GluedAlgebra):
@@ -344,11 +362,9 @@ def _center_embedding(g: GluedAlgebra):
     return mu
 
 
+@check("center_indec", INDECOMPOSABLE, oracles=("center",))
 def check_center_indec(g: GluedAlgebra) -> CheckReport:
     f = g.B.field
-    c_a, _ = g.components
-    if c_a != 1:
-        return _na("center_indec", "requires an indecomposable algebra")
     CA, CB = g.complexes
     lhs = CB.hh0.dim
     rhs = CA.hh0.dim + g.nsp.nsp
@@ -359,8 +375,7 @@ def check_center_indec(g: GluedAlgebra) -> CheckReport:
     for r in rows:
         img = mu(r)
         if img is None or not member(f, CB.hh0, img):
-            return _verdict("center_indec", False, lhs, rhs,
-                            reason="transported central element is not central")
+            return _verdict(False, lhs, rhs, reason="transported central element is not central")
         images.append(img)
     ok = ok and span(f, CB.basis0, images).dim == len(rows)
 
@@ -370,29 +385,19 @@ def check_center_indec(g: GluedAlgebra) -> CheckReport:
 
     bad = _first_failure(product(range(len(rows)), repeat=2), multiplicative)
     detail = "" if bad is None else f"embedding is not multiplicative at {bad}"
-    return _verdict("center_indec", ok and bad is None, lhs, rhs, reason=detail)
+    return _verdict(ok and bad is None, lhs, rhs, reason=detail)
 
 
+@check("center_source_sink", SOURCE_SINK, INDECOMPOSABLE, NO_CONNECTING_PATHS,
+       oracles=("center",))
 def check_center_source_sink(g: GluedAlgebra) -> CheckReport:
-    if not g.source_sink:
-        return _na("center_source_sink", "requires a source-sink gluing")
-    c_a, _ = g.components
-    if c_a != 1:
-        return _na("center_source_sink", "requires an indecomposable algebra")
-    e1, e2, e3, e4 = g.endpoints
-    if g.A.path_set(e3, e2):
-        return _na("center_source_sink", "connecting paths exist; criterion is silent here")
     CA, CB = g.complexes
     ok = CA.hh0.dim == CB.hh0.dim and g.nsp.nsp == 0
-    return _verdict("center_source_sink", ok, CA.hh0.dim, CB.hh0.dim)
+    return _verdict(ok, CA.hh0.dim, CB.hh0.dim)
 
 
+@check("center_rad_sq_zero", RAD_SQ_ZERO, INDECOMPOSABLE, oracles=("center",))
 def check_center_rad_sq_zero(g: GluedAlgebra) -> CheckReport:
-    if not g.A.is_radical_square_zero():
-        return _na("center_rad_sq_zero", "requires a radical-square-zero algebra")
-    c_a, _ = g.components
-    if c_a != 1:
-        return _na("center_rad_sq_zero", "requires an indecomposable algebra")
     CA, CB = g.complexes
     e1, e2, e3, e4 = g.endpoints
     Q = g.A.quiver
@@ -400,14 +405,12 @@ def check_center_rad_sq_zero(g: GluedAlgebra) -> CheckReport:
         {Q.source(a), Q.target(a)} in ({e1, e3}, {e2, e4}) for a in range(Q.num_arrows)
     )
     iso = CA.hh0.dim == CB.hh0.dim
-    return _verdict("center_rad_sq_zero", iso == no_cross_arrows, iso, no_cross_arrows)
+    return _verdict(iso == no_cross_arrows, iso, no_cross_arrows)
 
 
+@check("center_diff_blocks", TWO_BLOCKS, oracles=("center",))
 def check_center_diff_blocks(g: GluedAlgebra) -> CheckReport:
     f = g.B.field
-    c_a, _ = g.components
-    if g.same_block or c_a != 2:
-        return _na("center_diff_blocks", "requires gluing across exactly two blocks")
     CA, CB = g.complexes
     lhs = CA.hh0.dim
     rhs = CB.hh0.dim + 1
@@ -423,79 +426,48 @@ def check_center_diff_blocks(g: GluedAlgebra) -> CheckReport:
 
     bad = _first_failure(product(range(len(rows)), repeat=2), multiplicative)
     detail = "" if bad is None else f"positive parts are not multiplicative at {bad}"
-    return _verdict("center_diff_blocks", ok and bad is None, lhs, rhs, reason=detail)
+    return _verdict(ok and bad is None, lhs, rhs, reason=detail)
 
 
 # -- fundamental group and higher degrees ------------------------------------------
 
 
+@check("pi1_rank")
 def check_pi1_rank(g: GluedAlgebra) -> CheckReport:
     c_a, c_b = g.components
     lhs = pi1_rank(g.A)
     rhs = pi1_rank(g.B) + c_a - c_b - 1
-    return _verdict("pi1_rank", lhs == rhs, lhs, rhs)
+    return _verdict(lhs == rhs, lhs, rhs)
 
 
+@check("gamma_not_in_image", SAME_BLOCK_SOURCE_SINK)
 def check_gamma_not_in_image(g: GluedAlgebra) -> CheckReport:
-    if not (g.source_sink and g.same_block):
-        return _na("gamma_not_in_image", "requires a same-block source-sink gluing")
     outside = not member(g.B.field, g.complexes[1].im0, g.gamma_pair_vector())
-    return _verdict("gamma_not_in_image", outside, outside, True)
+    return _verdict(outside, outside, True)
 
 
+@check("theta_diagram")
 def check_theta(g: GluedAlgebra) -> CheckReport:
     rep = check_theta_diagram(g)
     if not rep.applicable:
-        return _na("theta_diagram", rep.reason)
+        return CheckReport("", "not-applicable", reason=rep.reason)
     return _verdict(
-        "theta_diagram",
         rep.commutes,
         rep.generator_results,
         (rep.new_dual_is_gamma_pair, rep.gamma_pair_outside_image),
     )
 
 
-def check_high_degrees(g: GluedAlgebra, cap: int = 6) -> CheckReport:
+@check("high_degrees")
+def check_high_degrees(g: GluedAlgebra) -> CheckReport:
     reports = []
-    for n in range(2, cap + 1):
+    for n in range(2, 7):  # degrees 2 to 6
         r = check_high_degree_gluing(g, n)
         if not r.applicable:
-            return _na("high_degrees", r.reason)
+            return CheckReport("", "not-applicable", reason=r.reason)
         reports.append(r)
     ok = all(r.passed for r in reports)
-    return _verdict(
-        "high_degrees",
-        ok,
-        [str(r.dim_a) for r in reports],
-        [str(r.dim_b) for r in reports],
-    )
-
-
-def _loop_witness(g: GluedAlgebra, witness):
-    a, m = witness
-    return (g.A.quiver.arrow_name(a), m)
-
-
-CHECKS = {
-    "im_delta0_dim": check_im_delta0_dim,
-    "im_delta0_structure": check_im_delta0_structure,
-    "rad_sq_zero_im": check_rad_sq_zero_im,
-    "ker_delta1_hom": check_ker_delta1_hom,
-    "ker_delta1_structure": check_ker_delta1_structure,
-    "hh1_lie_iso": check_hh1_lie_iso,
-    "hh1_central_summand": check_hh1_central_summand,
-    "hh1_dim_general": check_hh1_dim_general,
-    "rad_sq_zero_summand": check_rad_sq_zero_summand,
-    "center_geq1": check_center_geq1,
-    "center_indec": check_center_indec,
-    "center_source_sink": check_center_source_sink,
-    "center_rad_sq_zero": check_center_rad_sq_zero,
-    "center_diff_blocks": check_center_diff_blocks,
-    "pi1_rank": check_pi1_rank,
-    "gamma_not_in_image": check_gamma_not_in_image,
-    "theta_diagram": check_theta,
-    "high_degrees": check_high_degrees,
-}
+    return _verdict(ok, [str(r.dim_a) for r in reports], [str(r.dim_b) for r in reports])
 
 
 def _repro_text(g: GluedAlgebra) -> str:
@@ -538,29 +510,21 @@ FUZZ_CHECKS = (
 
 
 def confirm_failure(g: GluedAlgebra, report: CheckReport) -> bool:
-    """Re-derive the failed comparison through the derivation/commutant
-    oracles; True means the failure is a confirmed counterexample to the
-    stated formula rather than an artifact defect.  The oracle dimensions
-    are attributes of ``g``, so every failing check of one gluing shares
-    one oracle run."""
+    """Re-derive the failed comparison through the oracles declared for its
+    check; True means the failure is a confirmed counterexample to the
+    stated formula rather than an artifact defect, False also when no
+    oracle is declared.  The oracle dimensions are attributes of ``g``,
+    so every failing check of one gluing shares one oracle run."""
     CA, CB = g.complexes
-
-    def hh1_ok():
-        return g.oracle_hh1_dims == (CA.hh1_view.dim, CB.hh1_view.dim)
-
-    def center_ok():
-        return g.oracle_center_dims == (CA.hh0.dim, CB.hh0.dim)
-
-    if report.check in ("hh1_dim_general", "ker_delta1_structure", "ker_delta1_hom"):
-        return hh1_ok()
-    if report.check.startswith("center"):
-        return center_ok()
-    if report.check == "im_delta0_dim":
-        return hh1_ok() and center_ok()
-    return False
+    agrees = {
+        "hh1": lambda: g.oracle_hh1_dims == (CA.hh1_view.dim, CB.hh1_view.dim),
+        "center": lambda: g.oracle_center_dims == (CA.hh0.dim, CB.hh0.dim),
+    }
+    oracles = CHECKS[report.check].oracles
+    return bool(oracles) and all(agrees[name]() for name in oracles)
 
 
-def run_fuzz(seed: int, count: int, checks=FUZZ_CHECKS, spec_kwargs=None, confirm=True):
+def run_fuzz(seed: int, count: int, checks=FUZZ_CHECKS, spec_kwargs=None):
     """Seeded fuzz campaign; returns (reports per instance, failures).
 
     Each instance cycles through the rationals and the two/three/five
@@ -584,6 +548,5 @@ def run_fuzz(seed: int, count: int, checks=FUZZ_CHECKS, spec_kwargs=None, confir
         all_reports.append((inst_seed, reports))
         for rep in reports:
             if rep.failed:
-                confirmed = confirm_failure(g, rep) if confirm else None
-                failures.append((inst_seed, rep, confirmed))
+                failures.append((inst_seed, rep, confirm_failure(g, rep)))
     return all_reports, failures

@@ -20,14 +20,18 @@ from .examples_data import EXAMPLES, example_by_name
 from .fileformat import parse, print_algebra
 from .fundgroup import pi1_rank
 from .gluing import glue
-from .higher import CrownUnsupported, hh_dim_high
+from .higher import hh_dim_high
 from .quiver import betti, connected_components, crown_order, is_sink_arrow, is_source_arrow, path_str
 from .paircomplex import center_product, complex_data, hh1_lie
 
 
 def _load(path: str) -> MonomialAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        raise QuiverHHError(f"{path}: not UTF-8 text (byte {err.start})") from None
+    return parse(text)
 
 
 def _arrow_id(A: MonomialAlgebra, name: str) -> int:
@@ -85,14 +89,9 @@ def cmd_hh(args) -> int:
             print(f"HH^1: {C.hh1_view.dim}")
         else:
             try:
-                val = hh_dim_high(A, n)
+                print(f"HH^{n}: {hh_dim_high(A, n)}")
             except QuiverHHError as err:
                 print(f"HH^{n}: unsupported ({err})")
-                continue
-            if isinstance(val, CrownUnsupported):
-                print(f"HH^{n}: {val}")
-            else:
-                print(f"HH^{n}: {val}")
     if args.lie and C.hh1_view.dim:
         pres = hh1_lie(A)
         print("HH^1 basis: " + "; ".join(pres.basis_labels))

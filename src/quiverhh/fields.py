@@ -102,4 +102,7 @@ QQ = FieldSpec(0)
 
 
 def GF(p: int) -> FieldSpec:
+    """The prime field of ``p`` elements; unlike ``FieldSpec``, p = 0 is rejected."""
+    if p < 2:
+        raise ValueError(f"field characteristic must be prime, got {p}")
     return FieldSpec(p)

@@ -11,13 +11,7 @@ reverse of the right-to-left product notation used in rendered output).
 from __future__ import annotations
 
 from .algebra import MonomialAlgebra, build
-from .errors import (
-    AdmissibilityError,
-    CompositionError,
-    DimensionalityError,
-    MinimalityError,
-    ParseError,
-)
+from .errors import CompositionError, DimensionalityError, MinimalityError, ParseError
 from .fields import GF, QQ, FieldSpec
 from .quiver import Quiver
 
@@ -34,12 +28,13 @@ def _tokens(line: str):
     return out
 
 
-def parse(text: str, minimalize: bool = False) -> MonomialAlgebra:
+def parse(text: str) -> MonomialAlgebra:
     field: FieldSpec = None
     vertices: list = []
     vertex_ids: dict = {}
     arrows: list = []
     arrow_ids: dict = {}
+    arrow_at: list = []  # (line, column) of each arrow directive
     rel_lines: list = []
 
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -81,6 +76,7 @@ def parse(text: str, minimalize: bool = False) -> MonomialAlgebra:
                 raise ParseError(f"unknown vertex {tgt}", lineno, tcol)
             arrow_ids[name] = len(arrows)
             arrows.append((name, vertex_ids[src], vertex_ids[tgt]))
+            arrow_at.append((lineno, col0))
         elif head == "rel":
             if len(args) < 2:
                 raise ParseError(
@@ -105,7 +101,7 @@ def parse(text: str, minimalize: bool = False) -> MonomialAlgebra:
             raise ParseError(str(err), lineno, col0) from None
         rel_at.setdefault(tuple(word), (lineno, col0, "rel " + " ".join(n for n, _ in args)))
     try:
-        return build(quiver, relations, field or QQ, minimalize=minimalize)
+        return build(quiver, relations, field or QQ)
     except MinimalityError as err:
         lineno, col0, container = rel_at[err.container.arrows]
         inner_line, _, contained = rel_at[err.contained.arrows]
@@ -115,8 +111,9 @@ def parse(text: str, minimalize: bool = False) -> MonomialAlgebra:
             lineno,
             col0,
         ) from None
-    except (AdmissibilityError, DimensionalityError) as err:
-        raise ParseError(str(err), len(text.splitlines()) or 1) from None
+    except DimensionalityError as err:
+        # reported at the first arrow of the witness cycle
+        raise ParseError(str(err), *arrow_at[err.cycle[0]]) from None
 
 
 def print_algebra(A: MonomialAlgebra) -> str:

@@ -45,7 +45,6 @@ def pi1_rank(A: MonomialAlgebra) -> int:
 class ChordDualBasis:
     tree: tuple  # arrow ids of the spanning forest
     chords: tuple  # remaining arrow ids, canonical order
-    avoided: object  # arrow id or None
 
 
 def chord_duals(Q: Quiver, avoid=None) -> ChordDualBasis:
@@ -83,14 +82,13 @@ def chord_duals(Q: Quiver, avoid=None) -> ChordDualBasis:
             f"arrow {Q.arrow_name(avoid)} is a bridge and cannot be avoided"
         )
     chords = tuple(sorted(set(range(Q.num_arrows)) - set(tree)))
-    return ChordDualBasis(tuple(sorted(tree)), chords, avoid)
+    return ChordDualBasis(tuple(sorted(tree)), chords)
 
 
 @dataclass(frozen=True)
 class ParadeData:
     """A walk from a per-component base vertex to every vertex."""
 
-    bases: tuple  # base vertex per component, aligned with components
     walks: tuple  # Walk per vertex id
 
 
@@ -104,10 +102,8 @@ def parade(Q: Quiver, tree, base_override=None) -> ParadeData:
     for lst in adjacency:
         lst.sort()
     walks: list = [None] * Q.num_vertices
-    bases = []
     for comp in connected_components(Q):
         base = base_override.get(comp[0], comp[0])
-        bases.append(base)
         walks[base] = trivial_walk(base)
         queue = deque([base])
         while queue:
@@ -121,7 +117,7 @@ def parade(Q: Quiver, tree, base_override=None) -> ParadeData:
         for v in comp:
             if walks[v] is None:
                 raise QuiverHHError("spanning forest does not reach every vertex")
-    return ParadeData(tuple(bases), tuple(walks))
+    return ParadeData(tuple(walks))
 
 
 def theta(A: MonomialAlgebra, chord: int, walks: ParadeData) -> dict:
@@ -143,7 +139,7 @@ def theta(A: MonomialAlgebra, chord: int, walks: ParadeData) -> dict:
         c = signed_count(loop, chord)
         if c:
             vec[C.basis1.index[(a, Q.arrow_path(a))]] = f.of_int(c)
-    if not C.delta1.is_zero_on(f, vec):
+    if C.delta1.apply(f, vec):
         raise QuiverHHError("chord dual cocycle failed the kernel membership assertion")
     return vec
 
@@ -239,7 +235,7 @@ def check_theta_diagram(g: GluedAlgebra) -> ThetaDiagramReport:
                 if g.vertex_map[u] == w_B.source and u not in (e3, e4)
             )
         walks_A_list[v] = pull_back(w_B, src)
-    walks_A = ParadeData((), tuple(walks_A_list))
+    walks_A = ParadeData(tuple(walks_A_list))
 
     CB = g.complexes[1]
     gamma_vec = g.gamma_pair_vector()

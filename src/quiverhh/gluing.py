@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .algebra import MonomialAlgebra, build
 from .errors import GluingError, QuiverHHError
-from .linalg import LinearMap, Subspace, intersect, span, subspace_sum
+from .linalg import LinearMap, Subspace, intersect, restricted_kernel, span, subspace_sum
 from .oracles import oracle_center, oracle_hh1_dim
 from .quiver import (
     Path,
@@ -169,6 +169,17 @@ class GluedAlgebra:
     # -- derived subspaces and invariants ---------------------------------------
 
     @cached_property
+    def glued_pair_paths(self) -> tuple:
+        """(merged vertex of B, basis paths of A of length >= 1 joining the
+        pair) for the pair e1, e3 and then for the pair e2, e4."""
+        e1, e2, e3, e4 = self.endpoints
+        out = []
+        for u, v in ((e1, e3), (e2, e4)):
+            paths = (p for p in self.A.basis if p.length >= 1 and {p.source, p.target} == {u, v})
+            out.append((self.vertex_map[u], tuple(paths)))
+        return tuple(out)
+
+    @cached_property
     def sp(self) -> "SpecialPathData":
         return special_paths(self)
 
@@ -200,8 +211,14 @@ class GluedAlgebra:
 
     @cached_property
     def ker0_positive(self) -> tuple:
-        """Degree-zero kernels on cycles of length >= 1, of A and of B."""
-        return tuple(C.ker0_positive() for C in self.complexes)
+        """Degree-zero kernels on cycles of length >= 1, of A and of B, as
+        subspaces of the full degree-zero spaces."""
+        out = []
+        for C in self.complexes:
+            f = C.field
+            cycles = [{i: f.one} for i, (_, p) in enumerate(C.basis0.labels) if p.length >= 1]
+            out.append(restricted_kernel(f, C.delta0, cycles))
+        return tuple(out)
 
     @cached_property
     def psi0_ker0_positive(self) -> Subspace:
@@ -225,10 +242,16 @@ def glue(A: MonomialAlgebra, alpha: int, beta: int, gamma_name: str = "gamma*") 
     """Glue arrows ``alpha`` and ``beta`` of ``A`` into a subalgebra.
 
     Raises :class:`GluingError` when an arrow is a loop, the arrows agree,
-    or the four endpoint vertices are not pairwise distinct.  The merged
-    vertices are named ``f1``/``f2`` and the merged arrow ``gamma_name``
-    (uniquified against existing names); everything else keeps its name.
+    the four endpoint vertices are not pairwise distinct, or ``gamma_name``
+    is not one token of the file format (non-empty, no whitespace, no
+    ``#``).  The merged vertices are named ``f1``/``f2`` and the merged
+    arrow ``gamma_name`` (uniquified against existing names); everything
+    else keeps its name.
     """
+    if gamma_name.split() != [gamma_name] or "#" in gamma_name:
+        raise GluingError(
+            f"merged arrow name must be one token without whitespace or '#', got {gamma_name!r}"
+        )
     QA = A.quiver
     if alpha == beta:
         raise GluingError("cannot glue an arrow with itself")
@@ -355,28 +378,18 @@ class SpecialPathData:
 
 def special_paths(g: GluedAlgebra) -> SpecialPathData:
     """Paths between the glued vertex pairs with nonzero degree-zero image."""
-    A, B = g.A, g.B
     CB = g.complexes[1]
-    e1, e2, e3, e4 = g.endpoints
-    f = B.field
-
-    def survivors(u, v, merged):
-        out = []
-        cols = []
-        for p in A.basis:
-            if p.length < 1 or {p.source, p.target} != {u, v}:
-                continue
-            idx = CB.basis0.index[(merged, g.path_image[p])]
-            col = CB.delta0.columns[idx]
+    found = []  # (path, nonzero image column) per glued vertex pair
+    for merged, paths in g.glued_pair_paths:
+        survivors = []
+        for p in paths:
+            col = CB.delta0.columns[CB.basis0.index[(merged, g.path_image[p])]]
             if col:
-                out.append(p)
-                cols.append(col)
-        return out, cols
-
-    first, cols1 = survivors(e1, e3, g.vertex_map[e1])
-    second, cols2 = survivors(e2, e4, g.vertex_map[e2])
-    z_sp = span(f, CB.basis1, cols1 + cols2)
-    return SpecialPathData(tuple(first), tuple(second), z_sp, z_sp.dim)
+                survivors.append((p, col))
+        found.append(survivors)
+    first, second = found
+    z_sp = span(g.B.field, CB.basis1, [col for _, col in first + second])
+    return SpecialPathData(tuple(p for p, _ in first), tuple(p for p, _ in second), z_sp, z_sp.dim)
 
 
 def crucial_paths(g: GluedAlgebra):
@@ -454,30 +467,22 @@ def special_pairs(g: GluedAlgebra) -> SpecialPairData:
 
 @dataclass(frozen=True)
 class NspData:
-    paths: tuple  # basis paths of A between the glued vertex pairs
-    span: Subspace  # inside the degree-zero pair space of B
-    z_nsp: Subspace
+    z_nsp: Subspace  # inside the degree-zero pair space of B
     nsp: int
 
 
 def nsp_data(g: GluedAlgebra) -> NspData:
     """Glued-vertex cycle pairs and their kernel part, controlling the center."""
-    A, B = g.A, g.B
     CB = g.complexes[1]
-    C0 = CB.basis0
-    f = B.field
-    e1, e2, e3, e4 = g.endpoints
-    paths = []
-    labels = []
-    for u, v, merged in ((e1, e3, g.vertex_map[e1]), (e2, e4, g.vertex_map[e2])):
-        for p in A.basis:
-            if p.length < 1 or {p.source, p.target} != {u, v}:
-                continue
-            paths.append(p)
-            labels.append(C0.index[(merged, g.path_image[p])])
-    nsp_span = span(f, C0, [{i: f.one} for i in sorted(set(labels))])
+    f = g.B.field
+    labels = {
+        CB.basis0.index[(merged, g.path_image[p])]
+        for merged, paths in g.glued_pair_paths
+        for p in paths
+    }
+    nsp_span = span(f, CB.basis0, [{i: f.one} for i in sorted(labels)])
     z_nsp = intersect(f, nsp_span, CB.ker0)
-    return NspData(tuple(paths), nsp_span, z_nsp, z_nsp.dim)
+    return NspData(z_nsp, z_nsp.dim)
 
 
 def assumption_holds(g: GluedAlgebra):

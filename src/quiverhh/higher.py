@@ -17,47 +17,30 @@ from .errors import QuiverHHError
 from .gluing import GluedAlgebra
 from .quiver import Quiver, connected_components, crown_order
 
-DEFAULT_DEGREE_CAP = 12
+# Transport injectivity is left undecided (None) above this many enumerated paths.
+_ENUMERATION_CAP = 20000
 
 
-class PathCountTable:
-    """Cached big-integer powers of the adjacency matrix.
+def parallel_counts(Q: Quiver, n: int) -> tuple:
+    """(|paths of length n parallel to an arrow|, |cycles of length n-1|).
 
-    Entry (i, j) of the n-th power counts length-n paths from vertex j to
-    vertex i.
+    Entry (i, j) of the k-th power of the adjacency matrix counts length-k
+    paths from vertex j to vertex i.
     """
-
-    def __init__(self, Q: Quiver):
-        self.Q = Q
-        n = Q.num_vertices
-        m = [[0] * n for _ in range(n)]
-        for a in range(Q.num_arrows):
-            m[Q.target(a)][Q.source(a)] += 1
-        identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        self._powers = [identity, m]
-
-    def power(self, n: int):
-        while len(self._powers) <= n:
-            last = self._powers[-1]
-            base = self._powers[1]
-            size = self.Q.num_vertices
-            nxt = [
-                [sum(last[i][k] * base[k][j] for k in range(size)) for j in range(size)]
-                for i in range(size)
-            ]
-            self._powers.append(nxt)
-        return self._powers[n]
-
-
-def parallel_counts(Q: Quiver, n: int, table: PathCountTable = None) -> tuple:
-    """(|paths of length n parallel to an arrow|, |cycles of length n-1|)."""
     if n < 1:
         raise ValueError("degree must be at least 1")
-    table = table or PathCountTable(Q)
-    mn = table.power(n)
+    size = Q.num_vertices
+    adj = [[0] * size for _ in range(size)]
+    for a in range(Q.num_arrows):
+        adj[Q.target(a)][Q.source(a)] += 1
+    mprev, mn = None, [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(n):
+        mprev, mn = mn, [
+            [sum(mn[i][k] * adj[k][j] for k in range(size)) for j in range(size)]
+            for i in range(size)
+        ]
     with_arrows = sum(mn[Q.target(a)][Q.source(a)] for a in range(Q.num_arrows))
-    mprev = table.power(n - 1)
-    cycles = sum(mprev[i][i] for i in range(Q.num_vertices))
+    cycles = sum(mprev[i][i] for i in range(size))
     return with_arrows, cycles
 
 
@@ -71,7 +54,7 @@ class CrownUnsupported:
         return f"unsupported: {self.order}-crown quiver (counting formula needs a non-crown)"
 
 
-def hh_dim_high(A: MonomialAlgebra, n: int, table: PathCountTable = None):
+def hh_dim_high(A: MonomialAlgebra, n: int):
     """Degree-n cohomology dimension for connected radical-square-zero input.
 
     Degrees 0 and 1 belong to the pair complex; crowns yield a
@@ -86,19 +69,19 @@ def hh_dim_high(A: MonomialAlgebra, n: int, table: PathCountTable = None):
     order = crown_order(A.quiver)
     if order is not None:
         return CrownUnsupported(order)
-    with_arrows, cycles = parallel_counts(A.quiver, n, table)
+    with_arrows, cycles = parallel_counts(A.quiver, n)
     return with_arrows - cycles
 
 
-def _enumerate_paths(Q: Quiver, n: int, source: int, target: int, cap: int):
-    """All length-n arrow words from source to target (None when over cap)."""
+def _enumerate_paths(Q: Quiver, n: int, source: int, target: int):
+    """All length-n arrow words from source to target (None when over the cap)."""
     words = [((), source)]
     for _ in range(n):
         nxt = []
         for word, at in words:
             for a in Q.arrows_from[at]:
                 nxt.append((word + (a,), Q.target(a)))
-                if len(nxt) > cap:
+                if len(nxt) > _ENUMERATION_CAP:
                     return None
         words = nxt
     return [w for w, at in words if at == target]
@@ -120,9 +103,7 @@ class HighDegreeReport:
         return bool(self.applicable and self.monotone and self.injective_transport is not False)
 
 
-def check_high_degree_gluing(
-    g: GluedAlgebra, n: int, enumeration_cap: int = 20000
-) -> HighDegreeReport:
+def check_high_degree_gluing(g: GluedAlgebra, n: int) -> HighDegreeReport:
     """Compare degree-n dimensions across one gluing of a connected
     radical-square-zero algebra, and check injectivity of the induced map
     on (length-n path, arrow) parallel pairs by explicit enumeration."""
@@ -149,21 +130,21 @@ def check_high_degree_gluing(
         diff = dim_b - dim_a
         monotone = diff >= 0
 
-    injective = _transport_injective(g, n, enumeration_cap)
+    injective = _transport_injective(g, n)
     return HighDegreeReport(True, "", n, dim_a, dim_b, diff, monotone, injective)
 
 
-def _transport_injective(g: GluedAlgebra, n: int, cap: int):
+def _transport_injective(g: GluedAlgebra, n: int):
     """Distinct (length-n path, arrow) pairs must stay distinct in the image."""
     QA = g.A.quiver
     seen = {}
     total = 0
     for a in range(QA.num_arrows):
-        words = _enumerate_paths(QA, n, QA.source(a), QA.target(a), cap)
+        words = _enumerate_paths(QA, n, QA.source(a), QA.target(a))
         if words is None:
             return None
         total += len(words)
-        if total > cap:
+        if total > _ENUMERATION_CAP:
             return None
         for w in words:
             key = (tuple(g.arrow_map[x] for x in w), g.arrow_map[a])

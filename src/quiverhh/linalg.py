@@ -172,9 +172,6 @@ class LinearMap:
                 accumulate(field, out, i, field.mul(c, x))
         return out
 
-    def is_zero_on(self, field: FieldSpec, vec: dict) -> bool:
-        return not self.apply(field, vec)
-
 
 def _transpose(columns, height: int) -> list:
     rows = [{} for _ in range(height)]
@@ -202,6 +199,15 @@ def null_space(field: FieldSpec, domain: LabeledBasis, rows: Sequence[dict]) -> 
 def kernel(field: FieldSpec, m: LinearMap) -> Subspace:
     """Canonical kernel via RREF of the coefficient matrix."""
     return null_space(field, m.domain, _transpose(m.columns, len(m.codomain)))
+
+
+def restricted_kernel(field: FieldSpec, m: LinearMap, vectors: Sequence[dict]) -> Subspace:
+    """The combinations of ``vectors`` (over ``m.domain``) that ``m`` sends to zero."""
+    coords = LabeledBasis(tuple(range(len(vectors))))
+    inclusion = LinearMap(coords, m.domain, tuple(vectors))
+    images = tuple(m.apply(field, v) for v in vectors)
+    ker = kernel(field, LinearMap(coords, m.codomain, images))
+    return span(field, m.domain, [inclusion.apply(field, dict(row)) for row in ker.rows])
 
 
 def solve_columns(field: FieldSpec, width: int, columns, target: dict):

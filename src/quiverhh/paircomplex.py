@@ -26,7 +26,6 @@ from .linalg import (
     image,
     kernel,
     reduce_against,
-    span,
 )
 from .quiver import Path, parallel, path_str
 
@@ -133,22 +132,6 @@ class PairComplex:
                     accumulate(f, col, idxZ[(ri, q)], f.one)
             cols.append(col)
         return LinearMap(self.basis1, self.basisZ, tuple(cols))
-
-    # -- degree-zero cycle block ----------------------------------------------
-
-    def ker0_positive(self) -> Subspace:
-        """Kernel of the differential restricted to cycle pairs of length >= 1,
-        as a subspace of the full degree-zero space."""
-        pos = [i for i, (v, p) in enumerate(self.basis0.labels) if p.length >= 1]
-        sub_basis = LabeledBasis(tuple(self.basis0.labels[i] for i in pos))
-        restricted = LinearMap(
-            sub_basis, self.basis1, tuple(self.delta0.columns[i] for i in pos)
-        )
-        ker = kernel(self.field, restricted)
-        lifted = []
-        for row in ker.row_vectors():
-            lifted.append({pos[i]: c for i, c in row.items()})
-        return span(self.field, self.basis0, lifted)
 
     # -- bracket ---------------------------------------------------------------
 

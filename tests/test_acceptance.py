@@ -415,8 +415,8 @@ def test_criterion_11_determinism():
         rng.shuffle(shuffled)
         assert span(QQ, CB.basis1, shuffled) == CB.im0
     # and two fuzz campaigns with one seed agree report-for-report
-    r1, f1 = run_fuzz(123, 12, confirm=False)
-    r2, f2 = run_fuzz(123, 12, confirm=False)
+    r1, f1 = run_fuzz(123, 12)
+    r2, f2 = run_fuzz(123, 12)
     assert [(s, [x.as_dict() for x in reps]) for s, reps in r1] == [
         (s, [x.as_dict() for x in reps]) for s, reps in r2
     ]

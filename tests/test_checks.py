@@ -99,7 +99,7 @@ def test_fuzz_smoke_confirms_all_failures():
 def test_robust_checks_never_fail_on_fuzz():
     robust = ("im_delta0_dim", "center_indec", "center_diff_blocks", "pi1_rank",
               "center_geq1")
-    reports, failures = run_fuzz(77_000, 60, checks=robust, confirm=False)
+    reports, failures = run_fuzz(77_000, 60, checks=robust)
     assert failures == []
 
 

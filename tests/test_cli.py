@@ -189,3 +189,44 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "info", str(p))
     assert code == 2
     assert "line 2" in err
+
+
+def test_field_zero_exit_code(capsys, tmp_path):
+    path = tmp_path / "zero.alg"
+    path.write_text("field F 0\nvertex a\nvertex b\narrow x a b\n")
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: line 1, column 9: field characteristic must be prime, got 0\n"
+
+
+@pytest.mark.parametrize("name", ["g h", "", "g#h", "g\th"])
+def test_glue_rejects_names_the_file_format_cannot_hold(capsys, tmp_path, line_free_file, name):
+    out_path = tmp_path / "b.alg"
+    code, out, err = run(
+        capsys, "glue", line_free_file, "--alpha", "alpha", "--beta", "beta",
+        "--name", name, "--out", str(out_path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: merged arrow name must be one token") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
+def test_glue_custom_name_round_trips(capsys, line_free_file):
+    from quiverhh.fileformat import parse, print_algebra
+    from quiverhh.gluing import glue
+
+    code, out, _ = run(capsys, "glue", line_free_file, "--alpha", "alpha", "--beta", "beta",
+                       "--name", "merged")
+    assert code == 0 and "rel eta merged eta" in out
+    A = parse(example_by_name("line-free").text)
+    g = glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"], "merged")
+    assert parse(print_algebra(g.B)) == g.B
+    assert parse(out) == g.B
+
+
+def test_non_utf8_input_exit_code(capsys, tmp_path):
+    path = tmp_path / "binary.alg"
+    path.write_bytes(b"\xff\xfe vertex\n")
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "not UTF-8" in err and err.count("\n") == 1

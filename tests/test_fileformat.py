@@ -1,4 +1,8 @@
+from datetime import timedelta
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quiverhh.errors import ParseError
 from quiverhh.examples_data import EXAMPLES
@@ -63,10 +67,27 @@ def test_bad_field():
     assert e.line == 1
 
 
+def test_field_zero_is_not_the_rationals():
+    e = err("field F 0\nvertex a\nvertex b\narrow x a b\n")
+    assert (e.line, e.column) == (1, 9)
+    assert "field characteristic must be prime, got 0" in str(e)
+    with pytest.raises(ValueError):
+        GF(0)
+
+
 def test_infinite_dimensional_reported():
     e = err("vertex v\narrow x v v\n")
     assert "infinite-dimensional" in str(e)
 
+
+def test_infinite_dimensional_reported_at_first_cycle_arrow():
+    e = err("vertex v\narrow x v v\n\n# comment\n")
+    assert (e.line, e.column) == (2, 1)
+    assert str(e) == "line 2, column 1: algebra is infinite-dimensional: relation-free cycle x"
+    # the witness b -> c starts at the indented arrow line 4
+    e = err("vertex u\nvertex v\narrow a u v\n  arrow b v u\narrow c u v\nrel a b\n")
+    assert (e.line, e.column) == (4, 3)
+    assert str(e).endswith("relation-free cycle b -> c")
 
 
 def test_non_minimal_relations_named_at_their_line():
@@ -80,3 +101,44 @@ def test_non_minimal_relations_named_at_their_line():
     e = err(text)
     assert (e.line, e.column) == (9, 1)
     assert "'rel x y' (line 8) is a proper subpath of 'rel x y z'" in str(e)
+
+
+# Tokens of the built-in examples plus a few that no example uses.
+CORPUS_TOKENS = sorted(
+    {tok for ex in EXAMPLES for tok in ex.text.split()}
+    | {"0", "1", "-1", "6", "18446744073709551629", "#", "x", "F", "Q"}
+)
+MUTATIONS = ("delete", "duplicate", "truncate", "replace", "insert")
+
+
+def mutate(text: str, i: int, op: str, pos: int, token: str) -> str:
+    """Apply one mutation to line ``i`` (from 0) of ``text``."""
+    lines = text.splitlines()
+    toks = lines[i].split(" ")
+    if op == "delete":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    elif op == "truncate":
+        lines[i] = lines[i][: pos % (len(lines[i]) + 1)]
+    elif op == "replace":
+        toks[pos % len(toks)] = token
+        lines[i] = " ".join(toks)
+    else:
+        toks.insert(pos % (len(toks) + 1), token)
+        lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=2))
+@given(st.sampled_from(MUTATIONS), st.integers(0, 40), st.sampled_from(CORPUS_TOKENS))
+@example("replace", 2, "x")  # field F x
+@example("insert", 1, "F")  # field F Q
+def test_mutated_examples_raise_only_parse_errors(op, pos, token):
+    """One mutation, applied to each line of each built-in example in turn."""
+    for ex in EXAMPLES:
+        for i in range(len(ex.text.splitlines())):
+            try:
+                parse(mutate(ex.text, i, op, pos, token))
+            except ParseError:
+                pass

@@ -9,7 +9,6 @@ from quiverhh.fileformat import parse
 from quiverhh.gluing import glue
 from quiverhh.higher import (
     CrownUnsupported,
-    PathCountTable,
     check_high_degree_gluing,
     hh_dim_high,
     parallel_counts,
@@ -47,9 +46,8 @@ def test_counting_identity_small_degrees():
         Quiver(("v",), (("l", 0, 0), ("m", 0, 0))),
     ]
     for Q in quivers:
-        table = PathCountTable(Q)
         for n in range(1, 5):
-            assert parallel_counts(Q, n, table) == brute_force_counts(Q, n)
+            assert parallel_counts(Q, n) == brute_force_counts(Q, n)
 
 
 def test_fan_parity_formula():
