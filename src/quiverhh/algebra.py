@@ -4,7 +4,9 @@ An algebra is a quiver together with a minimal set of relation paths of
 length at least two generating an admissible ideal.  The monomial basis
 consists of all paths containing no relation as a contiguous subpath;
 finite-dimensionality is decided exactly by checking that the suffix
-automaton of relation-free words is acyclic.
+automaton of relation-free words is acyclic.  Since the basis holds every
+relation-free path, a path is zero in the algebra iff it is not a basis
+path: ``multiply`` and every other zero test is one basis lookup.
 """
 
 from __future__ import annotations
@@ -36,80 +38,60 @@ class MonomialAlgebra:
         return len(self.basis)
 
     @cached_property
-    def relation_words(self) -> tuple:
-        return tuple(r.arrows for r in self.relations)
-
-    @cached_property
     def basis_index(self) -> dict:
         return {p: i for i, p in enumerate(self.basis)}
 
     @cached_property
-    def max_relation_length(self) -> int:
-        return max((len(w) for w in self.relation_words), default=1)
+    def paths_between(self) -> dict:
+        """(source, target) -> the basis paths with those endpoints, in basis order."""
+        n = self.quiver.num_vertices
+        out = {(s, t): [] for s in range(n) for t in range(n)}
+        for p in self.basis:
+            out[(p.source, p.target)].append(p)
+        return {key: tuple(paths) for key, paths in out.items()}
 
     def in_basis(self, p: Path) -> bool:
+        """True iff ``p`` is relation-free, that is nonzero in the algebra."""
         return p in self.basis_index
 
     # -- operations ----------------------------------------------------------
 
-    def in_ideal(self, p: Path) -> bool:
-        """True iff some relation occurs as a contiguous subpath of ``p``."""
-        word = p.arrows
-        return any(_is_subword(w, word) for w in self.relation_words)
-
-    def word_in_ideal(self, word: tuple) -> bool:
-        return any(_is_subword(w, word) for w in self.relation_words)
-
     def multiply(self, later: Path, earlier: Path):
-        """Basis product realizing ``later * earlier``; None encodes zero."""
+        """Basis product realizing ``later * earlier``; None encodes zero, which
+        is exactly when the concatenation is not a basis path."""
         if later.source != earlier.target:
             return None
         prod = compose(later, earlier)
-        return None if self.in_ideal(prod) else prod
+        return prod if self.in_basis(prod) else None
 
     def is_radical_square_zero(self) -> bool:
         return all(p.length < 2 for p in self.basis)
 
-    def path_set(self, i: int, j: int) -> list:
-        """Basis paths of length >= 1 from vertex ``j`` to vertex ``i``."""
-        return [p for p in self.basis if p.length >= 1 and p.source == j and p.target == i]
-
     def is_node_arrow(self, a: int) -> bool:
         """Non-source, non-sink arrow all of whose middle-position length-3
-        extensions land in the ideal."""
+        extensions are zero."""
         Q = self.quiver
         if is_source_arrow(Q, a) or is_sink_arrow(Q, a):
             return False
         for x in Q.arrows_into[Q.source(a)]:
             for y in Q.arrows_from[Q.target(a)]:
-                if not self.word_in_ideal((x, a, y)):
+                if self.in_basis(Path(Q.source(x), Q.target(y), (x, a, y))):
                     return False
         return True
 
 
-def _check_minimal(relations) -> None:
-    words = [r.arrows for r in relations]
-    for i, w in enumerate(words):
-        for j, u in enumerate(words):
-            if i != j and len(u) < len(w) and _is_subword(u, w):
-                raise MinimalityError(
-                    "relation set is not minimal: "
-                    f"{u} is a proper subpath of {w}",
-                    contained=relations[j],
-                    container=relations[i],
-                )
+def _proper_subrelation(r: Path, relations):
+    """The first of ``relations`` that is a proper contiguous subpath of ``r``, else None."""
+    w = r.arrows
+    return next((u for u in relations if len(u.arrows) < len(w) and _is_subword(u.arrows, w)), None)
 
 
-def _minimalize(relations) -> list:
-    words = {r.arrows: r for r in relations}
-    keep = []
-    for w, r in words.items():
-        if not any(u != w and len(u) < len(w) and _is_subword(u, w) for u in words):
-            keep.append(r)
-    return keep
+def _ends_with_relation(word: tuple, words) -> bool:
+    """True iff one of the relation ``words`` is a suffix of ``word``."""
+    return any(word[-len(w) :] == w for w in words)
 
 
-def _find_free_cycle(Q: Quiver, relation_words, memory: int):
+def _find_free_cycle(Q: Quiver, words, memory: int):
     """A cycle in the suffix automaton of relation-free words, if any.
 
     States are (vertex, last ``memory`` arrows of a relation-free word);
@@ -121,7 +103,7 @@ def _find_free_cycle(Q: Quiver, relation_words, memory: int):
         v, suffix = state
         for a in Q.arrows_from[v]:
             new = suffix + (a,)
-            if any(new[len(new) - len(w) :] == w for w in relation_words if len(w) <= len(new)):
+            if _ends_with_relation(new, words):
                 continue
             yield a, (Q.target(a), new[-memory:] if memory else ())
 
@@ -172,7 +154,7 @@ def _find_free_cycle(Q: Quiver, relation_words, memory: int):
         state = nxt
 
 
-def _enumerate_basis(Q: Quiver, relation_words) -> list:
+def _enumerate_basis(Q: Quiver, words) -> list:
     basis = [Q.trivial_path(v) for v in range(Q.num_vertices)]
     frontier = list(basis)
     while frontier:
@@ -180,12 +162,7 @@ def _enumerate_basis(Q: Quiver, relation_words) -> list:
         for p in frontier:
             for a in Q.arrows_from[p.target]:
                 word = p.arrows + (a,)
-                bad = any(
-                    word[len(word) - len(w) :] == w
-                    for w in relation_words
-                    if len(w) <= len(word)
-                )
-                if not bad:
+                if not _ends_with_relation(word, words):
                     nxt.append(Path(p.source, Q.target(a), word))
         basis.extend(nxt)
         frontier = nxt
@@ -206,23 +183,24 @@ def build(
     offending longer paths.  Rejects input whose relation-free paths are
     infinite in number, reporting a witness cycle.
     """
-    rels = list(relations)
+    rels = list(dict.fromkeys(relations))
     for r in rels:
         if r.length < 2:
             raise AdmissibilityError(
                 f"relation of length {r.length} violates admissibility (need length >= 2)"
             )
     if minimalize:
-        rels = _minimalize(rels)
+        rels = [r for r in rels if _proper_subrelation(r, rels) is None]
     else:
-        seen = set()
-        deduped = []
         for r in rels:
-            if r.arrows not in seen:
-                seen.add(r.arrows)
-                deduped.append(r)
-        rels = deduped
-        _check_minimal(rels)
+            u = _proper_subrelation(r, rels)
+            if u is not None:
+                raise MinimalityError(
+                    "relation set is not minimal: "
+                    f"{u.arrows} is a proper subpath of {r.arrows}",
+                    contained=u,
+                    container=r,
+                )
     rels.sort(key=Path.sort_key)
     words = tuple(r.arrows for r in rels)
     memory = max((len(w) for w in words), default=1) - 1

@@ -99,7 +99,7 @@ RAD_SQ_ZERO = Hypothesis(
 INDECOMPOSABLE = Hypothesis("requires an indecomposable algebra", lambda g: g.components[0] == 1)
 NO_CONNECTING_PATHS = Hypothesis(
     "connecting paths exist; criterion is silent here",
-    lambda g: not g.A.path_set(g.endpoints[2], g.endpoints[1]),
+    lambda g: not g.A.paths_between[(g.endpoints[1], g.endpoints[2])],
 )
 NO_SPECIAL_PAIR_KERNEL = Hypothesis(
     "requires a vanishing special-pair kernel part", lambda g: g.spp.kspp == 0

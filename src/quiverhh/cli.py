@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice, repeat
 
 from .algebra import MonomialAlgebra
 from .checks import FUZZ_CHECKS, CHECKS, run_checks, run_fuzz
@@ -20,7 +21,7 @@ from .examples_data import EXAMPLES, example_by_name
 from .fileformat import parse, print_algebra
 from .fundgroup import pi1_rank
 from .gluing import glue
-from .higher import hh_dim_high
+from .higher import hh_dims_high
 from .quiver import betti, connected_components, crown_order, is_sink_arrow, is_source_arrow, path_str
 from .paircomplex import center_product, complex_data, hh1_lie
 
@@ -82,16 +83,17 @@ def cmd_hh(args) -> int:
     lo, hi = _parse_degrees(args.degrees)
     A = _load(args.file)
     C = complex_data(A)
+    try:
+        high = islice(hh_dims_high(A), max(lo, 2) - 2, None)
+    except QuiverHHError as err:
+        high = repeat(f"unsupported ({err})")
     for n in range(lo, hi + 1):
         if n == 0:
             print(f"HH^0: {C.hh0.dim}")
         elif n == 1:
             print(f"HH^1: {C.hh1_view.dim}")
         else:
-            try:
-                print(f"HH^{n}: {hh_dim_high(A, n)}")
-            except QuiverHHError as err:
-                print(f"HH^{n}: unsupported ({err})")
+            print(f"HH^{n}: {next(high)}")
     if args.lie and C.hh1_view.dim:
         pres = hh1_lie(A)
         print("HH^1 basis: " + "; ".join(pres.basis_labels))

@@ -172,11 +172,12 @@ class GluedAlgebra:
     def glued_pair_paths(self) -> tuple:
         """(merged vertex of B, basis paths of A of length >= 1 joining the
         pair) for the pair e1, e3 and then for the pair e2, e4."""
+        A = self.A
         e1, e2, e3, e4 = self.endpoints
         out = []
         for u, v in ((e1, e3), (e2, e4)):
-            paths = (p for p in self.A.basis if p.length >= 1 and {p.source, p.target} == {u, v})
-            out.append((self.vertex_map[u], tuple(paths)))
+            paths = A.paths_between[(u, v)] + A.paths_between[(v, u)]
+            out.append((self.vertex_map[u], tuple(sorted(paths, key=A.basis_index.get))))
         return tuple(out)
 
     @cached_property
@@ -402,14 +403,11 @@ def crucial_paths(g: GluedAlgebra):
         return None
     A = g.A
     e1, e2, e3, e4 = g.endpoints
-    out = []
-    for p in A.basis:
-        if p.length < 1 or p.source != e2 or p.target != e3:
-            continue
-        word = (g.alpha,) + p.arrows + (g.beta,)
-        if not A.word_in_ideal(word):
-            out.append(p)
-    return tuple(out)
+    return tuple(
+        p
+        for p in A.paths_between[(e2, e3)]
+        if A.in_basis(Path(e1, e4, (g.alpha,) + p.arrows + (g.beta,)))
+    )
 
 
 @dataclass(frozen=True)
@@ -500,9 +498,9 @@ def assumption_holds(g: GluedAlgebra):
             if QA.target(a) != v:
                 continue
             m = None
-            for word in A.relation_words:
-                if all(x == a for x in word):
-                    m = len(word)
+            for r in A.relations:
+                if all(x == a for x in r.arrows):
+                    m = r.length
                     break
             _invariant(m is not None, "loop without a pure power relation in a finite-dimensional algebra")
             if f.divides_char(m):

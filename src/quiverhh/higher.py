@@ -11,6 +11,7 @@ number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 from .algebra import MonomialAlgebra
 from .errors import QuiverHHError
@@ -21,27 +22,27 @@ from .quiver import Quiver, connected_components, crown_order
 _ENUMERATION_CAP = 20000
 
 
-def parallel_counts(Q: Quiver, n: int) -> tuple:
-    """(|paths of length n parallel to an arrow|, |cycles of length n-1|).
+def parallel_counts(Q: Quiver):
+    """Yield (|paths of length n parallel to an arrow|, |cycles of length n-1|)
+    for n = 1, 2, ...
 
     Entry (i, j) of the k-th power of the adjacency matrix counts length-k
-    paths from vertex j to vertex i.
+    paths from vertex j to vertex i; each step multiplies the last power
+    by the adjacency matrix once.
     """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
     size = Q.num_vertices
     adj = [[0] * size for _ in range(size)]
     for a in range(Q.num_arrows):
         adj[Q.target(a)][Q.source(a)] += 1
-    mprev, mn = None, [[int(i == j) for j in range(size)] for i in range(size)]
-    for _ in range(n):
-        mprev, mn = mn, [
-            [sum(mn[i][k] * adj[k][j] for k in range(size)) for j in range(size)]
+    mprev = [[int(i == j) for j in range(size)] for i in range(size)]
+    while True:
+        mn = [
+            [sum(mprev[i][k] * adj[k][j] for k in range(size)) for j in range(size)]
             for i in range(size)
         ]
-    with_arrows = sum(mn[Q.target(a)][Q.source(a)] for a in range(Q.num_arrows))
-    cycles = sum(mprev[i][i] for i in range(size))
-    return with_arrows, cycles
+        with_arrows = sum(mn[Q.target(a)][Q.source(a)] for a in range(Q.num_arrows))
+        yield with_arrows, sum(mprev[i][i] for i in range(size))
+        mprev = mn
 
 
 @dataclass(frozen=True)
@@ -54,23 +55,30 @@ class CrownUnsupported:
         return f"unsupported: {self.order}-crown quiver (counting formula needs a non-crown)"
 
 
-def hh_dim_high(A: MonomialAlgebra, n: int):
-    """Degree-n cohomology dimension for connected radical-square-zero input.
+def hh_dims_high(A: MonomialAlgebra):
+    """Iterator over the cohomology dimensions in degrees 2, 3, ... of
+    connected radical-square-zero input.
 
-    Degrees 0 and 1 belong to the pair complex; crowns yield a
-    :class:`CrownUnsupported` status instead of a dimension.
+    Degrees 0 and 1 belong to the pair complex; a crown yields its
+    :class:`CrownUnsupported` status in every degree.  The input is
+    validated before the iterator is returned.
     """
-    if n < 2:
-        raise ValueError("use the pair complex for degrees 0 and 1")
     if not A.is_radical_square_zero():
         raise QuiverHHError("counting formula requires a radical-square-zero algebra")
     if len(connected_components(A.quiver)) != 1:
         raise QuiverHHError("counting formula requires a connected quiver")
     order = crown_order(A.quiver)
     if order is not None:
-        return CrownUnsupported(order)
-    with_arrows, cycles = parallel_counts(A.quiver, n)
-    return with_arrows - cycles
+        return repeat(CrownUnsupported(order))
+    counts = islice(parallel_counts(A.quiver), 1, None)
+    return (with_arrows - cycles for with_arrows, cycles in counts)
+
+
+def hh_dim_high(A: MonomialAlgebra, n: int):
+    """Degree-n entry of :func:`hh_dims_high`."""
+    if n < 2:
+        raise ValueError("use the pair complex for degrees 0 and 1")
+    return next(islice(hh_dims_high(A), n - 2, None))
 
 
 def _enumerate_paths(Q: Quiver, n: int, source: int, target: int):

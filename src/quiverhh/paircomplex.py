@@ -27,7 +27,7 @@ from .linalg import (
     kernel,
     reduce_against,
 )
-from .quiver import Path, parallel, path_str
+from .quiver import Path, path_str
 
 
 def pair_str(A: MonomialAlgebra, label, kind: str) -> str:
@@ -55,10 +55,9 @@ def substitute(A: MonomialAlgebra, target: Path, a: int, gamma: Path) -> list:
     for i, arr in enumerate(word):
         if arr != a:
             continue
-        new_word = word[:i] + gamma.arrows + word[i + 1 :]
-        if A.word_in_ideal(new_word):
-            continue
-        out.append(Path(target.source, target.target, new_word))
+        p = Path(target.source, target.target, word[:i] + gamma.arrows + word[i + 1 :])
+        if A.in_basis(p):
+            out.append(p)
     return out
 
 
@@ -69,28 +68,24 @@ class PairComplex:
         self.A = A
         self.field: FieldSpec = A.field
         Q = A.quiver
-
-        labels0 = [
-            (v, p)
-            for v in range(Q.num_vertices)
-            for p in A.basis
-            if p.source == v and p.target == v
-        ]
-        labels1 = [
-            (a, p)
-            for a in range(Q.num_arrows)
-            for p in A.basis
-            if p.source == Q.source(a) and p.target == Q.target(a)
-        ]
-        labelsZ = [
-            (ri, p)
-            for ri, r in enumerate(A.relations)
-            for p in A.basis
-            if parallel(r, p)
-        ]
-        self.basis0 = LabeledBasis(tuple(labels0))
-        self.basis1 = LabeledBasis(tuple(labels1))
-        self.basisZ = LabeledBasis(tuple(labelsZ))
+        between = A.paths_between
+        self.basis0 = LabeledBasis(
+            tuple((v, p) for v in range(Q.num_vertices) for p in between[(v, v)])
+        )
+        self.basis1 = LabeledBasis(
+            tuple(
+                (a, p)
+                for a in range(Q.num_arrows)
+                for p in between[(Q.source(a), Q.target(a))]
+            )
+        )
+        self.basisZ = LabeledBasis(
+            tuple(
+                (ri, p)
+                for ri, r in enumerate(A.relations)
+                for p in between[(r.source, r.target)]
+            )
+        )
 
         self.delta0 = self._build_delta0()
         self.delta1 = self._build_delta1()

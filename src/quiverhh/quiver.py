@@ -54,10 +54,6 @@ class Quiver:
         return {arr[0]: i for i, arr in enumerate(self.arrows)}
 
     @cached_property
-    def vertex_index(self) -> dict:
-        return {name: i for i, name in enumerate(self.vertex_names)}
-
-    @cached_property
     def arrows_from(self) -> tuple:
         out = [[] for _ in self.vertex_names]
         for i, (_, s, _) in enumerate(self.arrows):
@@ -105,10 +101,6 @@ class Path:
 
     def sort_key(self) -> tuple:
         return (len(self.arrows), self.arrows, self.source)
-
-    def subpaths(self, length: int):
-        for i in range(len(self.arrows) - length + 1):
-            yield self.arrows[i : i + length]
 
 
 def compose(later: Path, earlier: Path) -> Path:
@@ -231,10 +223,6 @@ class Walk:
 
 def trivial_walk(v: int) -> Walk:
     return Walk(v, v, ())
-
-
-def walk_of_path(p: Path) -> Walk:
-    return Walk(p.source, p.target, tuple((a, FORWARD) for a in p.arrows))
 
 
 def arrow_walk(Q: Quiver, a: int, direction: int = FORWARD) -> Walk:

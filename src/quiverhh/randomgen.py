@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .algebra import MonomialAlgebra, build
-from .errors import DimensionalityError
+from .errors import DimensionalityError, QuiverHHError
 from .fields import FieldSpec, QQ
 from .gluing import GluingSpec
 from .quiver import Quiver
@@ -87,7 +87,7 @@ def random_instance(spec: RandomSpec) -> MonomialAlgebra:
         A = _sample_algebra(rng, _random_quiver(rng, spec), spec)
         if A is not None:
             return A
-    raise RuntimeError("random generation failed to produce a valid algebra")
+    raise QuiverHHError("random generation failed to produce a valid algebra")
 
 
 def gluable_pairs(A: MonomialAlgebra) -> list:
@@ -124,7 +124,7 @@ def instance_with_gluing(spec: RandomSpec):
         if gs is not None:
             return A, gs
         sub = replace(sub, seed=sub.seed + 1_000_003)
-    raise RuntimeError("no gluable instance found")
+    raise QuiverHHError("no gluable instance found")
 
 
 def _planted_quiver(rng: random.Random, spec: RandomSpec):
@@ -173,4 +173,4 @@ def source_sink_instance(spec: RandomSpec):
         A = _sample_algebra(rng, Q, spec)
         if A is not None:
             return A, gs
-    raise RuntimeError("random generation failed to produce a source-sink instance")
+    raise QuiverHHError("random generation failed to produce a source-sink instance")

@@ -15,6 +15,11 @@ def glued(name):
     return glue(A, A.quiver.arrow_index[ex.alpha], A.quiver.arrow_index[ex.beta])
 
 
+def vertex_id(Q, name):
+    """Id of the vertex named ``name`` in quiver ``Q``."""
+    return Q.vertex_names.index(name)
+
+
 def path_of(A, *arrow_names):
     Q = A.quiver
     return Q.path([Q.arrow_index[n] for n in arrow_names])
@@ -38,7 +43,7 @@ def pair1_index(C, arrow_name, *path_arrow_names):
 def pair0_index(C, vertex_name, *path_arrow_names):
     A = C.A
     Q = A.quiver
-    v = Q.vertex_index[vertex_name]
+    v = vertex_id(Q, vertex_name)
     p = path_of(A, *path_arrow_names) if path_arrow_names else Q.trivial_path(v)
     return C.basis0.index[(v, p)]
 

@@ -8,11 +8,13 @@ the special-pair kernel of the loop-power example, and the zero-failure
 requirement for the general-arrows kernel checks under fuzzing.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from conftest import algebra, glued, pair1_index
+from conftest import algebra, glued, pair1_index, vertex_id
 from quiverhh.algebra import build
 from quiverhh.checks import run_checks, run_fuzz
 from quiverhh.examples_data import fan, loop_crowd, zigzag
@@ -46,7 +48,7 @@ def test_criterion_1_two_cycle_image_membership_theta():
     assert CB.im0 == expected and CB.im0.dim == 1
     assert not member(QQ, CB.im0, g.gamma_pair_vector())
     duals = chord_duals(g.B.quiver, avoid=g.gamma)
-    f2 = g.vertex_map[g.A.quiver.vertex_index["e2"]]
+    f2 = g.vertex_map[vertex_id(g.A.quiver, "e2")]
     walks = parade(g.B.quiver, duals.tree, base_override={0: f2})
     assert theta(g.B, g.gamma, walks) == g.gamma_pair_vector()
     report("1 (two-cycle image, membership, theta)")
@@ -200,8 +202,8 @@ def test_criterion_5_parameter_families_and_combinations():
     d1 = nsp_data(g1)
     C1 = complex_data(g1.B)
     eta_star = g1.arrow_map[g1.A.quiver.arrow_index["eta"]]
-    f1v = g1.vertex_map[g1.A.quiver.vertex_index["e1"]]
-    f2v = g1.vertex_map[g1.A.quiver.vertex_index["e2"]]
+    f1v = g1.vertex_map[vertex_id(g1.A.quiver, "e1")]
+    f2v = g1.vertex_map[vertex_id(g1.A.quiver, "e2")]
     gen1 = {
         C1.basis0.index[(f1v, g1.B.quiver.path((g1.gamma, eta_star)))]: Fraction(1),
         C1.basis0.index[(f2v, g1.B.quiver.path((eta_star, g1.gamma)))]: Fraction(1),
@@ -213,8 +215,8 @@ def test_criterion_5_parameter_families_and_combinations():
     C2 = complex_data(g2.B)
     QA2 = g2.A.quiver
     xi, a, b = (g2.arrow_map[QA2.arrow_index[n]] for n in ("xi", "a", "b"))
-    f1v = g2.vertex_map[QA2.vertex_index["e1"]]
-    f2v = g2.vertex_map[QA2.vertex_index["e2"]]
+    f1v = g2.vertex_map[vertex_id(QA2, "e1")]
+    f2v = g2.vertex_map[vertex_id(QA2, "e2")]
     gen2 = {
         C2.basis0.index[(f1v, g2.B.quiver.path((g2.gamma, b, a, xi)))]: Fraction(1),
         C2.basis0.index[(f2v, g2.B.quiver.path((b, a, xi, g2.gamma)))]: Fraction(1),
@@ -271,6 +273,25 @@ def test_criterion_7_fuzz_robust_checks(fuzz_run):
     ran = sum(1 for _, reps in reports for r in reps if r.status == "pass")
     assert ran > 3000
     report("7 (fuzz: robust checks clean; kernel-check failures confirmed)")
+
+
+# sha256 of the fixture's rows, recorded before ideal membership became a
+# basis lookup: one sorted-keys JSON line per report, with the instance
+# seed and, for a failure, whether an oracle confirmed it.
+FUZZ_ROWS_SHA256 = "978a30ea9514f9582d1b89acdeb08823ef5378b3fb9f80185359ce0d343b450c"
+
+
+def test_criterion_7_fuzz_rows_byte_identical(fuzz_run):
+    reports, failures = fuzz_run
+    confirmed = {(inst_seed, rep.check): c for inst_seed, rep, c in failures}
+    digest = hashlib.sha256()
+    for inst_seed, reps in reports:
+        for rep in reps:
+            row = rep.as_dict()
+            row["seed"] = inst_seed
+            row["confirmed"] = confirmed.get((inst_seed, rep.check))
+            digest.update((json.dumps(row, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == FUZZ_ROWS_SHA256
 
 
 @pytest.mark.xfail(

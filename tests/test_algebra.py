@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import algebra, path_of
+from conftest import algebra, path_of, vertex_id
 from quiverhh.algebra import build
 from quiverhh.errors import AdmissibilityError, DimensionalityError, MinimalityError
 from quiverhh.fields import QQ
@@ -64,11 +64,12 @@ def test_minimality_strict_and_repair():
 
 
 def test_in_ideal():
+    # a path lies in the ideal exactly when it is not a basis path
     A = algebra("line-bound")
-    assert A.in_ideal(path_of(A, "alpha", "eta"))
-    assert not A.in_ideal(A.quiver.trivial_path(0))
+    assert not A.in_basis(path_of(A, "alpha", "eta"))
+    assert A.in_basis(A.quiver.trivial_path(0))
     free = algebra("line-free")
-    assert not free.in_ideal(path_of(free, "alpha", "eta", "beta"))
+    assert free.in_basis(path_of(free, "alpha", "eta", "beta"))
 
 
 def test_multiply():
@@ -104,16 +105,16 @@ def test_radical_square_zero():
 def test_path_set():
     A = algebra("double-braid")
     Q = A.quiver
-    e1, e3 = Q.vertex_index["e1"], Q.vertex_index["e3"]
-    e2, e4 = Q.vertex_index["e2"], Q.vertex_index["e4"]
-    got = {p.arrows for p in A.path_set(e1, e3)}
+    e1, e3 = vertex_id(Q, "e1"), vertex_id(Q, "e3")
+    e2, e4 = vertex_id(Q, "e2"), vertex_id(Q, "e4")
+    got = {p.arrows for p in A.paths_between[(e3, e1)]}
     assert got == {
         path_of(A, "a", "xi").arrows,
         path_of(A, "beta", "b", "a", "xi").arrows,
     }
-    assert A.path_set(e3, e1) == []
-    assert A.path_set(e4, e2) == []
-    got24 = {p.arrows for p in A.path_set(e2, e4)}
+    assert A.paths_between[(e1, e3)] == ()
+    assert A.paths_between[(e2, e4)] == ()
+    got24 = {p.arrows for p in A.paths_between[(e4, e2)]}
     assert got24 == {
         path_of(A, "b", "a").arrows,
         path_of(A, "b", "a", "xi", "alpha").arrows,
@@ -137,8 +138,8 @@ def test_basis_closed_under_subpaths():
     A = algebra("bypass")
     for p in A.basis:
         for ln in range(p.length):
-            for word in p.subpaths(ln + 1):
-                q = A.quiver.path(word)
+            for i in range(p.length - ln):
+                q = A.quiver.path(p.arrows[i : i + ln + 1])
                 assert A.in_basis(q)
 
 
@@ -147,7 +148,77 @@ def test_in_ideal_monotone_under_extension():
     Q = A.quiver
     bad = path_of(A, "alpha", "eta")
     longer = Q.path((0, 1, 2))
-    assert A.in_ideal(bad) and A.in_ideal(longer)
+    assert not A.in_basis(bad) and not A.in_basis(longer)
+
+
+def _is_subword(needle, haystack):
+    n = len(needle)
+    return any(haystack[i : i + n] == needle for i in range(len(haystack) - n + 1))
+
+
+def ref_check_minimal(relations):
+    """The pairwise minimality scan ``build`` ran before it shared one
+    first-proper-sub-relation helper with the repair path."""
+    words = [r.arrows for r in relations]
+    for i, w in enumerate(words):
+        for j, u in enumerate(words):
+            if i != j and len(u) < len(w) and _is_subword(u, w):
+                raise MinimalityError(
+                    f"relation set is not minimal: {u} is a proper subpath of {w}",
+                    contained=relations[j],
+                    container=relations[i],
+                )
+
+
+def ref_minimalize(relations):
+    words = {r.arrows: r for r in relations}
+    keep = []
+    for w, r in words.items():
+        if not any(u != w and len(u) < len(w) and _is_subword(u, w) for u in words):
+            keep.append(r)
+    return keep
+
+
+def _two_vertex_words():
+    Q = Quiver(("u", "v"), (("x", 0, 0), ("y", 0, 1), ("z", 1, 0)))
+    layer = [(a,) for a in range(3)]
+    words = []
+    for _ in range(3):
+        layer = [w + (a,) for w in layer for a in Q.arrows_from[Q.target(w[-1])]]
+        words += layer
+    return Q, words
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(_two_vertex_words()[1]), max_size=7))
+def test_minimality_matches_pairwise_reference(words):
+    Q = _two_vertex_words()[0]
+    rels = [Q.path(w) for w in words]
+    deduped = list({r.arrows: r for r in rels}.values())
+    try:
+        ref_check_minimal(deduped)
+        ref_err = None
+    except MinimalityError as err:
+        ref_err = err
+    try:
+        build(Q, rels, QQ)
+        err = None
+    except (MinimalityError, DimensionalityError) as caught:
+        err = caught
+    if ref_err is None:
+        assert not isinstance(err, MinimalityError)
+    else:
+        assert isinstance(err, MinimalityError)
+        assert (str(err), err.contained, err.container) == (
+            str(ref_err),
+            ref_err.contained,
+            ref_err.container,
+        )
+    try:
+        A = build(Q, rels, QQ, minimalize=True)
+    except DimensionalityError:
+        return
+    assert A.relations == tuple(sorted(ref_minimalize(rels), key=lambda r: r.sort_key()))
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,0 +1,232 @@
+"""Differential tests: basis lookups against the relation scans they replaced.
+
+Before a path was tested for zero by looking it up in the basis, ideal
+membership scanned every relation for a contiguous occurrence in the path,
+and the basis paths between two vertices were found by filtering the whole
+basis.  Those forms are kept below unchanged apart from taking the algebra
+or gluing as an argument: ``ref_in_ideal``, ``ref_multiply``,
+``ref_substitute``, ``ref_is_node_arrow``, ``ref_path_set``, the three
+label comprehensions of the pair complex (``ref_pair_labels``), and the
+endpoint filters of ``glued_pair_paths`` and ``crucial_paths``.  The inputs
+are every composable word up to two arrows longer than the longest basis
+path, so words that are not basis paths are covered.
+"""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from quiverhh.algebra import build
+from quiverhh.examples_data import EXAMPLES
+from quiverhh.fields import GF, QQ
+from quiverhh.fileformat import parse
+from quiverhh.gluing import crucial_paths, glue
+from quiverhh.paircomplex import PairComplex, substitute
+from quiverhh.quiver import Path, compose, is_sink_arrow, is_source_arrow, parallel
+from quiverhh.randomgen import RandomSpec, random_gluing, random_instance, source_sink_instance
+
+FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5)}
+
+
+def _is_subword(needle, haystack):
+    n = len(needle)
+    return any(haystack[i : i + n] == needle for i in range(len(haystack) - n + 1))
+
+
+def ref_word_in_ideal(A, word):
+    return any(_is_subword(r.arrows, word) for r in A.relations)
+
+
+def ref_in_ideal(A, p):
+    """True iff some relation occurs as a contiguous subpath of ``p``."""
+    return ref_word_in_ideal(A, p.arrows)
+
+
+def ref_multiply(A, later, earlier):
+    if later.source != earlier.target:
+        return None
+    prod = compose(later, earlier)
+    return None if ref_in_ideal(A, prod) else prod
+
+
+def ref_substitute(A, target, a, gamma):
+    out = []
+    word = target.arrows
+    for i, arr in enumerate(word):
+        if arr != a:
+            continue
+        new_word = word[:i] + gamma.arrows + word[i + 1 :]
+        if ref_word_in_ideal(A, new_word):
+            continue
+        out.append(Path(target.source, target.target, new_word))
+    return out
+
+
+def ref_is_node_arrow(A, a):
+    Q = A.quiver
+    if is_source_arrow(Q, a) or is_sink_arrow(Q, a):
+        return False
+    for x in Q.arrows_into[Q.source(a)]:
+        for y in Q.arrows_from[Q.target(a)]:
+            if not ref_word_in_ideal(A, (x, a, y)):
+                return False
+    return True
+
+
+def ref_path_set(A, i, j):
+    """Basis paths of length >= 1 from vertex ``j`` to vertex ``i``."""
+    return [p for p in A.basis if p.length >= 1 and p.source == j and p.target == i]
+
+
+def ref_pair_labels(A):
+    Q = A.quiver
+    labels0 = [
+        (v, p)
+        for v in range(Q.num_vertices)
+        for p in A.basis
+        if p.source == v and p.target == v
+    ]
+    labels1 = [
+        (a, p)
+        for a in range(Q.num_arrows)
+        for p in A.basis
+        if p.source == Q.source(a) and p.target == Q.target(a)
+    ]
+    labelsZ = [
+        (ri, p)
+        for ri, r in enumerate(A.relations)
+        for p in A.basis
+        if parallel(r, p)
+    ]
+    return tuple(labels0), tuple(labels1), tuple(labelsZ)
+
+
+def ref_glued_pair_paths(g):
+    e1, e2, e3, e4 = g.endpoints
+    out = []
+    for u, v in ((e1, e3), (e2, e4)):
+        paths = (p for p in g.A.basis if p.length >= 1 and {p.source, p.target} == {u, v})
+        out.append((g.vertex_map[u], tuple(paths)))
+    return tuple(out)
+
+
+def ref_crucial_paths(g):
+    if not g.source_sink:
+        return None
+    A = g.A
+    e1, e2, e3, e4 = g.endpoints
+    out = []
+    for p in A.basis:
+        if p.length < 1 or p.source != e2 or p.target != e3:
+            continue
+        word = (g.alpha,) + p.arrows + (g.beta,)
+        if not ref_word_in_ideal(A, word):
+            out.append(p)
+    return tuple(out)
+
+
+def composable_words(A):
+    """Every path of ``A``'s quiver (trivial ones included) of length at most
+    two more than the longest basis path."""
+    Q = A.quiver
+    longest = max(p.length for p in A.basis)
+    layer = [Q.trivial_path(v) for v in range(Q.num_vertices)]
+    words = list(layer)
+    for _ in range(longest + 2):
+        layer = [
+            Path(p.source, Q.target(a), p.arrows + (a,))
+            for p in layer
+            for a in Q.arrows_from[p.target]
+        ]
+        words += layer
+    return words
+
+
+def assert_algebra_matches(A):
+    """Compare every basis lookup of ``A`` with its scanning reference;
+    returns the number of words that are not basis paths."""
+    Q = A.quiver
+    words = composable_words(A)
+    zero = 0
+    for w in words:
+        in_ideal = ref_in_ideal(A, w)
+        assert A.in_basis(w) == (not in_ideal), w
+        zero += in_ideal
+        # every split of the word into a later and an earlier part
+        for i in range(w.length + 1):
+            at = Q.source(w.arrows[i]) if i < w.length else w.target
+            earlier = Path(w.source, at, w.arrows[:i])
+            later = Path(at, w.target, w.arrows[i:])
+            assert A.multiply(later, earlier) == ref_multiply(A, later, earlier)
+    for p in A.basis:
+        for q in A.basis:
+            assert A.multiply(p, q) == ref_multiply(A, p, q)
+    for a in range(Q.num_arrows):
+        assert A.is_node_arrow(a) == ref_is_node_arrow(A, a)
+        targets = [t for t in list(A.relations) + words if a in t.arrows]
+        for gamma in A.paths_between[(Q.source(a), Q.target(a))]:
+            for target in targets:
+                assert substitute(A, target, a, gamma) == ref_substitute(A, target, a, gamma)
+    for i in range(Q.num_vertices):
+        for j in range(Q.num_vertices):
+            between = A.paths_between[(j, i)]
+            assert [p for p in between if p.length >= 1] == ref_path_set(A, i, j)
+            assert list(between) == [p for p in A.basis if p.source == j and p.target == i]
+    C = PairComplex(A)
+    assert (C.basis0.labels, C.basis1.labels, C.basisZ.labels) == ref_pair_labels(A)
+    return zero
+
+
+def assert_gluing_matches(g):
+    """Compare the gluing's path enumerations and both algebras with their
+    references; returns the number of crucial paths and of zero words."""
+    assert g.glued_pair_paths == ref_glued_pair_paths(g)
+    crucial = crucial_paths(g)
+    assert crucial == ref_crucial_paths(g)
+    zero = assert_algebra_matches(g.A) + assert_algebra_matches(g.B)
+    return len(crucial or ()), zero
+
+
+def test_corpus_matches_reference():
+    totals = [0, 0]
+    for ex in EXAMPLES:
+        A = parse(ex.text)
+        Q = A.quiver
+        alpha, beta = Q.arrow_index[ex.alpha], Q.arrow_index[ex.beta]
+        for f in FIELDS.values():
+            counts = assert_gluing_matches(glue(build(Q, A.relations, f), alpha, beta))
+            totals = [t + c for t, c in zip(totals, counts)]
+    assert all(totals)
+
+
+def test_glued_pair_paths_both_ways_in_basis_order():
+    # paths run both ways between e1 and e3; listing e1 -> e3 first would
+    # put x before y, against the basis order
+    A = parse(
+        "field Q\nvertex e1\nvertex e2\nvertex e3\nvertex e4\n"
+        "arrow alpha e1 e2\narrow y e3 e1\narrow x e1 e3\narrow beta e3 e4\n"
+        "rel x y\nrel y x\n"
+    )
+    g = glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"])
+    assert [p.arrows for p in g.glued_pair_paths[0][1]] == [(1,), (2,)]
+    assert assert_gluing_matches(g)[1] > 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(sorted(FIELDS)), st.integers(8, 40))
+@example(0, "Q", 40)
+@example(20260809, "F5", 32)
+def test_random_instances_match_reference(seed, field, max_dim):
+    A = random_instance(RandomSpec(seed=seed, field=FIELDS[field], max_dim=max_dim))
+    gs = random_gluing(A, seed)
+    if gs is None:
+        assert_algebra_matches(A)
+    else:
+        assert_gluing_matches(glue(A, gs.alpha, gs.beta))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(sorted(FIELDS)))
+@example(0, "F2")
+def test_source_sink_instances_match_reference(seed, field):
+    A, gs = source_sink_instance(RandomSpec(seed=seed, field=FIELDS[field]))
+    assert_gluing_matches(glue(A, gs.alpha, gs.beta))

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import glued
+from test_basis_lookup_reference import ref_path_set
 from quiverhh.checks import CHECKS, CheckReport, check_hh1_lie_iso, confirm_failure, run_fuzz
 from quiverhh.examples_data import EXAMPLES, fan
 from quiverhh.fields import GF, QQ
@@ -92,7 +93,7 @@ def ref_guard(name, g):
         if c_a != 1:
             return _na("center_source_sink", "requires an indecomposable algebra")
         e1, e2, e3, e4 = g.endpoints
-        if g.A.path_set(e3, e2):
+        if ref_path_set(g.A, e3, e2):
             return _na("center_source_sink", "connecting paths exist; criterion is silent here")
     elif name == "center_rad_sq_zero":
         if not g.A.is_radical_square_zero():

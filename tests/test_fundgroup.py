@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import algebra, glued
+from conftest import algebra, glued, vertex_id
 from quiverhh.algebra import build
 from quiverhh.errors import BridgeError
 from quiverhh.fields import QQ
@@ -60,7 +60,7 @@ def test_theta_on_two_cycle():
     B = g.B
     CB = complex_data(B)
     d = chord_duals(B.quiver, avoid=g.gamma)
-    f2 = g.vertex_map[g.A.quiver.vertex_index["e2"]]
+    f2 = g.vertex_map[vertex_id(g.A.quiver, "e2")]
     walks = parade(B.quiver, d.tree, base_override={0: f2})
     vec = theta(B, g.gamma, walks)
     assert vec == g.gamma_pair_vector()

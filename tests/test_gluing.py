@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import algebra, glued, path_of
+from conftest import algebra, glued, path_of, vertex_id
 from quiverhh.algebra import build
 from quiverhh.errors import GluingError
 from quiverhh.examples_data import loop_crowd
@@ -87,7 +87,7 @@ def test_psi_maps():
     assert psi1.apply(f, alpha_pair) == g.gamma_pair_vector()
     assert psi1.apply(f, beta_pair) == g.gamma_pair_vector()
     # untouched vertex transports to itself
-    e2 = QA.vertex_index["e2"]
+    e2 = vertex_id(QA, "e2")
     img = psi0.apply(f, {CA.basis0.index[(e2, QA.trivial_path(e2))]: f.one})
     f2 = g.vertex_map[e2]
     assert img == {CB.basis0.index[(f2, g.B.quiver.trivial_path(f2))]: f.one}
@@ -272,8 +272,8 @@ def test_nsp_line_free():
     assert data.nsp == 1
     CB = complex_data(g.B)
     eta_star = g.arrow_map[g.A.quiver.arrow_index["eta"]]
-    f1 = g.vertex_map[g.A.quiver.vertex_index["e1"]]
-    f2 = g.vertex_map[g.A.quiver.vertex_index["e2"]]
+    f1 = g.vertex_map[vertex_id(g.A.quiver, "e1")]
+    f2 = g.vertex_map[vertex_id(g.A.quiver, "e2")]
     cyc1 = g.B.quiver.path((g.gamma, eta_star))
     cyc2 = g.B.quiver.path((eta_star, g.gamma))
     gen = {
@@ -291,8 +291,8 @@ def test_nsp_double_braid():
     amap = g.arrow_map
     QA = g.A.quiver
     xi, a, b = (amap[QA.arrow_index[n]] for n in ("xi", "a", "b"))
-    f1 = g.vertex_map[QA.vertex_index["e1"]]
-    f2 = g.vertex_map[QA.vertex_index["e2"]]
+    f1 = g.vertex_map[vertex_id(QA, "e1")]
+    f2 = g.vertex_map[vertex_id(QA, "e2")]
     # cycles: xi* a* b* gamma* at f1 and gamma* xi* a* b* at f2
     c1 = g.B.quiver.path((g.gamma, b, a, xi))
     c2 = g.B.quiver.path((b, a, xi, g.gamma))

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from conftest import glued
@@ -46,8 +48,8 @@ def test_counting_identity_small_degrees():
         Quiver(("v",), (("l", 0, 0), ("m", 0, 0))),
     ]
     for Q in quivers:
-        for n in range(1, 5):
-            assert parallel_counts(Q, n) == brute_force_counts(Q, n)
+        counts = list(islice(parallel_counts(Q), 4))
+        assert counts == [brute_force_counts(Q, n) for n in range(1, 5)]
 
 
 def test_fan_parity_formula():

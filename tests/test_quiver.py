@@ -2,7 +2,9 @@ import pytest
 
 from quiverhh.errors import CompositionError
 from quiverhh.quiver import (
+    FORWARD,
     Quiver,
+    Walk,
     betti,
     compose,
     connected_components,
@@ -15,9 +17,12 @@ from quiverhh.quiver import (
     trivial_walk,
     walk_compose,
     walk_inverse,
-    walk_of_path,
     walk_reduce,
 )
+
+
+def walk_of_path(p):
+    return Walk(p.source, p.target, tuple((a, FORWARD) for a in p.arrows))
 
 
 def line4():

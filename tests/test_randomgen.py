@@ -1,6 +1,11 @@
 import random
 
+import pytest
+
+from quiverhh import randomgen
 from quiverhh.algebra import build
+from quiverhh.cli import main
+from quiverhh.errors import QuiverHHError
 from quiverhh.fields import GF, QQ
 from quiverhh.fileformat import print_algebra
 from quiverhh.gluing import GluingSpec
@@ -144,3 +149,36 @@ def test_planted_instances_match_reference():
                 assert gs == gs_ref
                 assert A == A_ref
                 assert print_algebra(A) == print_algebra(A_ref)
+
+
+@pytest.mark.parametrize(
+    "generate, spec, message",
+    [
+        (random_instance, RandomSpec(seed=0, max_dim=0), "failed to produce a valid algebra"),
+        (source_sink_instance, RandomSpec(seed=0, max_dim=0), "failed to produce a source-sink"),
+        (instance_with_gluing, RandomSpec(seed=0, max_dim=0), "failed to produce a valid algebra"),
+        (
+            instance_with_gluing,
+            RandomSpec(seed=0, max_vertices=1, max_arrows=1),
+            "no gluable instance found",
+        ),
+    ],
+)
+def test_generation_failure_is_a_package_error(generate, spec, message):
+    with pytest.raises(QuiverHHError, match=message):
+        generate(spec)
+
+
+def test_generation_failure_exits_2_with_one_line(capsys, monkeypatch):
+    # fuzz draws its instances through instance_with_gluing; one that cannot
+    # be generated is a usage-level error, not a traceback
+    original = randomgen.instance_with_gluing
+
+    def without_room(spec):
+        return original(RandomSpec(seed=spec.seed, field=spec.field, max_dim=0))
+
+    monkeypatch.setattr(randomgen, "instance_with_gluing", without_room)
+    assert main(["fuzz", "--seed", "0", "--count", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: random generation failed to produce a valid algebra\n"
