@@ -139,7 +139,7 @@ def _find_free_cycle(Q: Quiver, words, memory: int):
     if not residual:
         return None
 
-    # Walk forward inside the residual graph until a state repeats.
+    # Step forward inside the residual graph until a state repeats.
     state = min(residual)
     order = {state: 0}
     trail_states = [state]

@@ -446,11 +446,9 @@ def check_gamma_not_in_image(g: GluedAlgebra) -> CheckReport:
     return _verdict(outside, outside, True)
 
 
-@check("theta_diagram")
+@check("theta_diagram", SAME_BLOCK_SOURCE_SINK)
 def check_theta(g: GluedAlgebra) -> CheckReport:
     rep = check_theta_diagram(g)
-    if not rep.applicable:
-        return CheckReport("", "not-applicable", reason=rep.reason)
     return _verdict(
         rep.commutes,
         rep.generator_results,

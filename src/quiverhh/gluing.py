@@ -413,8 +413,7 @@ def crucial_paths(g: GluedAlgebra):
 @dataclass(frozen=True)
 class SpecialPairData:
     pairs: tuple  # (arrow id, basis path) in A
-    span: Subspace  # inside the degree-one pair space of B
-    z_spp: Subspace
+    z_spp: Subspace  # inside the degree-one pair space of B
     kspp: int
 
 
@@ -460,7 +459,7 @@ def special_pairs(g: GluedAlgebra) -> SpecialPairData:
 
     spp_span = span(f, CB.basis1, [{i: f.one} for i in sorted(labels)])
     z_spp = intersect(f, spp_span, CB.ker1)
-    return SpecialPairData(tuple(pairs), spp_span, z_spp, z_spp.dim)
+    return SpecialPairData(tuple(pairs), z_spp, z_spp.dim)
 
 
 @dataclass(frozen=True)

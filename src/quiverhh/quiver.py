@@ -1,4 +1,4 @@
-"""Finite quivers, paths and walks.
+"""Finite quivers and paths.
 
 Vertices and arrows are identified by their position in the defining
 tuples; display names are metadata.  Paths store their arrows in
@@ -201,67 +201,3 @@ def crown_order(Q: Quiver):
         v = succ[v]
     return n if v == 0 and len(seen) == n else None
 
-
-# -- walks ---------------------------------------------------------------------
-
-FORWARD = 1
-INVERSE = -1
-
-
-@dataclass(frozen=True)
-class Walk:
-    """Walk in the underlying graph; steps are (arrow id, direction)."""
-
-    source: int
-    target: int
-    steps: tuple
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
-
-def trivial_walk(v: int) -> Walk:
-    return Walk(v, v, ())
-
-
-def arrow_walk(Q: Quiver, a: int, direction: int = FORWARD) -> Walk:
-    if direction == FORWARD:
-        return Walk(Q.source(a), Q.target(a), ((a, FORWARD),))
-    return Walk(Q.target(a), Q.source(a), ((a, INVERSE),))
-
-
-def walk_compose(later: Walk, earlier: Walk) -> Walk:
-    if later.source != earlier.target:
-        raise CompositionError("walks do not compose: endpoint mismatch")
-    return Walk(earlier.source, later.target, earlier.steps + later.steps)
-
-
-def walk_inverse(w: Walk) -> Walk:
-    return Walk(w.target, w.source, tuple((a, -d) for a, d in reversed(w.steps)))
-
-
-def walk_reduce(w: Walk) -> Walk:
-    """Cancel adjacent mutually inverse steps until none remain."""
-    stack: list = []
-    for step in w.steps:
-        if stack and stack[-1][0] == step[0] and stack[-1][1] == -step[1]:
-            stack.pop()
-        else:
-            stack.append(step)
-    return Walk(w.source, w.target, tuple(stack))
-
-
-def walk_is_valid(Q: Quiver, w: Walk) -> bool:
-    at = w.source
-    for a, d in w.steps:
-        frm, to = (Q.source(a), Q.target(a)) if d == FORWARD else (Q.target(a), Q.source(a))
-        if frm != at:
-            return False
-        at = to
-    return at == w.target
-
-
-def signed_count(w: Walk, arrow: int) -> int:
-    """Net signed number of times ``arrow`` is traversed by the reduced walk."""
-    return sum(d for a, d in walk_reduce(w).steps if a == arrow)

@@ -17,14 +17,17 @@ from .fields import FieldSpec, QQ
 from .gluing import GluingSpec
 from .quiver import Quiver
 
+# Relations are sampled as round(RELATION_DENSITY * arrows) composable words of
+# 2 to MAX_RELATION_LENGTH arrows.
+MAX_RELATION_LENGTH = 3
+RELATION_DENSITY = 0.5
+
 
 @dataclass(frozen=True)
 class RandomSpec:
     seed: int
     max_vertices: int = 5
     max_arrows: int = 6
-    max_relation_length: int = 3
-    relation_density: float = 0.5
     field: FieldSpec = QQ
     max_dim: int = 40
 
@@ -39,7 +42,7 @@ def _random_quiver(rng: random.Random, spec: RandomSpec) -> Quiver:
     return Quiver(names, arrows)
 
 
-def _random_walk_word(rng: random.Random, Q: Quiver, length: int):
+def _random_composable_word(rng: random.Random, Q: Quiver, length: int):
     starts = [a for a in range(Q.num_arrows)]
     if not starts:
         return None
@@ -58,11 +61,11 @@ def _sample_algebra(rng: random.Random, Q: Quiver, spec: RandomSpec):
     Returns None when a cycle survives all its cuts or the algebra exceeds
     ``spec.max_dim``.  Only the sampling draws from ``rng``.
     """
-    n_rel = int(round(spec.relation_density * Q.num_arrows))
+    n_rel = int(round(RELATION_DENSITY * Q.num_arrows))
     words = set()
     for _ in range(n_rel):
-        length = rng.randint(2, max(2, spec.max_relation_length))
-        w = _random_walk_word(rng, Q, length)
+        length = rng.randint(2, MAX_RELATION_LENGTH)
+        w = _random_composable_word(rng, Q, length)
         if w is not None:
             words.add(w)
     for _ in range(64):

@@ -20,7 +20,7 @@ from quiverhh.checks import run_checks, run_fuzz
 from quiverhh.examples_data import fan, loop_crowd, zigzag
 from quiverhh.fields import GF, QQ
 from quiverhh.fileformat import parse
-from quiverhh.fundgroup import chord_duals, parade, theta
+from quiverhh.fundgroup import theta
 from quiverhh.gluing import (
     assumption_holds,
     glue,
@@ -47,10 +47,7 @@ def test_criterion_1_two_cycle_image_membership_theta():
     expected = span(QQ, CB.basis1, [{gamma_idx: Fraction(1), eta_idx: Fraction(-1)}])
     assert CB.im0 == expected and CB.im0.dim == 1
     assert not member(QQ, CB.im0, g.gamma_pair_vector())
-    duals = chord_duals(g.B.quiver, avoid=g.gamma)
-    f2 = g.vertex_map[vertex_id(g.A.quiver, "e2")]
-    walks = parade(g.B.quiver, duals.tree, base_override={0: f2})
-    assert theta(g.B, g.gamma, walks) == g.gamma_pair_vector()
+    assert theta(g.B, g.gamma) == g.gamma_pair_vector()
     report("1 (two-cycle image, membership, theta)")
 
 

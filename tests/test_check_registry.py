@@ -21,7 +21,6 @@ from quiverhh.checks import CHECKS, CheckReport, check_hh1_lie_iso, confirm_fail
 from quiverhh.examples_data import EXAMPLES, fan
 from quiverhh.fields import GF, QQ
 from quiverhh.fileformat import parse
-from quiverhh.fundgroup import check_theta_diagram
 from quiverhh.gluing import glue
 from quiverhh.higher import check_high_degree_gluing
 from quiverhh.randomgen import RandomSpec, instance_with_gluing, source_sink_instance
@@ -107,9 +106,8 @@ def ref_guard(name, g):
         if not (g.source_sink and g.same_block):
             return _na("gamma_not_in_image", "requires a same-block source-sink gluing")
     elif name == "theta_diagram":
-        rep = check_theta_diagram(g)
-        if not rep.applicable:
-            return _na("theta_diagram", rep.reason)
+        if not (g.source_sink and g.same_block):
+            return _na("theta_diagram", "requires a same-block source-sink gluing")
     elif name == "high_degrees":
         r = check_high_degree_gluing(g, 2)
         if not r.applicable:

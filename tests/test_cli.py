@@ -4,7 +4,7 @@ import json
 import pytest
 
 from quiverhh.cli import main
-from quiverhh.examples_data import example_by_name
+from quiverhh.examples_data import example_by_name, fan
 
 
 @pytest.fixture
@@ -149,6 +149,23 @@ def test_examples_run_json_byte_identical(capsys):
     code, out, _ = run(capsys, "examples", "--run", "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EXAMPLES_RUN_JSON_SHA256
+
+
+# sha256 of ``quiverhh verify <fan(6)> --alpha alpha --beta beta --json``:
+# all checks on a same-block source-sink gluing whose theta square has
+# five chords beside the merged arrow.
+VERIFY_FAN6_JSON_SHA256 = "6d229cb550317aa131f7c46bb2f833fdb9199cd9fb4f5b60114df9a5f439a48a"
+
+
+def test_verify_fan6_json_byte_identical(capsys, tmp_path):
+    p = tmp_path / "fan6.alg"
+    p.write_text(fan(6))
+    code, out, _ = run(capsys, "verify", str(p), "--alpha", "alpha", "--beta", "beta", "--json")
+    assert code == 0
+    rows = {row["check"]: row for row in map(json.loads, out.splitlines())}
+    assert rows["theta_diagram"]["status"] == "pass"
+    assert rows["theta_diagram"]["lhs"].count("True") == 5  # one per chord
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FAN6_JSON_SHA256
 
 
 def test_fuzz_cli(capsys):

@@ -1,21 +1,21 @@
 import pytest
 
-from conftest import algebra, glued, vertex_id
+from conftest import algebra, glued
 from quiverhh.algebra import build
+from quiverhh.checks import run_checks
 from quiverhh.errors import BridgeError
 from quiverhh.fields import QQ
 from quiverhh.fundgroup import (
     chord_duals,
     check_theta_diagram,
-    parade,
     pi1_rank,
     theta,
     theta_class_rank,
 )
 from quiverhh.gluing import glue
-from quiverhh.quiver import Quiver, betti, walk_is_valid
+from quiverhh.quiver import Quiver, betti
 from quiverhh.randomgen import RandomSpec, instance_with_gluing
-from quiverhh.paircomplex import complex_data
+from test_theta_reference import parade, walk_is_valid
 
 
 def test_pi1_rank_golden():
@@ -57,12 +57,7 @@ def test_parade_walks_reach_everything():
 
 def test_theta_on_two_cycle():
     g = glued("line-bound")
-    B = g.B
-    CB = complex_data(B)
-    d = chord_duals(B.quiver, avoid=g.gamma)
-    f2 = g.vertex_map[vertex_id(g.A.quiver, "e2")]
-    walks = parade(B.quiver, d.tree, base_override={0: f2})
-    vec = theta(B, g.gamma, walks)
+    vec = theta(g.B, g.gamma)
     assert vec == g.gamma_pair_vector()
 
 
@@ -78,13 +73,13 @@ def test_theta_rank_equals_betti():
 
 def test_theta_diagram_golden():
     rep = check_theta_diagram(glued("line-bound"))
-    assert rep.applicable and rep.commutes
+    assert rep.commutes
     assert rep.new_dual_is_gamma_pair and rep.gamma_pair_outside_image
     rep2 = check_theta_diagram(glued("line-free"))
     assert rep2.commutes
     # not applicable across blocks
-    rep3 = check_theta_diagram(glued("two-lines"))
-    assert not rep3.applicable
+    (rep3,) = run_checks(glued("two-lines"), ["theta_diagram"])
+    assert rep3.status == "not-applicable"
 
 
 def test_theta_diagram_with_extra_chords():
@@ -95,7 +90,7 @@ def test_theta_diagram_with_extra_chords():
     A = build(Q, [], QQ)
     g = glue(A, 0, 3)
     rep = check_theta_diagram(g)
-    assert rep.applicable and rep.commutes
+    assert rep.commutes
     assert len(rep.generator_results) == 1  # one chord beyond the merged arrow
 
 
@@ -106,8 +101,8 @@ def test_theta_diagram_random_source_sink():
     for seed in range(40):
         A, gs = source_sink_instance(RandomSpec(seed=seed, max_vertices=4, max_arrows=5))
         g = glue(A, gs.alpha, gs.beta)
-        rep = check_theta_diagram(g)
-        if rep.applicable:
+        (rep,) = run_checks(g, ["theta_diagram"])
+        if rep.status != "not-applicable":
             checked += 1
-            assert rep.commutes, f"seed {seed}"
+            assert rep.status == "pass", f"seed {seed}"
     assert checked >= 25

@@ -2,9 +2,7 @@ import pytest
 
 from quiverhh.errors import CompositionError
 from quiverhh.quiver import (
-    FORWARD,
     Quiver,
-    Walk,
     betti,
     compose,
     connected_components,
@@ -13,6 +11,10 @@ from quiverhh.quiver import (
     is_source_arrow,
     parallel,
     path_str,
+)
+from test_theta_reference import (
+    FORWARD,
+    Walk,
     signed_count,
     trivial_walk,
     walk_compose,
