@@ -100,12 +100,9 @@ def cmd_hh(args) -> int:
         if pres.is_abelian():
             print("bracket: abelian")
         else:
-            for (i, j), coords in sorted(pres.constants.items()):
-                if any(c != 0 for c in coords):
-                    terms = " + ".join(
-                        f"{A.field.scalar_str(c)}*x{k}" for k, c in enumerate(coords) if c != 0
-                    )
-                    print(f"[x{i}, x{j}] = {terms}")
+            for (i, j), terms in sorted(pres.terms.items()):
+                txt = " + ".join(f"{A.field.scalar_str(c)}*x{k}" for k, c in terms)
+                print(f"[x{i}, x{j}] = {txt}")
     return 0
 
 

@@ -49,16 +49,11 @@ class FieldSpec:
             raise ValueError(f"field characteristic must be below 2^64, got {self.char}")
         if self.char != 0 and not _is_prime(self.char):
             raise ValueError(f"field characteristic must be 0 or prime, got {self.char}")
+        # scalars are immutable, so every caller can share one zero and one one
+        object.__setattr__(self, "zero", 0 if self.char else Fraction(0))
+        object.__setattr__(self, "one", 1 if self.char else Fraction(1))
 
     # -- construction ------------------------------------------------------
-
-    @property
-    def zero(self):
-        return 0 if self.char else Fraction(0)
-
-    @property
-    def one(self):
-        return 1 if self.char else Fraction(1)
 
     def of_int(self, n: int):
         return n % self.char if self.char else Fraction(n)

@@ -90,10 +90,7 @@ def theta_class_rank(A: MonomialAlgebra) -> int:
     """Rank of all chord-dual cocycles inside kernel-mod-image; equals the
     Betti number for monomial ideals (verified per instance by callers)."""
     C = complex_data(A)
-    coord_vecs = []
-    for chord in chord_duals(A.quiver).chords:
-        coords = C.hh1_view.project(theta(A, chord))
-        coord_vecs.append({i: c for i, c in enumerate(coords) if not A.field.is_zero(c)})
+    coord_vecs = [C.hh1_view.project(theta(A, chord)) for chord in chord_duals(A.quiver).chords]
     coord_basis = LabeledBasis(tuple(range(C.hh1_view.dim)))
     return span(A.field, coord_basis, coord_vecs).dim
 

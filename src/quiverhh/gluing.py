@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from .algebra import MonomialAlgebra, build
 from .errors import GluingError, QuiverHHError
@@ -55,7 +56,7 @@ class GluedAlgebra:
     """Result of gluing arrows ``alpha`` and ``beta`` of ``A``.
 
     Everything derived from the gluing (transport maps, special-path data,
-    transported kernels and images, the Lie structure of A, oracle
+    transported kernels and images, the Lie structures of A and B, oracle
     dimensions) is a lazily computed attribute, so each is built at most
     once per instance and is shared by every checker that reads it.
     """
@@ -229,6 +230,11 @@ class GluedAlgebra:
     def lie_a(self):
         """Structure constants of the degree-one cohomology Lie algebra of A."""
         return hh1_lie(self.A)
+
+    @cached_property
+    def lie_b(self):
+        """Structure constants of the degree-one cohomology Lie algebra of B."""
+        return hh1_lie(self.B)
 
     @cached_property
     def oracle_hh1_dims(self) -> tuple:
@@ -428,6 +434,10 @@ def special_pairs(g: GluedAlgebra) -> SpecialPairData:
     alpha_path = QA.arrow_path(g.alpha)
     beta_path = QA.arrow_path(g.beta)
 
+    preimage = {}
+    for v, w in enumerate(g.vertex_map):
+        preimage.setdefault(w, []).append(v)
+
     pairs = []
     labels = set()
     for a in range(QA.num_arrows):
@@ -435,15 +445,13 @@ def special_pairs(g: GluedAlgebra) -> SpecialPairData:
             continue
         a_path = QA.arrow_path(a)
         a_star = g.arrow_map[a]
-        for p in A.basis:
+        # the paths whose images are parallel to a*, in basis order
+        ends = product(preimage[B.quiver.source(a_star)], preimage[B.quiver.target(a_star)])
+        candidates = (p for st in ends for p in A.paths_between[st])
+        for p in sorted(candidates, key=A.basis_index.__getitem__):
             if parallel(a_path, p):
                 continue
             p_star = g.path_image[p]
-            if not (
-                B.quiver.source(a_star) == p_star.source
-                and B.quiver.target(a_star) == p_star.target
-            ):
-                continue
             if a_star == g.gamma and p_star.arrows == (g.gamma,):
                 continue
             if a == g.alpha and parallel(p, beta_path):

@@ -9,6 +9,13 @@ form is unique, so two subspaces are equal iff their stored rows are
 identical, whatever order or pivot choice produced them.  Every kernel,
 image, intersection and solve goes through the one sparse elimination
 routine :func:`_rref`.
+
+Coordinates are sparse too.  Because the stored rows are reduced
+echelon, the coefficient of a member vector along a row is its entry at
+that row's pivot, so :func:`reduce_against` visits only the pivots that
+occur in the vector and returns ``{row index: coefficient}``, and
+:meth:`QuotientView.project` returns ``{representative position:
+coefficient}``; neither ever holds a zero.
 """
 
 from __future__ import annotations
@@ -93,6 +100,11 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def pivot_index(self) -> dict:
+        """``{pivot column: row index}``."""
+        return {p: i for i, p in enumerate(self.pivots)}
+
     def row_vectors(self) -> list:
         """Rows as sparse dicts."""
         return [dict(row) for row in self.rows]
@@ -107,16 +119,22 @@ def span(field: FieldSpec, basis: LabeledBasis, vectors: Sequence[dict]) -> Subs
 
 
 def reduce_against(field: FieldSpec, space: Subspace, vec: dict) -> tuple:
-    """Split ``vec`` as (coefficients along space.rows, remainder)."""
+    """Split ``vec`` as ``({row index: coefficient}, remainder)``.
+
+    Each row is one at its own pivot and zero at every other pivot, so the
+    coefficient along a row is ``vec`` at its pivot and only the pivots
+    present in ``vec`` are visited, in row order.  The remainder is zero
+    at every pivot; it is empty iff ``vec`` lies in ``space``.
+    """
+    index = space.pivot_index
     rem = dict(vec)
-    coeffs = []
-    zero, mul, neg = field.zero, field.mul, field.neg
-    for row, p in zip(space.rows, space.pivots):
-        c = rem.get(p, zero)
-        coeffs.append(c)
-        if not field.is_zero(c):
-            for i, x in row:
-                accumulate(field, rem, i, neg(mul(c, x)))
+    coeffs = {}
+    mul, neg = field.mul, field.neg
+    for p in sorted(p for p in vec if p in index):
+        r, c = index[p], vec[p]
+        coeffs[r] = c
+        for i, x in space.rows[r]:
+            accumulate(field, rem, i, neg(mul(c, x)))
     return coeffs, rem
 
 
@@ -240,11 +258,12 @@ class QuotientView:
             coeffs, rem = reduce_against(field, total, v)
             if rem:
                 raise ContainmentError("subspace is not contained in the total space")
-            coord_rows.append({i: c for i, c in enumerate(coeffs) if not field.is_zero(c)})
+            coord_rows.append(coeffs)
         coord_basis = LabeledBasis(tuple(range(total.dim)))
         self._sub_in_total = span(field, coord_basis, coord_rows)
         piv = set(self._sub_in_total.pivots)
         self.rep_indices = tuple(i for i in range(total.dim) if i not in piv)
+        self._rep_position = {i: k for k, i in enumerate(self.rep_indices)}
 
     @property
     def dim(self) -> int:
@@ -254,11 +273,13 @@ class QuotientView:
         rows = self.total.row_vectors()
         return [rows[i] for i in self.rep_indices]
 
-    def project(self, vec: dict) -> tuple:
-        """Coordinates of the class of ``vec`` in the representative basis."""
+    def project(self, vec: dict) -> dict:
+        """Coordinates of the class of ``vec`` as ``{representative position:
+        coefficient}``, in ascending position and without zeros."""
         coeffs, rem = reduce_against(self.field, self.total, vec)
         if rem:
             raise ContainmentError("vector lies outside the total space")
-        as_vec = {i: c for i, c in enumerate(coeffs) if not self.field.is_zero(c)}
-        _, reduced = reduce_against(self.field, self._sub_in_total, as_vec)
-        return tuple(reduced.get(i, self.field.zero) for i in self.rep_indices)
+        _, reduced = reduce_against(self.field, self._sub_in_total, coeffs)
+        # reduced vanishes on the pivots of the sub, so every key is a representative
+        position = self._rep_position
+        return {position[i]: reduced[i] for i in sorted(reduced)}

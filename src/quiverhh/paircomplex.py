@@ -12,7 +12,7 @@ two arrow pairs substitutes each into the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .algebra import MonomialAlgebra
 from .errors import ShapeError
@@ -161,45 +161,60 @@ def complex_data(A: MonomialAlgebra) -> PairComplex:
 
 @dataclass(frozen=True)
 class LieAlgebraPresentation:
-    """Structure constants of the degree-one cohomology Lie algebra."""
+    """Structure constants of the degree-one cohomology Lie algebra, sparse.
+
+    ``terms`` maps each pair ``i < j`` with a nonzero bracket to the
+    ``(k, c)`` terms of ``[x_i, x_j] = sum c x_k``, ascending in k and with
+    no zero coefficient; a pair that is absent brackets to zero.
+    """
 
     dim: int
     basis_labels: tuple
-    constants: dict  # (i, j) with i < j -> coefficient tuple
+    terms: dict  # (i, j) with i < j -> ((k, c), ...)
     field: FieldSpec
 
-    def bracket_coords(self, i: int, j: int) -> tuple:
-        f = self.field
-        if i == j:
-            return tuple(f.zero for _ in range(self.dim))
+    def bracket_terms(self, i: int, j: int) -> tuple:
+        """The ``(k, c)`` terms of ``[x_i, x_j]``, antisymmetric in i and j."""
         if i < j:
-            return self.constants[(i, j)]
-        return tuple(f.neg(c) for c in self.constants[(j, i)])
+            return self.terms.get((i, j), ())
+        neg = self.field.neg
+        return tuple((k, neg(c)) for k, c in self.terms.get((j, i), ()))
+
+    @cached_property
+    def constants(self) -> dict:
+        """Dense view: every pair ``i < j`` -> its coefficient tuple of length dim."""
+        zero = self.field.zero
+        out = {}
+        for i in range(self.dim):
+            for j in range(i + 1, self.dim):
+                coords = [zero] * self.dim
+                for k, c in self.terms.get((i, j), ()):
+                    coords[k] = c
+                out[(i, j)] = tuple(coords)
+        return out
 
     def is_abelian(self) -> bool:
-        return all(all(self.field.is_zero(c) for c in v) for v in self.constants.values())
+        return not self.terms
 
     def check_jacobi(self) -> bool:
         """True iff [[x_i, x_j], x_k] + [[x_j, x_k], x_i] + [[x_k, x_i], x_j] = 0.
 
-        ``bracket_coords`` is antisymmetric by construction, so this
+        ``bracket_terms`` is antisymmetric by construction, so this
         Jacobiator is alternating and the triples i < j < k decide it; each
         term multiplies only nonzero structure constants.
         """
         f = self.field
         d = self.dim
-        nonzero = {
-            (i, j): [(l, c) for l, c in enumerate(self.bracket_coords(i, j)) if not f.is_zero(c)]
-            for i in range(d)
-            for j in range(d)
-            if i != j
-        }
+        nonzero = {}
+        for i, j in self.terms:
+            nonzero[(i, j)] = self.bracket_terms(i, j)
+            nonzero[(j, i)] = self.bracket_terms(j, i)
         for i in range(d):
             for j in range(i + 1, d):
                 for k in range(j + 1, d):
                     total: dict = {}
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for l, x in nonzero[(a, b)]:
+                        for l, x in nonzero.get((a, b), ()):
                             for m, y in nonzero.get((l, c), ()):
                                 accumulate(f, total, m, f.mul(x, y))
                     if total:
@@ -208,20 +223,17 @@ class LieAlgebraPresentation:
 
 
 def lie_center_dim(pres: LieAlgebraPresentation) -> int:
-    """Dimension of the center of the presented Lie algebra."""
+    """Dimension of the center of the presented Lie algebra: the kernel of
+    x -> ([x, x_k])_k, one column per basis element."""
     f = pres.field
     d = pres.dim
     if d == 0:
         return 0
-    columns = []
-    for i in range(d):
-        col: dict = {}
-        for k in range(d):
-            coords = pres.bracket_coords(i, k)
-            for m, c in enumerate(coords):
-                if not f.is_zero(c):
-                    col[k * d + m] = c
-        columns.append(col)
+    columns = [{} for _ in range(d)]
+    for (i, k), terms in pres.terms.items():
+        for m, c in terms:
+            columns[i][k * d + m] = c
+            columns[k][i * d + m] = f.neg(c)
     dom = LabeledBasis(tuple(range(d)))
     cod = LabeledBasis(tuple(range(d * d)))
     return kernel(f, LinearMap(dom, cod, tuple(columns))).dim
@@ -232,14 +244,15 @@ def hh1_lie(A: MonomialAlgebra) -> LieAlgebraPresentation:
     C = complex_data(A)
     reps = C.hh1_view.representatives()
     d = len(reps)
-    constants = {}
+    terms = {}
     for i in range(d):
         for j in range(i + 1, d):
-            br = C.bracket(reps[i], reps[j])
-            constants[(i, j)] = C.hh1_view.project(br)
+            coords = C.hh1_view.project(C.bracket(reps[i], reps[j]))
+            if coords:
+                terms[(i, j)] = tuple(coords.items())
     pivots = [C.ker1.pivots[i] for i in C.hh1_view.rep_indices]
     labels = tuple(pair_str(A, C.basis1.labels[p], "1") for p in pivots)
-    return LieAlgebraPresentation(d, labels, constants, A.field)
+    return LieAlgebraPresentation(d, labels, terms, A.field)
 
 
 @dataclass(frozen=True)
@@ -284,15 +297,20 @@ def center_product(A: MonomialAlgebra) -> CenterTable:
     rows = C.hh0.row_vectors()
     labels0 = C.basis0.labels
     table = {}
+    d = C.hh0.dim
+
+    def dense(coeffs: dict) -> tuple:
+        return tuple(coeffs.get(k, f.zero) for k in range(d))
+
     for i, x in enumerate(rows):
         for j, y in enumerate(rows):
             coords, rem = reduce_against(f, C.hh0, central_mult(C, x, y))
             if rem:
                 raise ShapeError("central product left the center; this is a bug")
-            table[(i, j)] = tuple(coords)
+            table[(i, j)] = dense(coords)
     unit_vec = {C.basis0.index[(v, A.quiver.trivial_path(v))]: f.one for v in range(A.quiver.num_vertices)}
     unit, rem = reduce_against(f, C.hh0, unit_vec)
     if rem:
         raise ShapeError("identity element is not central; this is a bug")
     labels = tuple(pair_str(A, labels0[p], "0") for p in C.hh0.pivots)
-    return CenterTable(C.hh0.dim, table, tuple(unit), labels)
+    return CenterTable(d, table, dense(unit), labels)

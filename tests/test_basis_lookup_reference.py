@@ -6,10 +6,12 @@ and the basis paths between two vertices were found by filtering the whole
 basis.  Those forms are kept below unchanged apart from taking the algebra
 or gluing as an argument: ``ref_in_ideal``, ``ref_multiply``,
 ``ref_substitute``, ``ref_is_node_arrow``, ``ref_path_set``, the three
-label comprehensions of the pair complex (``ref_pair_labels``), and the
-endpoint filters of ``glued_pair_paths`` and ``crucial_paths``.  The inputs
-are every composable word up to two arrows longer than the longest basis
-path, so words that are not basis paths are covered.
+label comprehensions of the pair complex (``ref_pair_labels``), the
+endpoint filters of ``glued_pair_paths`` and ``crucial_paths``, and
+``ref_special_pairs``, which scans the whole basis for every arrow at a
+glued vertex.  The inputs are every composable word up to two arrows
+longer than the longest basis path, so words that are not basis paths are
+covered.
 """
 
 from hypothesis import example, given, settings
@@ -19,10 +21,17 @@ from quiverhh.algebra import build
 from quiverhh.examples_data import EXAMPLES
 from quiverhh.fields import GF, QQ
 from quiverhh.fileformat import parse
-from quiverhh.gluing import crucial_paths, glue
+from quiverhh.gluing import SpecialPairData, crucial_paths, glue, special_pairs
+from quiverhh.linalg import intersect, span
 from quiverhh.paircomplex import PairComplex, substitute
 from quiverhh.quiver import Path, compose, is_sink_arrow, is_source_arrow, parallel
-from quiverhh.randomgen import RandomSpec, random_gluing, random_instance, source_sink_instance
+from quiverhh.randomgen import (
+    RandomSpec,
+    instance_with_gluing,
+    random_gluing,
+    random_instance,
+    source_sink_instance,
+)
 
 FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5)}
 
@@ -124,6 +133,50 @@ def ref_crucial_paths(g):
     return tuple(out)
 
 
+def ref_special_pairs(g):
+    A, B = g.A, g.B
+    QA = A.quiver
+    CB = g.complexes[1]
+    f = B.field
+    e1, e2, e3, e4 = g.endpoints
+    four = {e1, e2, e3, e4}
+    alpha_path = QA.arrow_path(g.alpha)
+    beta_path = QA.arrow_path(g.beta)
+
+    pairs = []
+    labels = set()
+    for a in range(QA.num_arrows):
+        if not ({QA.source(a), QA.target(a)} & four):
+            continue
+        a_path = QA.arrow_path(a)
+        a_star = g.arrow_map[a]
+        for p in A.basis:
+            if parallel(a_path, p):
+                continue
+            p_star = g.path_image[p]
+            if not (
+                B.quiver.source(a_star) == p_star.source
+                and B.quiver.target(a_star) == p_star.target
+            ):
+                continue
+            if a_star == g.gamma and p_star.arrows == (g.gamma,):
+                continue
+            if a == g.alpha and parallel(p, beta_path):
+                continue
+            if a == g.beta and parallel(p, alpha_path):
+                continue
+            if p == alpha_path and parallel(a_path, beta_path):
+                continue
+            if p == beta_path and parallel(a_path, alpha_path):
+                continue
+            pairs.append((a, p))
+            labels.add(CB.basis1.index[(a_star, p_star)])
+
+    spp_span = span(f, CB.basis1, [{i: f.one} for i in sorted(labels)])
+    z_spp = intersect(f, spp_span, CB.ker1)
+    return SpecialPairData(tuple(pairs), z_spp, z_spp.dim)
+
+
 def composable_words(A):
     """Every path of ``A``'s quiver (trivial ones included) of length at most
     two more than the longest basis path."""
@@ -180,6 +233,7 @@ def assert_gluing_matches(g):
     """Compare the gluing's path enumerations and both algebras with their
     references; returns the number of crucial paths and of zero words."""
     assert g.glued_pair_paths == ref_glued_pair_paths(g)
+    assert special_pairs(g) == ref_special_pairs(g)
     crucial = crucial_paths(g)
     assert crucial == ref_crucial_paths(g)
     zero = assert_algebra_matches(g.A) + assert_algebra_matches(g.B)
@@ -230,3 +284,18 @@ def test_random_instances_match_reference(seed, field, max_dim):
 def test_source_sink_instances_match_reference(seed, field):
     A, gs = source_sink_instance(RandomSpec(seed=seed, field=FIELDS[field]))
     assert_gluing_matches(glue(A, gs.alpha, gs.beta))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(sorted(FIELDS)))
+@example(20260809, "Q")
+@example(20260810, "F2")
+@example(20260811, "F3")
+@example(20260812, "F5")
+def test_special_pairs_match_basis_scan(seed, field):
+    A, gs = instance_with_gluing(RandomSpec(seed=seed, field=FIELDS[field], max_dim=32))
+    g = glue(A, gs.alpha, gs.beta)
+    got, want = special_pairs(g), ref_special_pairs(g)
+    # same pairs in the same order, same kernel part
+    assert got.pairs == want.pairs
+    assert got == want

@@ -168,6 +168,20 @@ def test_verify_fan6_json_byte_identical(capsys, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FAN6_JSON_SHA256
 
 
+# sha256 of ``quiverhh hh <fan(5)> --degrees 0..1 --lie``: the 24 basis
+# labels and every nonzero structure constant of a non-abelian HH^1 over Q.
+HH_FAN5_LIE_SHA256 = "0bc6bc71f81d9018cf1d03c1507ba65b90e01b500a0a7c3dc5086d2f23f025ab"
+
+
+def test_hh_fan5_lie_byte_identical(capsys, tmp_path):
+    p = tmp_path / "fan5.alg"
+    p.write_text(fan(5))
+    code, out, _ = run(capsys, "hh", str(p), "--degrees", "0..1", "--lie")
+    assert code == 0
+    assert "HH^1: 24" in out and "[x0, x5] = -1*x0" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == HH_FAN5_LIE_SHA256
+
+
 def test_fuzz_cli(capsys):
     code, out, _ = run(capsys, "fuzz", "--seed", "5000", "--count", "6",
                        "--checks", "pi1_rank,im_delta0_dim")

@@ -25,6 +25,16 @@ def test_prime_field_arithmetic():
     assert str(f) == "F5"
 
 
+def test_zero_and_one_are_shared_constants():
+    for f in (QQ, GF(2), GF(5)):
+        assert f.zero is f.zero and f.one is f.one
+        assert (f.zero, f.one) == (f.of_int(0), f.of_int(1))
+        assert type(f.zero) is type(f.of_int(0))
+    # they are not fields: equality, hashing and repr still see only char
+    assert FieldSpec(0) == QQ and hash(FieldSpec(0)) == hash(QQ)
+    assert repr(GF(5)) == "FieldSpec(char=5)"
+
+
 def test_inverse_of_zero():
     with pytest.raises(ZeroDivisionError):
         GF(3).inv(0)

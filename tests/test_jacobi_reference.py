@@ -2,9 +2,11 @@
 
 The reference below is ``LieAlgebraPresentation.check_jacobi`` as it was
 before it iterated only over i < j < k and nonzero structure constants,
-kept here unchanged as a function of the presentation.  It checks every
-coordinate of every ordered triple, so the two must give the same verdict
-on every presentation, whether or not it satisfies Jacobi.
+kept here unchanged as a function of the presentation, together with the
+dense ``bracket_coords`` it read, which now reads the dense ``constants``
+view.  It checks every coordinate of every ordered triple, so the two must
+give the same verdict on every presentation, whether or not it satisfies
+Jacobi.
 """
 
 import random
@@ -16,6 +18,15 @@ from quiverhh.fileformat import parse
 from quiverhh.paircomplex import LieAlgebraPresentation, hh1_lie
 
 
+def bracket_coords(self, i: int, j: int) -> tuple:
+    f = self.field
+    if i == j:
+        return tuple(f.zero for _ in range(self.dim))
+    if i < j:
+        return self.constants[(i, j)]
+    return tuple(f.neg(c) for c in self.constants[(j, i)])
+
+
 def check_jacobi(self) -> bool:
     f = self.field
     d = self.dim
@@ -25,12 +36,12 @@ def check_jacobi(self) -> bool:
                 for m in range(d):
                     total = f.zero
                     for cyc in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.bracket_coords(cyc[0], cyc[1])
+                        inner = bracket_coords(self, cyc[0], cyc[1])
                         for l in range(d):
                             if f.is_zero(inner[l]):
                                 continue
                             total = f.add(
-                                total, f.mul(inner[l], self.bracket_coords(l, cyc[2])[m])
+                                total, f.mul(inner[l], bracket_coords(self, l, cyc[2])[m])
                             )
                     if not f.is_zero(total):
                         return False
@@ -42,15 +53,13 @@ FIELDS = (QQ, GF(2), GF(3), GF(5))
 
 def presentation(field, d, coords) -> LieAlgebraPresentation:
     """Presentation with ``coords[(i, j)]`` as the sparse bracket of i < j."""
-    constants = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            vec = [field.zero] * d
-            for m, c in coords.get((i, j), {}).items():
-                vec[m] = c
-            constants[(i, j)] = tuple(vec)
+    terms = {}
+    for (i, j), vec in coords.items():
+        nonzero = tuple((m, c) for m, c in sorted(vec.items()) if not field.is_zero(c))
+        if nonzero:
+            terms[(i, j)] = nonzero
     labels = tuple(f"x{i}" for i in range(d))
-    return LieAlgebraPresentation(d, labels, constants, field)
+    return LieAlgebraPresentation(d, labels, terms, field)
 
 
 def random_presentation(rng: random.Random) -> LieAlgebraPresentation:

@@ -123,4 +123,4 @@ def test_reduce_against_roundtrip():
     s = span(QQ, B4, [{0: Fraction(1), 2: Fraction(2)}, {1: Fraction(1)}])
     coeffs, rem = reduce_against(QQ, s, {0: Fraction(3), 1: Fraction(1), 2: Fraction(6)})
     assert rem == {}
-    assert coeffs == [Fraction(3), Fraction(1)]
+    assert coeffs == {0: Fraction(3), 1: Fraction(1)}

@@ -5,6 +5,11 @@ the package used before its sparse core, kept here unchanged, with the
 dense forms of ``span``, ``kernel``, ``intersect``, ``solve_columns`` and
 ``reduce_against`` built on it.  RREF is unique, so both must agree
 exactly on every input.
+
+``RefQuotientView`` is ``QuotientView`` as it was while ``reduce_against``
+returned one coefficient per row and ``project`` a dense tuple of
+coordinates, rebuilt on the dense reduction; the sparse forms must hold
+exactly its nonzero entries.
 """
 
 from fractions import Fraction
@@ -12,10 +17,14 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
+from quiverhh.errors import ContainmentError
 from quiverhh.fields import GF, QQ
 from quiverhh.linalg import (
     LabeledBasis,
     LinearMap,
+    QuotientView,
     intersect,
     kernel,
     reduce_against,
@@ -136,6 +145,39 @@ def as_dense(field, space):
     return tuple(map(tuple, _dense(field, space.row_vectors(), width))), space.pivots
 
 
+def nonzero(field, coords) -> dict:
+    """The nonzero entries of a dense coordinate sequence, by position."""
+    return {k: c for k, c in enumerate(coords) if not field.is_zero(c)}
+
+
+class RefQuotientView:
+    """Classes of ``total / sub`` with dense coordinate tuples."""
+
+    def __init__(self, field, total, sub):
+        self.field = field
+        self.total = as_dense(field, total)
+        coord_rows = []
+        for v in sub.row_vectors():
+            coeffs, rem = ref_reduce_against(field, *self.total, v)
+            if rem:
+                raise ContainmentError("subspace is not contained in the total space")
+            coord_rows.append(nonzero(field, coeffs))
+        self._sub_in_total = ref_span(field, total.dim, coord_rows)
+        piv = set(self._sub_in_total[1])
+        self.rep_indices = tuple(i for i in range(total.dim) if i not in piv)
+
+    @property
+    def dim(self) -> int:
+        return len(self.rep_indices)
+
+    def project(self, vec: dict) -> tuple:
+        coeffs, rem = ref_reduce_against(self.field, *self.total, vec)
+        if rem:
+            raise ContainmentError("vector lies outside the total space")
+        _, reduced = ref_reduce_against(self.field, *self._sub_in_total, nonzero(self.field, coeffs))
+        return tuple(reduced.get(i, self.field.zero) for i in self.rep_indices)
+
+
 FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5)}
 # (rows lo, rows hi, columns lo, columns hi)
 SHAPES = {"square": (0, 6, 0, 6), "tall": (6, 14, 1, 2), "wide": (1, 3, 6, 14)}
@@ -237,4 +279,48 @@ def test_reduce_against_matches_dense(case, cut):
     space = span(f, LabeledBasis(tuple(range(width))), rows[:cut])
     dense_rows, pivots = as_dense(f, space)
     for vec in rows[cut:] or [{}]:
-        assert reduce_against(f, space, vec) == ref_reduce_against(f, dense_rows, pivots, vec)
+        coeffs, rem = reduce_against(f, space, vec)
+        want_coeffs, want_rem = ref_reduce_against(f, dense_rows, pivots, vec)
+        assert list(coeffs) == sorted(coeffs)
+        assert coeffs == nonzero(f, want_coeffs)
+        assert rem == want_rem
+
+
+def _combination(f, rows, picks):
+    """Sum of ``rows[i]`` scaled by ``c`` for each ``(i, c)`` in ``picks``."""
+    out = {}
+    for i, c in picks:
+        for k, x in rows[i % len(rows)].items():
+            out[k] = f.add(out.get(k, f.zero), f.mul(f.of_int(c), x))
+    return {k: x for k, x in out.items() if not f.is_zero(x)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    matrices(),
+    st.integers(0, 20),
+    st.lists(st.lists(st.tuples(st.integers(0, 30), st.integers(-3, 3)), max_size=4), max_size=6),
+)
+@example((QQ, 4, QUARTER), 2, [[(0, 1)], [(1, 2), (2, -1)]])
+@example((GF(2), 2, TALL), 3, [[(0, 1), (3, 1)]])
+@example((GF(5), 12, WIDE), 1, [[(0, 2)], [(1, 1)]])
+def test_project_matches_dense(case, cut, combos):
+    # total is spanned by all rows, sub by the first ``cut``; each combo of
+    # the rows lies in total and is projected by both views
+    f, width, rows = case
+    basis = LabeledBasis(tuple(range(width)))
+    total = span(f, basis, rows)
+    sub = span(f, basis, rows[:cut])
+    view, ref = QuotientView(f, total, sub), RefQuotientView(f, total, sub)
+    assert view.rep_indices == ref.rep_indices
+    vectors = [_combination(f, rows, picks) for picks in combos if rows]
+    for vec in vectors + total.row_vectors():
+        coords = view.project(vec)
+        assert list(coords) == sorted(coords)
+        assert coords == nonzero(f, ref.project(vec))
+    # a unit vector off the pivots of total never lies in total
+    for i in [i for i in range(width) if i not in total.pivot_index][:1]:
+        with pytest.raises(ContainmentError):
+            view.project({i: f.one})
+        with pytest.raises(ContainmentError):
+            ref.project({i: f.one})
