@@ -134,8 +134,9 @@ def _find_free_cycle(Q: Quiver, words, memory: int):
             alive[p] -= 1
             if alive[p] == 0:
                 stack.append(p)
+    # alive[s] counts the edges from s into live states, so each live state
+    # has a live successor.
     residual = {s for s, d in alive.items() if d > 0}
-    residual = {s for s in residual if any(n in residual for _, n in adj[s])}
     if not residual:
         return None
 

@@ -41,6 +41,7 @@ from .linalg import (
     subspace_sum,
 )
 from .paircomplex import central_mult, lie_center_dim
+from .quiver import crown_order
 
 
 @dataclass
@@ -104,6 +105,10 @@ NO_CONNECTING_PATHS = Hypothesis(
 NO_SPECIAL_PAIR_KERNEL = Hypothesis(
     "requires a vanishing special-pair kernel part", lambda g: g.spp.kspp == 0
 )
+# The preconditions of the higher-degree counting formula, with its own reasons.
+COUNTING_RAD_SQ_ZERO = Hypothesis("algebra is not radical square zero", RAD_SQ_ZERO.holds)
+COUNTING_INDECOMPOSABLE = Hypothesis("algebra is not indecomposable", INDECOMPOSABLE.holds)
+NOT_A_CROWN = Hypothesis("source quiver is a crown", lambda g: crown_order(g.A.quiver) is None)
 # No glued vertex of a source-sink gluing carries a loop, so this holds there.
 LOOP_POWER = Hypothesis(
     "characteristic divides a glued-vertex loop power",
@@ -452,15 +457,10 @@ def check_theta(g: GluedAlgebra) -> CheckReport:
     )
 
 
-@check("high_degrees")
+@check("high_degrees", COUNTING_RAD_SQ_ZERO, COUNTING_INDECOMPOSABLE, NOT_A_CROWN)
 def check_high_degrees(g: GluedAlgebra) -> CheckReport:
-    reports = []
-    for n in range(2, 7):  # degrees 2 to 6
-        r = check_high_degree_gluing(g, n)
-        if not r.applicable:
-            return CheckReport("", "not-applicable", reason=r.reason)
-        reports.append(r)
-    ok = all(r.passed for r in reports)
+    reports = [check_high_degree_gluing(g, n) for n in range(2, 7)]  # degrees 2 to 6
+    ok = all(r.monotone for r in reports)
     return _verdict(ok, [str(r.dim_a) for r in reports], [str(r.dim_b) for r in reports])
 
 

@@ -452,8 +452,6 @@ def special_pairs(g: GluedAlgebra) -> SpecialPairData:
             if parallel(a_path, p):
                 continue
             p_star = g.path_image[p]
-            if a_star == g.gamma and p_star.arrows == (g.gamma,):
-                continue
             if a == g.alpha and parallel(p, beta_path):
                 continue
             if a == g.beta and parallel(p, alpha_path):

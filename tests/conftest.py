@@ -15,6 +15,28 @@ def glued(name):
     return glue(A, A.quiver.arrow_index[ex.alpha], A.quiver.arrow_index[ex.beta])
 
 
+CROWN4 = """field Q
+vertex v0
+vertex v1
+vertex v2
+vertex v3
+arrow a0 v0 v1
+arrow a1 v1 v2
+arrow a2 v2 v3
+arrow a3 v3 v0
+rel a0 a1
+rel a1 a2
+rel a2 a3
+rel a3 a0
+"""
+
+
+def glued_crown4():
+    """The radical-square-zero 4-crown v0 -> v1 -> v2 -> v3 -> v0 with a0 glued to a2."""
+    A = parse(CROWN4)
+    return glue(A, A.quiver.arrow_index["a0"], A.quiver.arrow_index["a2"])
+
+
 def vertex_id(Q, name):
     """Id of the vertex named ``name`` in quiver ``Q``."""
     return Q.vertex_names.index(name)

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import algebra, glued, pair1_index, vertex_id
 from quiverhh.algebra import build
-from quiverhh.checks import run_checks, run_fuzz
+from quiverhh.checks import CHECKS, run_checks, run_fuzz
 from quiverhh.examples_data import fan, loop_crowd, zigzag
 from quiverhh.fields import GF, QQ
 from quiverhh.fileformat import parse
@@ -351,7 +351,7 @@ def test_criterion_9_higher_degrees():
         gm = glue(Am, Am.quiver.arrow_index["alpha"], Am.quiver.arrow_index["beta"])
         for n in range(2, 10):
             diff = check_high_degree_gluing(gm, n)
-            assert diff.applicable and diff.passed
+            assert diff.monotone
             want = 0 if n % 2 == 0 else m ** ((n + 3) // 2) - m ** ((n - 1) // 2)
             assert diff.difference == want
     assert check_high_degree_gluing(
@@ -365,9 +365,7 @@ def test_criterion_9_higher_degrees():
     for seed in range(40):
         A, gs = source_sink_rad2_instance(RandomSpec(seed=seed, max_vertices=4, max_arrows=5))
         g = glue(A, gs.alpha, gs.beta)
-        for n in range(2, 7):
-            rep = check_high_degree_gluing(g, n)
-            assert (not rep.applicable) or rep.passed, (seed, n)
+        assert CHECKS["high_degrees"](g).status in ("pass", "not-applicable"), seed
     report("9 (higher-degree values and monotonicity)")
 
 

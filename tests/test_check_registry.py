@@ -5,8 +5,10 @@ hand-written guard returns for its hypotheses, and ``confirm_failure`` chose
 oracles by check name.  Both are kept below as references, unchanged apart
 from being lifted out of the checker bodies: ``ref_guard`` returns the
 report a checker's guards produced (None when its body ran) and
-``ref_confirm_failure`` is the name-prefix dispatch.  The declared forms
-must agree with them on the built-in corpus and on generated gluings.
+``ref_confirm_failure`` is the name-prefix dispatch.  The ``high_degrees``
+guards are the three gates that ``higher.check_high_degree_gluing`` once
+tested for every degree.  The declared forms must agree with them on the
+built-in corpus and on generated gluings.
 """
 
 from pathlib import Path
@@ -15,14 +17,14 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import glued
+from conftest import glued, glued_crown4
 from test_basis_lookup_reference import ref_path_set
 from quiverhh.checks import CHECKS, CheckReport, check_hh1_lie_iso, confirm_failure, run_fuzz
 from quiverhh.examples_data import EXAMPLES, fan
 from quiverhh.fields import GF, QQ
 from quiverhh.fileformat import parse
 from quiverhh.gluing import glue
-from quiverhh.higher import check_high_degree_gluing
+from quiverhh.quiver import connected_components, crown_order
 from quiverhh.randomgen import RandomSpec, instance_with_gluing, source_sink_instance
 
 FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5)}
@@ -109,9 +111,12 @@ def ref_guard(name, g):
         if not (g.source_sink and g.same_block):
             return _na("theta_diagram", "requires a same-block source-sink gluing")
     elif name == "high_degrees":
-        r = check_high_degree_gluing(g, 2)
-        if not r.applicable:
-            return _na("high_degrees", r.reason)
+        if not g.A.is_radical_square_zero():
+            return _na("high_degrees", "algebra is not radical square zero")
+        if len(connected_components(g.A.quiver)) != 1:
+            return _na("high_degrees", "algebra is not indecomposable")
+        if crown_order(g.A.quiver) is not None:
+            return _na("high_degrees", "source quiver is a crown")
     return None
 
 
@@ -153,6 +158,7 @@ def test_corpus_guards_match_reference():
     for m, p in ((2, 0), (3, 5)):
         A = parse(fan(m, p))
         assert_guards_match(glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"]))
+    assert_guards_match(glued_crown4())
     assert {"pass", "not-applicable", "assumption-violated"} <= statuses
 
 

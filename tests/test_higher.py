@@ -2,8 +2,9 @@ from itertools import islice
 
 import pytest
 
-from conftest import glued
+from conftest import glued, glued_crown4
 from quiverhh.algebra import build
+from quiverhh.checks import CHECKS
 from quiverhh.errors import QuiverHHError
 from quiverhh.examples_data import fan, zigzag
 from quiverhh.fields import QQ
@@ -79,7 +80,7 @@ def test_zigzag_vanishes():
         assert hh_dim_high(A, n) == 0
         assert hh_dim_high(g.B, n) == 0
         rep = check_high_degree_gluing(g, n)
-        assert rep.applicable and rep.passed and rep.difference == 0
+        assert rep.monotone and rep.difference == 0
 
 
 def test_crown_status():
@@ -89,8 +90,18 @@ def test_crown_status():
     assert isinstance(out, CrownUnsupported) and out.order == 2
     g = glued("line-bound")  # its glued quiver is the 2-crown
     rep = check_high_degree_gluing(g, 4)
-    assert rep.applicable and rep.passed
+    assert rep.monotone and rep.difference is None
     assert isinstance(rep.dim_b, CrownUnsupported) and rep.dim_a == 0
+
+
+def test_crown_source_is_not_applicable():
+    g = glued_crown4()
+    assert isinstance(hh_dim_high(g.A, 2), CrownUnsupported)
+    assert hh_dim_high(g.B, 3) == 6
+    rep = CHECKS["high_degrees"](g)
+    assert (rep.status, rep.reason) == ("not-applicable", "source quiver is a crown")
+    with pytest.raises(QuiverHHError):
+        check_high_degree_gluing(g, 2)  # a precondition, not a verdict
 
 
 def test_applicability_errors():
@@ -115,19 +126,13 @@ def test_monotonicity_on_random_source_sink():
         )
         assert A.is_radical_square_zero()
         g = glue(A, gs.alpha, gs.beta)
-        for n in range(2, 7):
-            rep = check_high_degree_gluing(g, n)
-            if rep.applicable:
+        status = CHECKS["high_degrees"](g).status
+        assert status in ("pass", "not-applicable"), f"seed {seed}"
+        if status == "pass":
+            for n in range(2, 7):
                 checked += 1
-                assert rep.passed, f"seed {seed} degree {n}"
+                assert check_high_degree_gluing(g, n).monotone, f"seed {seed} degree {n}"
     assert checked >= 70
-
-
-def test_transport_injectivity_reported():
-    g = glued("midfan-2")
-    for n in range(2, 8):
-        rep = check_high_degree_gluing(g, n)
-        assert rep.injective_transport is True
 
 
 # -- independent bar-complex oracle -------------------------------------------

@@ -6,13 +6,22 @@ every degree n, kept unchanged.  ``hh_dims_high`` walks the powers once;
 both must give the same dimension (or the same unsupported status or
 error) in every degree, and ``quiverhh hh --degrees`` must print the same
 lines as a per-degree loop over the reference.
+
+``ref_transport_injective`` is the enumeration that the higher-degree
+comparison once ran for every degree: it lists the (length-n path, arrow)
+parallel pairs of A, up to a cap, and tests that the gluing keeps them
+distinct.  ``check_high_degree_gluing`` now relies on the proof in its
+docstring instead; the property test below confirms that the enumeration
+never finds a collision.
 """
 
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import glued
+from quiverhh.algebra import build
 from quiverhh.cli import main
 from quiverhh.errors import QuiverHHError
 from quiverhh.examples_data import EXAMPLES, example_by_name, fan, zigzag
@@ -20,7 +29,8 @@ from quiverhh.fileformat import parse
 from quiverhh.gluing import glue
 from quiverhh.higher import CrownUnsupported, hh_dim_high, hh_dims_high
 from quiverhh.paircomplex import complex_data
-from quiverhh.quiver import connected_components, crown_order
+from quiverhh.quiver import Quiver, connected_components, crown_order
+from quiverhh.randomgen import RandomSpec, random_gluing, random_instance, source_sink_rad2_instance
 
 DEGREES = range(2, 41)
 
@@ -112,3 +122,82 @@ def test_cli_degrees_match_per_degree_reference(capsys, tmp_path, degrees):
         lines = {0: f"HH^0: {C.hh0.dim}", 1: f"HH^1: {C.hh1_view.dim}"}
         expected = [lines[n] if n < 2 else ref_line(A, n) for n in range(lo, hi + 1)]
         assert capsys.readouterr().out.splitlines() == expected, ex.name
+
+
+# -- transport injectivity by enumeration --------------------------------------
+
+REF_ENUMERATION_CAP = 20000
+
+
+def ref_enumerate_paths(Q, n, source, target):
+    """All length-n arrow words from source to target (None when over the cap)."""
+    words = [((), source)]
+    for _ in range(n):
+        nxt = []
+        for word, at in words:
+            for a in Q.arrows_from[at]:
+                nxt.append((word + (a,), Q.target(a)))
+                if len(nxt) > REF_ENUMERATION_CAP:
+                    return None
+        words = nxt
+    return [w for w, at in words if at == target]
+
+
+def ref_transport_injective(g, n):
+    """Distinct (length-n path, arrow) pairs must stay distinct in the image."""
+    QA = g.A.quiver
+    seen = {}
+    total = 0
+    for a in range(QA.num_arrows):
+        words = ref_enumerate_paths(QA, n, QA.source(a), QA.target(a))
+        if words is None:
+            return None
+        total += len(words)
+        if total > REF_ENUMERATION_CAP:
+            return None
+        for w in words:
+            key = (tuple(g.arrow_map[x] for x in w), g.arrow_map[a])
+            if key in seen and seen[key] != (w, a):
+                return False
+            seen[key] = (w, a)
+    return True
+
+
+def _rad2(A):
+    """The radical-square-zero algebra on the quiver of ``A``."""
+    Q = A.quiver
+    rels = [Q.path((a, b)) for a in range(Q.num_arrows) for b in Q.arrows_from[Q.target(a)]]
+    return build(Q, rels, A.field)
+
+
+def injectivity_gluings():
+    """The corpus gluings, then random radical-square-zero gluings: 200
+    planted source-sink ones and the gluable ones of 200 random quivers."""
+    out = [glued(ex.name) for ex in EXAMPLES]
+    for text in (fan(2), fan(3), zigzag(3)):
+        A = parse(text)
+        out.append(glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"]))
+    for seed in range(200):
+        A, gs = source_sink_rad2_instance(RandomSpec(seed=seed, max_vertices=4, max_arrows=5))
+        out.append(glue(A, gs.alpha, gs.beta))
+        spec = RandomSpec(seed=10_000 + seed, max_vertices=5, max_arrows=7)
+        A = _rad2(random_instance(spec))
+        gs = random_gluing(A, seed)
+        if gs is not None:
+            out.append(glue(A, gs.alpha, gs.beta))
+    return out
+
+
+def test_enumeration_never_finds_a_collision():
+    gluings = injectivity_gluings()
+    assert len(gluings) >= 300
+    outcomes = [ref_transport_injective(g, n) for g in gluings for n in range(2, 7)]
+    assert False not in outcomes
+    assert outcomes.count(True) >= 0.9 * len(outcomes)
+
+
+def test_enumeration_finds_a_planted_collision():
+    # x.y and x.w are both parallel to z; merging y with w collides them
+    Q = Quiver(("a", "b", "c"), (("x", 0, 1), ("y", 1, 2), ("w", 1, 2), ("z", 0, 2)))
+    collapse = SimpleNamespace(A=SimpleNamespace(quiver=Q), arrow_map=[0, 1, 1, 2])
+    assert ref_transport_injective(collapse, 2) is False
