@@ -1,8 +1,20 @@
 """Exact coefficient fields: the rationals and prime fields.
 
-Scalars are plain values (``Fraction`` for the rationals, ``int`` in
-``[0, p)`` for a prime field); a :class:`FieldSpec` bundles the operations
-so linear algebra can be written once for both.
+Scalars are plain values (``int`` or ``Fraction`` for the rationals,
+``int`` in ``[0, p)`` for a prime field); a :class:`FieldSpec` bundles the
+operations so linear algebra can be written once for both.
+
+A rational is a plain ``int`` while it is integral, and a ``Fraction``
+only once the inverse of a non-unit makes it fractional: ``zero``, ``one``
+and ``of_int`` are ints, ``inv`` returns -1 and 1 as themselves, and an
+inverse that comes out integral is turned back into an ``int``.  No
+operation divides an ``int`` by an ``int`` with ``/``, so no scalar is ever
+a float.  The two kinds mix freely and cannot change any output, because
+``Fraction(n) == n``, ``hash(Fraction(n)) == hash(n)`` and
+``str(Fraction(n)) == str(n)``: canonical echelon rows compare and hash the
+same whichever kind holds an integral entry, and every scalar prints the
+same.  (Only the ``repr`` differs, so scalars are printed one at a time
+with ``str``, never as a container.)
 """
 
 from __future__ import annotations
@@ -50,13 +62,13 @@ class FieldSpec:
         if self.char != 0 and not _is_prime(self.char):
             raise ValueError(f"field characteristic must be 0 or prime, got {self.char}")
         # scalars are immutable, so every caller can share one zero and one one
-        object.__setattr__(self, "zero", 0 if self.char else Fraction(0))
-        object.__setattr__(self, "one", 1 if self.char else Fraction(1))
+        object.__setattr__(self, "zero", 0)
+        object.__setattr__(self, "one", 1)
 
     # -- construction ------------------------------------------------------
 
     def of_int(self, n: int):
-        return n % self.char if self.char else Fraction(n)
+        return n % self.char if self.char else n
 
     # -- arithmetic --------------------------------------------------------
 
@@ -77,7 +89,11 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero")
         if self.char:
             return pow(a, self.char - 2, self.char)
-        return 1 / a
+        if type(a) is int:
+            # never ``1 / a`` on an int: that would be a float
+            return a if a in (1, -1) else Fraction(1, a)
+        s = 1 / a
+        return s.numerator if s.denominator == 1 else s
 
     def is_zero(self, a) -> bool:
         return a == 0

@@ -60,8 +60,10 @@ def _rref(field: FieldSpec, rows) -> dict:
 
     Each incoming row is reduced against the pivots found so far, its
     lowest remaining column becomes a new pivot (scaled to one), and that
-    column is cleared from the earlier rows.  The result depends only on
-    the span of ``rows``.
+    column is cleared from the earlier rows.  A row whose new pivot is
+    already one is neither inverted nor rescaled, which over the rationals
+    keeps a row of integers on machine integers.  The result depends only
+    on the span of ``rows``.
     """
     mul, neg, inv = field.mul, field.neg, field.inv
     piv: dict = {}
@@ -78,8 +80,9 @@ def _rref(field: FieldSpec, rows) -> dict:
         if not r:
             continue
         p = min(r)
-        s = inv(r[p])
-        r = {k: mul(s, x) for k, x in r.items()}
+        if r[p] != 1:
+            s = inv(r[p])
+            r = {k: mul(s, x) for k, x in r.items()}
         for row in piv.values():
             c = row.get(p)
             if c is not None:
