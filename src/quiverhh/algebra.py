@@ -2,11 +2,12 @@
 
 An algebra is a quiver together with a minimal set of relation paths of
 length at least two generating an admissible ideal.  The monomial basis
-consists of all paths containing no relation as a contiguous subpath;
-finite-dimensionality is decided exactly by checking that the suffix
-automaton of relation-free words is acyclic.  Since the basis holds every
-relation-free path, a path is zero in the algebra iff it is not a basis
-path: ``multiply`` and every other zero test is one basis lookup.
+consists of all paths containing no relation as a contiguous subpath.
+``build`` walks the suffix automaton of relation-free words once: the
+algebra is finite-dimensional exactly when it is acyclic, and then its
+walks from the empty-word states are the basis.  Since the basis holds
+every relation-free path, a path is zero in the algebra iff it is not a
+basis path: ``multiply`` and every other zero test is one basis lookup.
 """
 
 from __future__ import annotations
@@ -86,48 +87,40 @@ def _proper_subrelation(r: Path, relations):
     return next((u for u in relations if len(u.arrows) < len(w) and _is_subword(u.arrows, w)), None)
 
 
-def _ends_with_relation(word: tuple, words) -> bool:
-    """True iff one of the relation ``words`` is a suffix of ``word``."""
-    return any(word[-len(w) :] == w for w in words)
-
-
-def _find_free_cycle(Q: Quiver, words, memory: int):
-    """A cycle in the suffix automaton of relation-free words, if any.
-
-    States are (vertex, last ``memory`` arrows of a relation-free word);
-    a reachable cycle certifies that relation-free paths grow without
-    bound.  Returns the arrow list of one such cycle, else None.
-    """
-
-    def extensions(state):
-        v, suffix = state
-        for a in Q.arrows_from[v]:
-            new = suffix + (a,)
-            if _ends_with_relation(new, words):
-                continue
-            yield a, (Q.target(a), new[-memory:] if memory else ())
-
-    # Reachable state graph.
-    start = [(v, ()) for v in range(Q.num_vertices)]
+def _state_graph(Q: Quiver, words, memory: int) -> dict:
+    """The reachable suffix automaton of relation-free words: each state
+    (vertex, last ``memory`` arrows of such a word), from the empty-word
+    states ``(v, ())`` on, maps to its ``(arrow, next state)`` edges in
+    ``arrows_from`` order.  No relation is longer than ``memory + 1``, so
+    its walks from the ``(v, ())`` states spell the relation-free paths."""
     adj: dict = {}
-    queue = list(start)
+    queue = [(v, ()) for v in range(Q.num_vertices)]
     while queue:
         state = queue.pop()
         if state in adj:
             continue
-        adj[state] = list(extensions(state))
-        for _, nxt in adj[state]:
-            if nxt not in adj:
-                queue.append(nxt)
+        v, suffix = state
+        edges = adj[state] = []
+        for a in Q.arrows_from[v]:
+            new = suffix + (a,)
+            if not any(new[-len(w) :] == w for w in words):
+                edges.append((a, (Q.target(a), new[-memory:] if memory else ())))
+        queue.extend(nxt for _, nxt in edges if nxt not in adj)
+    return adj
 
+
+def _find_free_cycle(adj: dict):
+    """The arrow list of one cycle of the state graph ``adj``, else None.
+
+    A cycle certifies that relation-free paths grow without bound.
+    """
     # Strip states with no outgoing edge until only cycle-sustaining ones remain.
-    out_deg = {s: len(edges) for s, edges in adj.items()}
     preds: dict = {s: [] for s in adj}
     for s, edges in adj.items():
         for _, nxt in edges:
             preds[nxt].append(s)
-    stack = [s for s, d in out_deg.items() if d == 0]
-    alive = dict(out_deg)
+    alive = {s: len(edges) for s, edges in adj.items()}
+    stack = [s for s, d in alive.items() if d == 0]
     while stack:
         dead = stack.pop()
         for p in preds[dead]:
@@ -142,31 +135,27 @@ def _find_free_cycle(Q: Quiver, words, memory: int):
 
     # Step forward inside the residual graph until a state repeats.
     state = min(residual)
-    order = {state: 0}
-    trail_states = [state]
-    trail_arrows: list = []
+    order = {state: 0}  # state -> number of arrows walked before reaching it
+    trail: list = []
     while True:
-        a, nxt = next((a, n) for a, n in adj[state] if n in residual)
-        trail_arrows.append(a)
-        if nxt in order:
-            return trail_arrows[order[nxt] :]
-        order[nxt] = len(trail_states)
-        trail_states.append(nxt)
-        state = nxt
+        a, state = next((a, n) for a, n in adj[state] if n in residual)
+        trail.append(a)
+        if state in order:
+            return trail[order[state] :]
+        order[state] = len(trail)
 
 
-def _enumerate_basis(Q: Quiver, words) -> list:
+def _basis(Q: Quiver, adj: dict) -> list:
+    """The relation-free paths, read breadth-first off the acyclic ``adj``."""
     basis = [Q.trivial_path(v) for v in range(Q.num_vertices)]
-    frontier = list(basis)
+    frontier = [(p, (p.source, ())) for p in basis]
     while frontier:
-        nxt = []
-        for p in frontier:
-            for a in Q.arrows_from[p.target]:
-                word = p.arrows + (a,)
-                if not _ends_with_relation(word, words):
-                    nxt.append(Path(p.source, Q.target(a), word))
-        basis.extend(nxt)
-        frontier = nxt
+        frontier = [
+            (Path(p.source, Q.target(a), p.arrows + (a,)), nxt)
+            for p, state in frontier
+            for a, nxt in adj[state]
+        ]
+        basis.extend(p for p, _ in frontier)
     basis.sort(key=Path.sort_key)
     return basis
 
@@ -205,7 +194,8 @@ def build(
     rels.sort(key=Path.sort_key)
     words = tuple(r.arrows for r in rels)
     memory = max((len(w) for w in words), default=1) - 1
-    cycle = _find_free_cycle(quiver, words, memory)
+    adj = _state_graph(quiver, words, memory)
+    cycle = _find_free_cycle(adj)
     if cycle is not None:
         names = [quiver.arrow_name(a) for a in cycle]
         raise DimensionalityError(
@@ -213,5 +203,5 @@ def build(
             + " -> ".join(names),
             cycle=cycle,
         )
-    basis = tuple(_enumerate_basis(quiver, words))
+    basis = tuple(_basis(quiver, adj))
     return MonomialAlgebra(quiver, tuple(rels), field, basis)

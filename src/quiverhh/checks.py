@@ -336,28 +336,27 @@ def check_center_geq1(g: GluedAlgebra) -> CheckReport:
 
 def _center_embedding(g: GluedAlgebra):
     """The unital map on degree-zero kernels: unit to unit, positive part
-    transported along the quiver morphism.  Only valid for connected input."""
+    transported along the quiver morphism.  Only valid for connected input.
+
+    ψ⁰ sends A's unit to B's unit plus the trivial pairs of the two merged
+    vertices, so the map is ψ⁰ minus c on those two pairs, where c is the
+    scalar coefficient of the degree-zero part."""
     f = g.B.field
     CA, CB = g.complexes
-    n_b = g.B.quiver.num_vertices
-    unit_b = {
-        CB.basis0.index[(v, g.B.quiver.trivial_path(v))]: f.one for v in range(n_b)
-    }
-    triv_a = {
-        CA.basis0.index[(v, g.A.quiver.trivial_path(v))]
-        for v in range(g.A.quiver.num_vertices)
-    }
-    probe = next(iter(sorted(triv_a)))
+    QA, QB = g.A.quiver, g.B.quiver
+    triv_a = [CA.basis0.index[(v, QA.trivial_path(v))] for v in range(QA.num_vertices)]
+    merged = [
+        CB.basis0.index[(m, QB.trivial_path(m))]
+        for m in (g.vertex_map[g.endpoints[0]], g.vertex_map[g.endpoints[1]])
+    ]
 
     def mu(vec: dict):
-        c = vec.get(probe, f.zero)
-        for i in triv_a:
-            if vec.get(i, f.zero) != c:
-                return None  # degree-zero part not scalar: unexpected
-        pos = {i: x for i, x in vec.items() if i not in triv_a}
-        out = dict(g.psi0.apply(f, pos))
-        for i, x in unit_b.items():
-            accumulate(f, out, i, f.mul(c, x))
+        c = vec.get(triv_a[0], f.zero)
+        if any(vec.get(i, f.zero) != c for i in triv_a):
+            return None  # degree-zero part not scalar: unexpected
+        out = g.psi0.apply(f, vec)
+        for i in merged:
+            accumulate(f, out, i, f.neg(c))
         return out
 
     return mu

@@ -101,7 +101,7 @@ def cmd_hh(args) -> int:
             print("bracket: abelian")
         else:
             for (i, j), terms in sorted(pres.terms.items()):
-                txt = " + ".join(f"{A.field.scalar_str(c)}*x{k}" for k, c in terms)
+                txt = " + ".join(f"{c}*x{k}" for k, c in terms)
                 print(f"[x{i}, x{j}] = {txt}")
     return 0
 
@@ -112,12 +112,10 @@ def cmd_center(args) -> int:
     print(f"dim Z: {table.dim}")
     for i, lab in enumerate(table.basis_labels):
         print(f"z{i}: pivot {lab}")
-    print(f"unit coordinates: {tuple(A.field.scalar_str(c) for c in table.unit)}")
+    print(f"unit coordinates: {tuple(str(c) for c in table.unit)}")
     for (i, j), coords in sorted(table.table.items()):
         if i <= j:
-            txt = " + ".join(
-                f"{A.field.scalar_str(c)}*z{k}" for k, c in enumerate(coords) if c != 0
-            )
+            txt = " + ".join(f"{c}*z{k}" for k, c in enumerate(coords) if c != 0)
             print(f"z{i} * z{j} = {txt if txt else '0'}")
     return 0
 

@@ -5,8 +5,8 @@ Scalars are plain values (``int`` or ``Fraction`` for the rationals,
 operations so linear algebra can be written once for both.
 
 A rational is a plain ``int`` while it is integral, and a ``Fraction``
-only once the inverse of a non-unit makes it fractional: ``zero``, ``one``
-and ``of_int`` are ints, ``inv`` returns -1 and 1 as themselves, and an
+only once the inverse of a non-unit makes it fractional: ``zero`` and
+``one`` are ints, ``inv`` returns -1 and 1 as themselves, and an
 inverse that comes out integral is turned back into an ``int``.  No
 operation divides an ``int`` by an ``int`` with ``/``, so no scalar is ever
 a float.  The two kinds mix freely and cannot change any output, because
@@ -65,18 +65,10 @@ class FieldSpec:
         object.__setattr__(self, "zero", 0)
         object.__setattr__(self, "one", 1)
 
-    # -- construction ------------------------------------------------------
-
-    def of_int(self, n: int):
-        return n % self.char if self.char else n
-
     # -- arithmetic --------------------------------------------------------
 
     def add(self, a, b):
         return (a + b) % self.char if self.char else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.char if self.char else a - b
 
     def neg(self, a):
         return (-a) % self.char if self.char else -a
@@ -101,9 +93,6 @@ class FieldSpec:
     # ``char | n`` test used by the loop-power characteristic condition.
     def divides_char(self, n: int) -> bool:
         return self.char != 0 and n % self.char == 0
-
-    def scalar_str(self, a) -> str:
-        return str(a)
 
     def __str__(self):
         return "Q" if self.char == 0 else f"F{self.char}"

@@ -24,7 +24,6 @@ from .oracles import oracle_center, oracle_hh1_dim
 from .quiver import (
     Path,
     Quiver,
-    component_of,
     connected_components,
     is_sink_arrow,
     is_source_arrow,
@@ -156,16 +155,17 @@ class GluedAlgebra:
         return is_source_arrow(QA, self.alpha) and is_sink_arrow(QA, self.beta)
 
     @cached_property
+    def components_a(self) -> list:
+        return connected_components(self.A.quiver)
+
+    @cached_property
     def same_block(self) -> bool:
         e1, _, e3, _ = self.endpoints
-        return component_of(self.A.quiver, e1) == component_of(self.A.quiver, e3)
+        return any(e1 in comp and e3 in comp for comp in self.components_a)
 
     @cached_property
     def components(self) -> tuple:
-        return (
-            len(connected_components(self.A.quiver)),
-            len(connected_components(self.B.quiver)),
-        )
+        return len(self.components_a), len(connected_components(self.B.quiver))
 
     # -- derived subspaces and invariants ---------------------------------------
 

@@ -144,14 +144,6 @@ def connected_components(Q: Quiver) -> list:
     return [sorted(g) for _, g in sorted(groups.items())]
 
 
-def component_of(Q: Quiver, v: int) -> int:
-    """Index of the component containing ``v`` in ``connected_components``."""
-    for i, comp in enumerate(connected_components(Q)):
-        if v in comp:
-            return i
-    raise ValueError(f"vertex {v} not in quiver")
-
-
 def betti(Q: Quiver) -> int:
     """First Betti number of the underlying graph: arrows - vertices + components."""
     return Q.num_arrows - Q.num_vertices + len(connected_components(Q))

@@ -73,8 +73,7 @@ def _sample_algebra(rng: random.Random, Q: Quiver, spec: RandomSpec):
         try:
             A = build(Q, rels, spec.field, minimalize=True)
         except DimensionalityError as err:
-            cycle = err.cycle
-            cut = tuple((cycle * 2)[:2]) if len(cycle) == 1 else tuple(cycle[:2])
+            cut = tuple((err.cycle * 2)[:2])  # a one-arrow cycle is cut at its square
             if cut in words:
                 return None
             words.add(cut)

@@ -106,7 +106,7 @@ def _glued(A, alpha, beta, scale=None):
     g = glue(A, alpha, beta)
     if scale is not None:
         CA, CB = g.complexes
-        g.complexes = (CA, _ScaledBracket(CB, A.field.of_int(scale)))
+        g.complexes = (CA, _ScaledBracket(CB, scale))
     return g
 
 

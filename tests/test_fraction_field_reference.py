@@ -3,7 +3,7 @@
 ``QQ`` keeps a rational as a plain ``int`` while it is integral and makes it
 a ``Fraction`` only when an inverse of a non-unit makes it fractional.
 ``FractionField`` below is the rational field as it was before that: its
-zero, one, ``of_int`` and ``inv`` always give a ``Fraction``.  Because
+zero, one and ``inv`` always give a ``Fraction``.  Because
 ``Fraction(n) == n``, ``hash(Fraction(n)) == hash(n)`` and
 ``str(Fraction(n)) == str(n)``, every linear-algebra result must be equal
 under both fields, print the same entry by entry, and never hold a float.
@@ -37,9 +37,6 @@ class FractionField(FieldSpec):
         super().__post_init__()
         object.__setattr__(self, "zero", Fraction(0))
         object.__setattr__(self, "one", Fraction(1))
-
-    def of_int(self, n: int):
-        return Fraction(n)
 
     def inv(self, a):
         if self.is_zero(a):
@@ -169,8 +166,8 @@ def test_fractional_path_is_pinned():
     assert QQ.inv(-2) == Fraction(-1, 2)
     assert type(QQ.inv(Fraction(1, 2))) is int and QQ.inv(Fraction(-1, 2)) == -2
     assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
-    assert (QQ.zero, QQ.one, QQ.of_int(-7)) == (0, 1, -7)
-    assert all(type(x) is int for x in (QQ.zero, QQ.one, QQ.of_int(-7)))
+    assert (QQ.zero, QQ.one, QQ.neg(7)) == (0, 1, -7)
+    assert all(type(x) is int for x in (QQ.zero, QQ.one, QQ.neg(7)))
     for zero in (0, Fraction(0)):
         with pytest.raises(ZeroDivisionError):
             QQ.inv(zero)

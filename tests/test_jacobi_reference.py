@@ -70,7 +70,7 @@ def random_presentation(rng: random.Random) -> LieAlgebraPresentation:
     for i in range(d):
         for j in range(i + 1, d):
             coords[(i, j)] = {
-                m: field.of_int(rng.choice((-2, -1, 1, 2, 3)))
+                m: field.add(field.zero, rng.choice((-2, -1, 1, 2, 3)))
                 for m in range(d)
                 if rng.random() < density
             }

@@ -52,7 +52,7 @@ def _rref(field, rows: list, width: int) -> tuple:
         for i in range(len(work)):
             if i != r and not field.is_zero(work[i][c]):
                 f = work[i][c]
-                work[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(work[i], work[r])]
+                work[i] = [field.add(x, field.neg(field.mul(f, y))) for x, y in zip(work[i], work[r])]
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -131,7 +131,7 @@ def ref_reduce_against(field, rows, pivots, vec):
             for i, x in enumerate(row):
                 if field.is_zero(x):
                     continue
-                s = field.sub(rem.get(i, field.zero), field.mul(c, x))
+                s = field.add(rem.get(i, field.zero), field.neg(field.mul(c, x)))
                 if field.is_zero(s):
                     rem.pop(i, None)
                 else:
@@ -291,7 +291,7 @@ def _combination(f, rows, picks):
     out = {}
     for i, c in picks:
         for k, x in rows[i % len(rows)].items():
-            out[k] = f.add(out.get(k, f.zero), f.mul(f.of_int(c), x))
+            out[k] = f.add(out.get(k, f.zero), f.mul(c, x))
     return {k: x for k, x in out.items() if not f.is_zero(x)}
 
 

@@ -40,12 +40,12 @@ def brute_force_der_dim(A):
                 if rq is not None:
                     d = per_coord.setdefault(index[rq], {})
                     key = (i, k)
-                    d[key] = f.sub(d.get(key, f.zero), f.one)
+                    d[key] = f.add(d.get(key, f.zero), f.neg(f.one))
                 pr = A.multiply(p, r)
                 if pr is not None:
                     d = per_coord.setdefault(index[pr], {})
                     key = (j, k)
-                    d[key] = f.sub(d.get(key, f.zero), f.one)
+                    d[key] = f.add(d.get(key, f.zero), f.neg(f.one))
             for row in per_coord.values():
                 flat = {
                     unknowns.index[key]: c for key, c in row.items() if not f.is_zero(c)

@@ -164,7 +164,7 @@ def ref_theta(A: MonomialAlgebra, chord: int, walks: ParadeData) -> dict:
         )
         c = signed_count(loop, chord)
         if c:
-            vec[C.basis1.index[(a, Q.arrow_path(a))]] = f.of_int(c)
+            vec[C.basis1.index[(a, Q.arrow_path(a))]] = f.add(f.zero, c)
     if C.delta1.apply(f, vec):
         raise QuiverHHError("chord dual cocycle failed the kernel membership assertion")
     return vec
