@@ -7,6 +7,12 @@ incident arrows; the degree-one differential substitutes an arrow by a
 parallel path inside every relation.  HH0 is the kernel in degree zero,
 HH1 the kernel modulo image in degree one, and the degree-one bracket of
 two arrow pairs substitutes each into the other.
+
+The bracket [(a, γ), (b, ε)] substitutes γ for a in ε and ε for b in γ,
+so it vanishes unless a occurs in ε or b occurs in γ.  Every pairwise
+bracket loop (``hh1_lie`` here; the bracket checks of ``checks``) visits
+only the pairs :meth:`PairComplex.interacting_pairs` keeps, and
+``lie_center_dim`` eliminates only the nonzero rows of its matrix.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .linalg import (
     accumulate,
     image,
     kernel,
+    null_space,
     reduce_against,
 )
 from .quiver import Path, path_str
@@ -147,6 +154,23 @@ class PairComplex:
                     accumulate(f, out, idx[(a, q)], f.neg(c))
         return out
 
+    def interacting_pairs(self, vectors) -> list:
+        """The sorted pairs ``i < j`` of degree-one ``vectors`` whose bracket
+        can be nonzero: a left arrow of one occurs in a right-hand path of
+        the other.  Every other pair brackets to ``{}``."""
+        labels = self.basis1.labels
+        through: dict = {}  # arrow -> vectors with a right-hand path through it
+        for n, v in enumerate(vectors):
+            for a in {a for k in v for a in labels[k][1].arrows}:
+                through.setdefault(a, []).append(n)
+        pairs = set()
+        for i, v in enumerate(vectors):
+            for a in {labels[k][0] for k in v}:
+                for j in through.get(a, ()):
+                    if i != j:
+                        pairs.add((i, j) if i < j else (j, i))
+        return sorted(pairs)
+
     # -- cohomology --------------------------------------------------------------
 
     @property
@@ -224,35 +248,29 @@ class LieAlgebraPresentation:
 
 def lie_center_dim(pres: LieAlgebraPresentation) -> int:
     """Dimension of the center of the presented Lie algebra: the kernel of
-    x -> ([x, x_k])_k, one column per basis element."""
+    x -> ([x, x_k])_k, with one row per (k, m) that has a nonzero
+    coefficient of x_m in some [x_i, x_k]."""
     f = pres.field
-    d = pres.dim
-    if d == 0:
-        return 0
-    columns = [{} for _ in range(d)]
+    rows: dict = {}  # (k, m) -> {i: coefficient of x_m in [x_i, x_k]}
     for (i, k), terms in pres.terms.items():
         for m, c in terms:
-            columns[i][k * d + m] = c
-            columns[k][i * d + m] = f.neg(c)
-    dom = LabeledBasis(tuple(range(d)))
-    cod = LabeledBasis(tuple(range(d * d)))
-    return kernel(f, LinearMap(dom, cod, tuple(columns))).dim
+            rows.setdefault((k, m), {})[i] = c
+            rows.setdefault((i, m), {})[k] = f.neg(c)
+    return null_space(f, LabeledBasis(tuple(range(pres.dim))), list(rows.values())).dim
 
 
 def hh1_lie(A: MonomialAlgebra) -> LieAlgebraPresentation:
     """Structure constants on the deterministic degree-one representatives."""
     C = complex_data(A)
     reps = C.hh1_view.representatives()
-    d = len(reps)
     terms = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            coords = C.hh1_view.project(C.bracket(reps[i], reps[j]))
-            if coords:
-                terms[(i, j)] = tuple(coords.items())
+    for i, j in C.interacting_pairs(reps):
+        coords = C.hh1_view.project(C.bracket(reps[i], reps[j]))
+        if coords:
+            terms[(i, j)] = tuple(coords.items())
     pivots = [C.ker1.pivots[i] for i in C.hh1_view.rep_indices]
     labels = tuple(pair_str(A, C.basis1.labels[p], "1") for p in pivots)
-    return LieAlgebraPresentation(d, labels, terms, A.field)
+    return LieAlgebraPresentation(len(reps), labels, terms, A.field)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Differential test: the HH^1 Lie map check against its per-pair-solve form.
+"""Differential tests: the HH^1 bracket checks against their earlier forms.
 
 The reference below is ``check_hh1_lie_iso`` as the package ran it before
 the check read A's structure constants from ``hh1_lie``: for every basis
@@ -9,17 +9,48 @@ forms must agree on status, compared values and reason, also when the B
 bracket is perturbed so that the structure constants differ.  Its
 quotient coordinates come from the dense ``RefQuotientView`` of
 ``test_linalg_reference``, as they did when ``project`` returned tuples.
+
+The reference ``ref_check_ker_delta1_hom`` is ``check_ker_delta1_hom`` as
+it ran before the check visited only the pairs that
+``PairComplex.interacting_pairs`` keeps on either side: it brackets every
+pair of kernel rows.  No corpus gluing fails that check, so the pair it
+reports is compared under perturbations: B's bracket scaled by 2 or 3 or
+made symmetric (``_SymmetricBracket``), and a transport that drops every
+B pair with one given left arrow.  Under the symmetric bracket some
+mismatched pairs are kept only by B's side of the filter, under the
+dropping transport some only by A's side.  ``ref_hh1_central_summand_body``
+is the body of ``check_hh1_central_summand`` before it bracketed only the
+kernel rows that meet the merged arrow's pair.
 """
+
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverhh.checks import CheckReport, check_hh1_lie_iso
+from quiverhh.checks import (
+    LOOP_POWER,
+    CheckReport,
+    check_hh1_central_summand,
+    check_hh1_lie_iso,
+    check_ker_delta1_hom,
+)
 from quiverhh.examples_data import EXAMPLES, fan
 from quiverhh.fields import GF, QQ
 from quiverhh.fileformat import parse
 from quiverhh.gluing import glue
-from quiverhh.linalg import LabeledBasis, solve_columns, span, subspace_sum
+from quiverhh.linalg import (
+    LabeledBasis,
+    LinearMap,
+    accumulate,
+    contains_subspace,
+    member,
+    restricted_kernel,
+    solve_columns,
+    span,
+    subspace_sum,
+)
+from quiverhh.paircomplex import substitute
 from quiverhh.randomgen import RandomSpec, source_sink_instance
 from test_linalg_reference import RefQuotientView
 
@@ -102,12 +133,41 @@ class _ScaledBracket:
         return {k: v for k, v in out.items() if not f.is_zero(v)}
 
 
+class _SymmetricBracket(_ScaledBracket):
+    """B's pair complex whose bracket adds the two substitutions of the
+    degree-one bracket instead of subtracting them.  It still vanishes
+    unless the arrows of the two pairs meet."""
+
+    def __init__(self, C):
+        super().__init__(C, 1)
+
+    def bracket(self, x, y):
+        C = self._C
+        f, labels, idx = C.field, C.basis1.labels, C.basis1.index
+        out: dict = {}
+        for i, ci in x.items():
+            a, gamma = labels[i]
+            for j, cj in y.items():
+                b, eps = labels[j]
+                c = f.mul(ci, cj)
+                for q in substitute(C.A, eps, a, gamma):
+                    accumulate(f, out, idx[(b, q)], c)
+                for q in substitute(C.A, gamma, b, eps):
+                    accumulate(f, out, idx[(a, q)], c)
+        return out
+
+
 def _glued(A, alpha, beta, scale=None):
+    """The gluing with B's bracket scaled by ``scale``, or made symmetric."""
     g = glue(A, alpha, beta)
     if scale is not None:
         CA, CB = g.complexes
-        g.complexes = (CA, _ScaledBracket(CB, scale))
+        wrapped = _SymmetricBracket(CB) if scale == "symmetric" else _ScaledBracket(CB, scale)
+        g.complexes = (CA, wrapped)
     return g
+
+
+SCALES = (None, 2, 3, "symmetric")
 
 
 def _outcomes(A, alpha, beta, scale=None):
@@ -123,7 +183,7 @@ def test_corpus_matches_reference():
     for text, alpha, beta in texts:
         A = parse(text)
         ids = A.quiver.arrow_index[alpha], A.quiver.arrow_index[beta]
-        for scale in (None, 2, 3):
+        for scale in SCALES:
             new, ref = _outcomes(A, *ids, scale)
             assert new == ref, (text, scale)
             fails += new[0] == "fail"
@@ -142,10 +202,141 @@ def test_fan_perturbed_bracket_fails_at_first_pair():
 @given(
     st.integers(0, 10**6),
     st.sampled_from(sorted(FIELDS)),
-    st.sampled_from([None, 2, 3]),
+    st.sampled_from(SCALES),
 )
 def test_source_sink_instances_match_reference(seed, field, scale):
     spec = RandomSpec(seed=seed, field=FIELDS[field], max_vertices=4, max_arrows=5, max_dim=24)
     A, gs = source_sink_instance(spec)
     new, ref = _outcomes(A, gs.alpha, gs.beta, scale)
     assert new == ref
+
+
+def ref_check_ker_delta1_hom(g):
+    if not LOOP_POWER.holds(g):
+        return CheckReport("ker_delta1_hom", LOOP_POWER.status, reason=LOOP_POWER.reason)
+    f = g.B.field
+    CA, CB = g.complexes
+    ok = contains_subspace(f, CB.ker1, g.psi1_ker1)
+    QA = g.A.quiver
+    alpha_minus_beta = {
+        CA.basis1.index[(g.alpha, QA.arrow_path(g.alpha))]: f.one,
+        CA.basis1.index[(g.beta, QA.arrow_path(g.beta))]: f.neg(f.one),
+    }
+    ok = ok and restricted_kernel(f, g.psi1, CA.ker1.row_vectors()) == span(
+        f, CA.basis1, [alpha_minus_beta]
+    )
+    detail = ""
+    if g.source_sink:
+        rows = CA.ker1.row_vectors()
+        psi = [g.psi1.apply(f, r) for r in rows]
+        for i, j in combinations(range(len(rows)), 2):
+            if g.psi1.apply(f, CA.bracket(rows[i], rows[j])) != CB.bracket(psi[i], psi[j]):
+                ok = False
+                detail = f"bracket mismatch on kernel rows {(i, j)}"
+                break
+    return _verdict("ker_delta1_hom", ok, reason=detail)
+
+
+def _forget_arrow(g, c):
+    """Make ``g.psi1`` drop every B pair whose left arrow is ``c``."""
+    psi = g.psi1
+    labels = psi.codomain.labels
+    cols = tuple({k: x for k, x in col.items() if labels[k][0] != c} for col in psi.columns)
+    g.psi1 = LinearMap(psi.domain, psi.codomain, cols)
+    return g
+
+
+def _hom_outcomes(A, alpha, beta, perturbation):
+    """(status, reason) of the check and of the reference, under
+    ``perturbation``: one of ``SCALES`` (see ``_glued``), or
+    ``("forget", c)`` for an arrow c of B whose pairs the transport drops."""
+
+    def glued():
+        if isinstance(perturbation, tuple):
+            return _forget_arrow(glue(A, alpha, beta), perturbation[1])
+        return _glued(A, alpha, beta, perturbation)
+
+    return [
+        (r.status, r.reason)
+        for r in (check_ker_delta1_hom(glued()), ref_check_ker_delta1_hom(glued()))
+    ]
+
+
+def test_ker_delta1_hom_corpus_matches_reference():
+    texts = [(e.text, e.alpha, e.beta) for e in EXAMPLES]
+    texts += [(fan(m, p), "alpha", "beta") for m in (2, 3, 4) for p in (0, 2, 3, 5)]
+    reported = set()
+    for text, alpha, beta in texts:
+        A = parse(text)
+        ids = A.quiver.arrow_index[alpha], A.quiver.arrow_index[beta]
+        forget = [("forget", c) for c in range(A.quiver.num_arrows - 1)]  # B has one fewer
+        for perturbation in list(SCALES) + forget:
+            new, ref = _hom_outcomes(A, *ids, perturbation)
+            assert new == ref, (text, perturbation)
+            if new[1].startswith("bracket mismatch"):
+                reported.add(perturbation if perturbation in SCALES else "forget")
+    assert reported == {2, 3, "symmetric", "forget"}  # each exercises the reported pair
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(sorted(FIELDS)),
+    st.sampled_from(SCALES + ("forget",)),
+    st.integers(0, 10),
+)
+def test_ker_delta1_hom_source_sink_instances_match_reference(seed, field, perturbation, arrow):
+    spec = RandomSpec(seed=seed, field=FIELDS[field], max_vertices=4, max_arrows=5, max_dim=24)
+    A, gs = source_sink_instance(spec)
+    if perturbation == "forget":
+        perturbation = ("forget", arrow % (A.quiver.num_arrows - 1))
+    new, ref = _hom_outcomes(A, gs.alpha, gs.beta, perturbation)
+    assert new == ref
+
+
+def ref_hh1_central_summand_body(g):
+    """``check_hh1_central_summand``'s body before it bracketed only the
+    kernel rows that meet the merged arrow's pair."""
+    f = g.B.field
+    CA, CB = g.complexes
+    gamma_vec = g.gamma_pair_vector()
+    ok = all(member(f, CB.im0, CB.bracket(gamma_vec, w)) for w in CB.ker1.row_vectors())
+    lhs = CB.hh1_view.dim
+    rhs = CA.hh1_view.dim + 1
+    ok = ok and lhs == rhs
+    return _verdict("hh1_central_summand", ok, lhs, rhs)
+
+
+def _central_outcomes(A, alpha, beta, scale):
+    """Status and values of the checker body and of the reference, or None
+    where a hypothesis of the check fails."""
+    g = _glued(A, alpha, beta, scale)
+    if not all(h.holds(g) for h in check_hh1_central_summand.hypotheses):
+        return None
+    new = check_hh1_central_summand.__wrapped__(g)
+    ref = ref_hh1_central_summand_body(_glued(A, alpha, beta, scale))
+    return [(r.status, r.lhs, r.rhs) for r in (new, ref)]
+
+
+def test_hh1_central_summand_matches_reference():
+    texts = [(e.text, e.alpha, e.beta) for e in EXAMPLES]
+    texts += [(fan(m), "alpha", "beta") for m in (2, 3, 4, 5)]
+    statuses = set()
+    for text, alpha, beta in texts:
+        A = parse(text)
+        ids = A.quiver.arrow_index[alpha], A.quiver.arrow_index[beta]
+        for scale in SCALES:
+            out = _central_outcomes(A, *ids, scale)
+            if out is not None:
+                assert out[0] == out[1], (text, scale)
+                statuses.add((scale, out[0][0]))
+    assert ("symmetric", "fail") in statuses and (None, "pass") in statuses
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(SCALES))
+def test_hh1_central_summand_random_matches_reference(seed, scale):
+    spec = RandomSpec(seed=seed, field=QQ, max_vertices=4, max_arrows=5, max_dim=24)
+    A, gs = source_sink_instance(spec)
+    out = _central_outcomes(A, gs.alpha, gs.beta, scale)
+    assert out is None or out[0] == out[1]
