@@ -161,10 +161,23 @@ def _emit_reports(reports, as_json: bool) -> int:
     return worst
 
 
+def _check_names(spec: str) -> tuple:
+    """The names of a ``--checks`` comma list, each a known check listed once."""
+    names = tuple(c.strip() for c in spec.split(","))
+    for i, name in enumerate(names):
+        if not name:
+            raise QuiverHHError(f"--checks: empty entry in {spec!r}")
+        if name not in CHECKS:
+            raise QuiverHHError(f"--checks: unknown check {name!r}")
+        if name in names[:i]:
+            raise QuiverHHError(f"--checks: check {name!r} is listed twice")
+    return names
+
+
 def cmd_verify(args) -> int:
+    names = None if args.checks == "all" else _check_names(args.checks)
     A = _load(args.file)
     g = glue(A, _arrow_id(A, args.alpha), _arrow_id(A, args.beta))
-    names = None if args.checks == "all" else [c.strip() for c in args.checks.split(",")]
     reports = run_checks(g, names)
     return _emit_reports(reports, args.json)
 
@@ -210,9 +223,7 @@ def cmd_examples(args) -> int:
 def cmd_fuzz(args) -> int:
     if args.count < 0:
         raise QuiverHHError(f"--count expects a non-negative integer, got {args.count}")
-    checks = FUZZ_CHECKS if args.checks == "default" else tuple(
-        c.strip() for c in args.checks.split(",")
-    )
+    checks = FUZZ_CHECKS if args.checks == "default" else _check_names(args.checks)
     reports, failures = run_fuzz(args.seed, args.count, checks)
     statuses: dict = {}
     for _, reps in reports:
@@ -286,7 +297,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("fuzz", help="random instances through the comparison checks")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--checks", default="default")
+    p.add_argument(
+        "--checks",
+        default="default",
+        help=f"'default' ({', '.join(FUZZ_CHECKS)}) or a comma list from: {', '.join(CHECKS)}",
+    )
     p.add_argument("--json", action="store_true")
     p.add_argument("--repro", action="store_true", help="print reproduction files for failures")
     p.set_defaults(fn=cmd_fuzz)

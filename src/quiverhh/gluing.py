@@ -40,9 +40,11 @@ def _unique_name(base: str, taken: set) -> str:
     return name
 
 
-def _invariant(cond: bool, message: str):
+def _invariant(cond: bool, message: str, *args):
+    """Raise unless ``cond``.  ``message`` is formatted with ``args`` only
+    on failure, so a check inside a loop over paths formats no repr."""
     if not cond:
-        raise QuiverHHError(f"gluing invariant violated: {message}")
+        raise QuiverHHError("gluing invariant violated: " + message.format(*args))
 
 
 @dataclass(frozen=True)
@@ -349,11 +351,10 @@ def glue(A: MonomialAlgebra, alpha: int, beta: int, gamma_name: str = "gamma*") 
 
     g = GluedAlgebra(A, alpha, beta, B, tuple(vertex_map), tuple(arrow_map), gamma, tuple(z_new))
 
-    _invariant(B.dim == A.dim - 3, f"dim B = {B.dim} but dim A - 3 = {A.dim - 3}")
+    _invariant(B.dim == A.dim - 3, "dim B = {} but dim A - 3 = {}", B.dim, A.dim - 3)
     fibers: dict = {}
-    for p in A.basis:
-        q = g.map_path(p)
-        _invariant(B.in_basis(q), f"image of a basis path is not relation-free: {q}")
+    for p, q in g.path_image.items():
+        _invariant(B.in_basis(q), "image of a basis path is not relation-free: {}", q)
         fibers.setdefault(q, []).append(p)
     _invariant(len(fibers) == B.dim, "induced path map is not surjective")
     for q, pre in fibers.items():
@@ -363,8 +364,7 @@ def glue(A: MonomialAlgebra, alpha: int, beta: int, gamma_name: str = "gamma*") 
         )
         expected = 2 if doubled else 1
         _invariant(
-            len(pre) == expected,
-            f"fiber of {q} has size {len(pre)}, expected {expected}",
+            len(pre) == expected, "fiber of {} has size {}, expected {}", q, len(pre), expected
         )
     long_a = sum(1 for p in A.basis if p.length >= 2)
     long_b = sum(1 for q in B.basis if q.length >= 2)

@@ -1,15 +1,19 @@
 """Finite quivers and paths.
 
 Vertices and arrows are identified by their position in the defining
-tuples; display names are metadata.  Paths store their arrows in
-traversal order (first-traversed first).  The conventional right-to-left
-product notation is only used when rendering, see :func:`path_str`.
+tuples; display names are metadata.  A path is a named tuple
+``(source, target, arrows)``: it compares, hashes, orders and prints as
+those three fields, so path keys run on the built-in tuple operations.  Its
+arrows are stored in traversal order (first-traversed first).  The
+conventional right-to-left product notation is only used when rendering,
+see :func:`path_str`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import CompositionError
 
@@ -87,9 +91,13 @@ class Quiver:
         return Path(self.source(a), self.target(a), (a,))
 
 
-@dataclass(frozen=True)
-class Path:
-    """Oriented path; ``arrows`` is empty exactly for the trivial path."""
+class Path(NamedTuple):
+    """Oriented path; ``arrows`` is empty exactly for the trivial path.
+
+    A named tuple of its ``(source, target, arrows)`` fields: it equals,
+    hashes and orders as the plain tuple of them, and prints them by name,
+    as in ``Path(source=0, target=1, arrows=(2,))``.
+    """
 
     source: int
     target: int

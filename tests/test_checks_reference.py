@@ -21,6 +21,12 @@ mismatched pairs are kept only by B's side of the filter, under the
 dropping transport some only by A's side.  ``ref_hh1_central_summand_body``
 is the body of ``check_hh1_central_summand`` before it bracketed only the
 kernel rows that meet the merged arrow's pair.
+
+``check_hh1_lie_iso`` visits the union of the pairs with nonzero A
+structure constants and the pairs B's filter keeps.  A bracket that
+forgets one arrow (``_ForgetfulBracket``) on A's side or on B's side
+makes some pairs nonzero on the other side only, so each half of that
+union is needed to report the same pair as the reference.
 """
 
 from itertools import combinations
@@ -50,7 +56,7 @@ from quiverhh.linalg import (
     span,
     subspace_sum,
 )
-from quiverhh.paircomplex import substitute
+from quiverhh.paircomplex import LieAlgebraPresentation, substitute
 from quiverhh.randomgen import RandomSpec, source_sink_instance
 from test_linalg_reference import RefQuotientView
 
@@ -208,6 +214,94 @@ def test_source_sink_instances_match_reference(seed, field, scale):
     spec = RandomSpec(seed=seed, field=FIELDS[field], max_vertices=4, max_arrows=5, max_dim=24)
     A, gs = source_sink_instance(spec)
     new, ref = _outcomes(A, gs.alpha, gs.beta, scale)
+    assert new == ref
+
+
+class _ForgetfulBracket(_ScaledBracket):
+    """A pair complex whose bracket and pair filter ignore every component
+    with left arrow ``arrow``, as if the vectors had none.  Its bracket
+    still vanishes on every pair its filter drops."""
+
+    def __init__(self, C, arrow):
+        super().__init__(C, 1)
+        self._arrow = arrow
+
+    def _drop(self, v):
+        labels = self._C.basis1.labels
+        return {k: x for k, x in v.items() if labels[k][0] != self._arrow}
+
+    def bracket(self, x, y):
+        return self._C.bracket(self._drop(x), self._drop(y))
+
+    def interacting_pairs(self, vectors):
+        return self._C.interacting_pairs([self._drop(v) for v in vectors])
+
+
+def _all_pairs_lie(C):
+    """The structure constants of ``C``'s bracket on its HH^1
+    representatives, read off every pair."""
+    reps = C.hh1_view.representatives()
+    terms = {}
+    for i, j in combinations(range(len(reps)), 2):
+        coords = C.hh1_view.project(C.bracket(reps[i], reps[j]))
+        if coords:
+            terms[(i, j)] = tuple(coords.items())
+    return LieAlgebraPresentation(len(reps), (), terms, C.field)
+
+
+def _forgetful_glued(A, alpha, beta, side, arrow):
+    """The gluing with A's (``side`` "A") or B's bracket forgetting ``arrow``.
+
+    Forgetting changes the brackets of that side only, so some pairs then
+    bracket to zero on one side and not on the other.  It leaves the
+    transport, and with it the rank condition of ``hh1_lie_iso``, unchanged.
+    """
+    g = glue(A, alpha, beta)
+    CA, CB = g.complexes
+    if side == "A":
+        g.complexes = (_ForgetfulBracket(CA, arrow), CB)
+        g.lie_a = _all_pairs_lie(g.complexes[0])
+    else:
+        g.complexes = (CA, _ForgetfulBracket(CB, arrow))
+    return g
+
+
+def _forgetful_outcomes(A, alpha, beta, side, arrow):
+    new = check_hh1_lie_iso(_forgetful_glued(A, alpha, beta, side, arrow))
+    ref = ref_check_hh1_lie_iso(_Context(_forgetful_glued(A, alpha, beta, side, arrow)))
+    return [(r.status, r.lhs, r.rhs, r.reason) for r in (new, ref)]
+
+
+def test_forgetful_bracket_corpus_matches_reference():
+    # pins both halves of the pair union in hh1_lie_iso: each side's
+    # forgetting makes pairs nonzero on the other side only
+    texts = [(e.text, e.alpha, e.beta) for e in EXAMPLES]
+    texts += [(fan(m, p), "alpha", "beta") for m in (2, 3, 4) for p in (0, 2, 3, 5)]
+    reported = set()
+    for text, alpha, beta in texts:
+        A = parse(text)
+        ids = A.quiver.arrow_index[alpha], A.quiver.arrow_index[beta]
+        for side, arrows in (("A", A.quiver.num_arrows), ("B", A.quiver.num_arrows - 1)):
+            for arrow in range(arrows):
+                new, ref = _forgetful_outcomes(A, *ids, side, arrow)
+                assert new == ref, (text, side, arrow)
+                if new[3].startswith("structure constants differ"):
+                    reported.add(side)
+    assert reported == {"A", "B"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(sorted(FIELDS)),
+    st.sampled_from("AB"),
+    st.integers(0, 10),
+)
+def test_forgetful_bracket_source_sink_instances_match_reference(seed, field, side, arrow):
+    spec = RandomSpec(seed=seed, field=FIELDS[field], max_vertices=4, max_arrows=5, max_dim=24)
+    A, gs = source_sink_instance(spec)
+    arrow %= A.quiver.num_arrows - (side == "B")
+    new, ref = _forgetful_outcomes(A, gs.alpha, gs.beta, side, arrow)
     assert new == ref
 
 

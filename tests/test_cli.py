@@ -87,6 +87,36 @@ def test_fuzz_negative_count_exit_code(capsys, count):
     assert err.splitlines() == [f"error: --count expects a non-negative integer, got {count}"]
 
 
+BAD_CHECKS = [
+    ("nope", "unknown check 'nope'"),
+    ("pi1_rank,nope", "unknown check 'nope'"),
+    (",pi1_rank", "empty entry in ',pi1_rank'"),
+    ("pi1_rank,", "empty entry in 'pi1_rank,'"),
+    ("", "empty entry in ''"),
+    ("im_delta0_dim,im_delta0_dim", "check 'im_delta0_dim' is listed twice"),
+    ("pi1_rank, im_delta0_dim ,pi1_rank", "check 'pi1_rank' is listed twice"),
+]
+
+
+@pytest.mark.parametrize("spec, message", BAD_CHECKS)
+def test_fuzz_bad_checks_exit_code(capsys, spec, message):
+    # rejected before any instance is generated, even with --count 0
+    code, out, err = run(capsys, "fuzz", "--seed", "1", "--count", "0", f"--checks={spec}")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: --checks: {message}"]
+
+
+@pytest.mark.parametrize("spec, message", BAD_CHECKS)
+def test_verify_bad_checks_exit_code(capsys, tmp_path, spec, message):
+    # rejected before the file is read: this one does not exist
+    missing = str(tmp_path / "missing.alg")
+    code, out, err = run(
+        capsys, "verify", missing, "--alpha", "alpha", "--beta", "beta", f"--checks={spec}"
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: --checks: {message}"]
+
+
 def test_center_and_pi1(capsys, line_bound_file):
     code, out, _ = run(capsys, "center", line_bound_file)
     assert code == 0 and "dim Z: 1" in out
