@@ -3,8 +3,11 @@
 Subcommands: ``info``, ``hh``, ``center``, ``pi1-rank``, ``glue``,
 ``verify``, ``examples``, ``fuzz``.  Output is deterministic for fixed
 input and flags; ``--json`` switches reports to one JSON object per line
-with fields check/status/lhs/rhs/witness.  Exit codes: 0 clean, 1 a fail
-report was produced, 2 usage, parse or validation errors.
+with fields check/status/lhs/rhs/witness.  ``fuzz --json`` also marks each
+failed row ``confirmed`` by the oracles or not, and ends with one summary
+object.  Exit codes: 0 clean, 1 a fail report was produced (every fuzz
+failure oracle-confirmed), 2 usage, parse or validation errors, 3 a fuzz
+failure the oracles do not confirm.
 """
 
 from __future__ import annotations
@@ -76,6 +79,8 @@ def _parse_degrees(spec: str):
         degrees = None
     if degrees is None or not 0 <= degrees[0] <= degrees[1]:
         raise QuiverHHError(f"--degrees expects N or N..M with 0 <= N <= M, got {spec!r}")
+    if degrees[1] > sys.maxsize:
+        raise QuiverHHError(f"--degrees: degree {degrees[1]} is larger than {sys.maxsize}")
     return degrees
 
 
@@ -223,8 +228,10 @@ def cmd_examples(args) -> int:
 def cmd_fuzz(args) -> int:
     if args.count < 0:
         raise QuiverHHError(f"--count expects a non-negative integer, got {args.count}")
-    checks = FUZZ_CHECKS if args.checks == "default" else _check_names(args.checks)
+    named = {"default": FUZZ_CHECKS, "all": tuple(CHECKS)}
+    checks = named[args.checks] if args.checks in named else _check_names(args.checks)
     reports, failures = run_fuzz(args.seed, args.count, checks)
+    confirmations = {(inst_seed, rep.check): c for inst_seed, rep, c in failures}
     statuses: dict = {}
     for _, reps in reports:
         for rep in reps:
@@ -234,7 +241,17 @@ def cmd_fuzz(args) -> int:
             for rep in reps:
                 obj = rep.as_dict()
                 obj["seed"] = inst_seed
+                if rep.failed:
+                    obj["confirmed"] = confirmations[(inst_seed, rep.check)]
                 print(json.dumps(obj, sort_keys=True))
+        n_confirmed = sum(confirmations.values())
+        summary = {
+            "instances": args.count,
+            "fails": len(failures),
+            "confirmed": n_confirmed,
+            "unconfirmed": len(failures) - n_confirmed,
+        }
+        print(json.dumps({"summary": summary}))
     else:
         print(f"instances: {args.count}")
         for k in sorted(statuses):
@@ -244,6 +261,8 @@ def cmd_fuzz(args) -> int:
             print(f"fail @ seed {inst_seed}: {rep.check} lhs={rep.lhs} rhs={rep.rhs} [{tag}]")
             if args.repro:
                 sys.stdout.write(rep.repro)
+    if not all(confirmations.values()):
+        return 3
     return 1 if failures else 0
 
 
@@ -300,7 +319,8 @@ def main(argv=None) -> int:
     p.add_argument(
         "--checks",
         default="default",
-        help=f"'default' ({', '.join(FUZZ_CHECKS)}) or a comma list from: {', '.join(CHECKS)}",
+        help=f"'default' ({', '.join(FUZZ_CHECKS)}), 'all', or a comma list from: "
+        f"{', '.join(CHECKS)}",
     )
     p.add_argument("--json", action="store_true")
     p.add_argument("--repro", action="store_true", help="print reproduction files for failures")

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
+from quiverhh import checks
+from quiverhh.checks import CHECKS
 from quiverhh.cli import main
 from quiverhh.examples_data import example_by_name, fan
 
@@ -71,6 +74,18 @@ def test_hh_bad_degrees_exit_code(capsys, line_bound_file, spec):
     assert code == 2 and out == ""
     assert err.splitlines() == [
         f"error: --degrees expects N or N..M with 0 <= N <= M, got {spec!r}"
+    ]
+
+
+@pytest.mark.parametrize("spec", ["99999999999999999999", "0..99999999999999999999"])
+def test_hh_huge_degree_exit_code(capsys, tmp_path, spec):
+    # radical square zero, so every degree above one is computed
+    p = tmp_path / "rsz.alg"
+    p.write_text("field Q\nvertex a\nvertex b\narrow x a b\n")
+    code, out, err = run(capsys, "hh", str(p), f"--degrees={spec}")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"error: --degrees: degree 99999999999999999999 is larger than {sys.maxsize}"
     ]
 
 
@@ -217,6 +232,39 @@ def test_fuzz_cli(capsys):
                        "--checks", "pi1_rank,im_delta0_dim")
     assert code == 0
     assert "instances: 6" in out
+
+
+def test_fuzz_checks_all_runs_every_check(capsys):
+    argv = ("fuzz", "--seed", "5000", "--count", "4", "--json")
+    code, out, _ = run(capsys, *argv, "--checks=all")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [row["check"] for row in rows[:-1]] == list(CHECKS) * 4
+    assert (code, out) == run(capsys, *argv, f"--checks={','.join(CHECKS)}")[:2]
+
+
+def test_fuzz_json_marks_confirmed_failures(capsys):
+    code, out, _ = run(capsys, "fuzz", "--seed", "20260809", "--count", "24", "--json")
+    rows = [json.loads(line) for line in out.splitlines()]
+    failed = [row for row in rows[:-1] if row["status"] == "fail"]
+    assert code == 1 and failed
+    assert all(row["confirmed"] is True for row in failed)
+    assert all("confirmed" not in row for row in rows[:-1] if row["status"] != "fail")
+    n = len(failed)
+    assert rows[-1] == {"summary": {"instances": 24, "fails": n, "confirmed": n, "unconfirmed": 0}}
+    # the CI fuzz step greps the last line for exactly this text
+    assert out.splitlines()[-1].endswith('"unconfirmed": 0}}')
+
+
+def test_fuzz_unconfirmed_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(checks, "confirm_failure", lambda g, report: False)
+    code, out, _ = run(capsys, "fuzz", "--seed", "20260809", "--count", "24", "--json")
+    rows = [json.loads(line) for line in out.splitlines()]
+    failed = [row for row in rows[:-1] if row["status"] == "fail"]
+    assert code == 3 and failed
+    assert all(row["confirmed"] is False for row in failed)
+    assert rows[-1]["summary"]["unconfirmed"] == rows[-1]["summary"]["fails"] == len(failed)
+    code, out, _ = run(capsys, "fuzz", "--seed", "20260809", "--count", "24")
+    assert code == 3 and "[UNCONFIRMED]" in out
 
 
 def test_determinism_byte_identical(capsys, line_bound_file):

@@ -1,11 +1,17 @@
-"""Differential tests: both oracles against their earlier implementation.
+"""Differential tests: both oracles against their two earlier implementations.
 
-The reference below is the commutant and the derivation system the
+The first reference is the commutant and the derivation system the
 package used before both oracles were built from one commutator matrix
 and one product-rule loop, kept here unchanged.  It expands the
 idempotent, vertex/arrow and relation equations block by block and
-builds the commutator matrix twice.  Both implementations must give the
-same (dim Der, dim InnDer) and the same canonical center basis.
+builds the commutator matrix twice.
+
+The second reference (``ref_*``) is that commutator matrix and
+product-rule loop as they were before the generator product table: every
+product is a fresh ``A.multiply`` call, and every product-rule term runs
+over the whole basis.  All three must give the same (dim Der, dim InnDer)
+and the same canonical center basis, and the table must hold exactly the
+nonzero products of a generator with a basis path.
 """
 
 from hypothesis import example, given, settings
@@ -16,9 +22,10 @@ from quiverhh.algebra import MonomialAlgebra, build
 from quiverhh.examples_data import EXAMPLES
 from quiverhh.fields import GF, QQ
 from quiverhh.fileformat import parse
+from quiverhh.gluing import glue
 from quiverhh.linalg import LabeledBasis, LinearMap, accumulate, kernel, null_space, span
 from quiverhh.quiver import Path
-from quiverhh.randomgen import RandomSpec, random_instance
+from quiverhh.randomgen import RandomSpec, instance_with_gluing, random_instance
 
 
 def _generators(A: MonomialAlgebra):
@@ -216,12 +223,115 @@ def derivation_dims(A: MonomialAlgebra):
 
 
 
+def ref_commutators(A: MonomialAlgebra) -> list:
+    """One column per basis path p: [p, g] at ``gi * dim A + coord``.
+
+    Generator by generator, the column of p is the value of the inner
+    derivation ad p in the unknowns of :func:`derivation_dims`.
+    """
+    f = A.field
+    n = A.dim
+    index = A.basis_index
+    gens = _generators(A)
+    columns = []
+    for p in A.basis:
+        col: dict = {}
+        for gi, g in enumerate(gens):
+            left = A.multiply(p, g)
+            if left is not None:
+                accumulate(f, col, gi * n + index[left], f.one)
+            right = A.multiply(g, p)
+            if right is not None:
+                accumulate(f, col, gi * n + index[right], f.neg(f.one))
+        columns.append(col)
+    return columns
+
+
+def ref_oracle_center(A: MonomialAlgebra):
+    """(dimension, central elements as path-coefficient dicts).
+
+    Solves z*g = g*z for every vertex idempotent and arrow generator g.
+    """
+    n = A.dim
+    commutators = LabeledBasis(tuple(range(len(_generators(A)) * n)))
+    m = LinearMap(LabeledBasis(tuple(range(n))), commutators, tuple(ref_commutators(A)))
+    sol = kernel(A.field, m)
+    elements = [{A.basis[i]: c for i, c in v.items()} for v in sol.row_vectors()]
+    return sol.dim, elements
+
+
+def ref_add_derivative(A: MonomialAlgebra, gen_index: dict, rows: dict, word, c) -> None:
+    """Add ``c`` times d(x_k ⋯ x_1) to ``rows`` for ``word = (x_1, ..., x_k)``.
+
+    By the product rule d(x_k ⋯ x_1) is the sum over i of
+    x_k ⋯ x_{i+1} d(x_i) x_{i-1} ⋯ x_1, where d(x_i) is the sum over basis
+    paths q of the unknown ``(x_i, q)`` times q; each term is evaluated in
+    A.  ``rows`` maps the basis index of the product to ``{unknown: coeff}``.
+    """
+    f, n, index = A.field, A.dim, A.basis_index
+    for i, x in enumerate(word):
+        offset = gen_index[x] * n
+        for qi, q in enumerate(A.basis):
+            r = q
+            for y in reversed(word[:i]):
+                r = r if r is None else A.multiply(r, y)
+            for y in word[i + 1 :]:
+                r = r if r is None else A.multiply(y, r)
+            if r is not None:
+                accumulate(f, rows.setdefault(index[r], {}), offset + qi, c)
+
+
+def ref_derivation_dims(A: MonomialAlgebra):
+    """(dim Der, dim InnDer) from the generator-value parametrization."""
+    f = A.field
+    Q = A.quiver
+    gens = _generators(A)
+    gen_index = {g: i for i, g in enumerate(gens)}
+    # The relations presenting A: yx = 0 or a generator for every generator
+    # pair other than two arrows, and r = 0 for every relation.  A derivation
+    # must respect each: d(y)x + y d(x) = d(yx) and d(r) = 0.
+    words = [
+        ((x, y), A.multiply(y, x)) for y in gens for x in gens if x.length + y.length < 2
+    ]
+    words += [(tuple(Q.arrow_path(a) for a in r.arrows), None) for r in A.relations]
+    equations = []
+    for word, product in words:
+        rows: dict = {}
+        ref_add_derivative(A, gen_index, rows, word, f.one)
+        if product is not None:
+            ref_add_derivative(A, gen_index, rows, (product,), f.neg(f.one))
+        equations.extend(rows.values())
+    unknowns = LabeledBasis(tuple(range(len(gens) * A.dim)))
+    der = len(unknowns) - span(f, unknowns, equations).dim
+    return der, span(f, unknowns, ref_commutators(A)).dim
+
+
+
 FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5)}
 
 
 def assert_oracles_match(A):
-    assert oracles.derivation_dims(A) == derivation_dims(A)
-    assert oracles.oracle_center(A) == oracle_center(A)
+    dims = oracles.derivation_dims(A)
+    center = oracles.oracle_center(A)
+    assert dims == derivation_dims(A) == ref_derivation_dims(A)
+    assert center == oracle_center(A) == ref_oracle_center(A)
+
+
+def assert_table_is_products(A):
+    """The table holds exactly the nonzero products g*p and p*g."""
+    table = oracles.product_table(A)
+    index = A.basis_index
+    assert table.gens == _generators(A)
+    for gi, g in enumerate(table.gens):
+        for side, mul in ((table.left, lambda p: A.multiply(g, p)),
+                          (table.right, lambda p: A.multiply(p, g))):
+            expected = {}
+            for pi, p in enumerate(A.basis):
+                r = mul(p)
+                if r is not None:
+                    expected[pi] = index[r]
+            assert side[gi] == expected
+            assert list(side[gi]) == sorted(side[gi])  # walks visit q in basis order
 
 
 def test_corpus_matches_reference():
@@ -231,10 +341,31 @@ def test_corpus_matches_reference():
             assert_oracles_match(build(base.quiver, base.relations, f))
 
 
+def test_corpus_product_tables():
+    for e in EXAMPLES:
+        base = parse(e.text)
+        for f in FIELDS.values():
+            assert_table_is_products(build(base.quiver, base.relations, f))
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from(sorted(FIELDS)), st.integers(8, 32))
 @example(0, "Q", 8)
 @example(20260809, "F2", 32)
 def test_random_instances_match_reference(seed, field, max_dim):
     spec = RandomSpec(seed=seed, field=FIELDS[field], max_dim=max_dim)
-    assert_oracles_match(random_instance(spec))
+    A = random_instance(spec)
+    assert_table_is_products(A)
+    assert_oracles_match(A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(sorted(FIELDS)), st.integers(8, 32))
+@example(20260809, "Q", 32)  # the first instance of the default fuzz seed
+def test_gluing_sides_match_reference(seed, field, max_dim):
+    spec = RandomSpec(seed=seed, field=FIELDS[field], max_dim=max_dim)
+    A, gs = instance_with_gluing(spec)
+    g = glue(A, gs.alpha, gs.beta)
+    for side in (g.A, g.B):
+        assert_table_is_products(side)
+        assert_oracles_match(side)
