@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice, repeat
+from itertools import repeat
 
 from .algebra import MonomialAlgebra
 from .checks import FUZZ_CHECKS, CHECKS, run_checks, run_fuzz
@@ -89,7 +89,7 @@ def cmd_hh(args) -> int:
     A = _load(args.file)
     C = complex_data(A)
     try:
-        high = islice(hh_dims_high(A), max(lo, 2) - 2, None)
+        high = hh_dims_high(A, max(lo, 2))
     except QuiverHHError as err:
         high = repeat(f"unsupported ({err})")
     for n in range(lo, hi + 1):

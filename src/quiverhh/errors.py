@@ -6,7 +6,7 @@ class QuiverHHError(Exception):
 
 
 class CompositionError(QuiverHHError):
-    """Attempt to compose paths or walks whose endpoints do not match."""
+    """Arrows or paths whose endpoints do not match were composed, or a path got no arrow."""
 
 
 class AdmissibilityError(QuiverHHError):

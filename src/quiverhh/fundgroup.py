@@ -28,14 +28,10 @@ def pi1_rank(A: MonomialAlgebra) -> int:
     return betti(A.quiver)
 
 
-@dataclass(frozen=True)
-class ChordDualBasis:
-    tree: tuple  # arrow ids of the spanning forest
-    chords: tuple  # remaining arrow ids, canonical order
-
-
-def chord_duals(Q: Quiver, avoid=None) -> ChordDualBasis:
-    """Deterministic BFS spanning forest that never uses the avoided arrow.
+def chord_duals(Q: Quiver, avoid=None) -> tuple:
+    """The chords, in ascending order, of a deterministic BFS spanning
+    forest that never uses the avoided arrow; the forest is the other
+    arrows.
 
     The forest is built on the quiver with the avoided arrow removed; if
     that removal separates the arrow's endpoints the arrow is a bridge
@@ -68,8 +64,7 @@ def chord_duals(Q: Quiver, avoid=None) -> ChordDualBasis:
         raise BridgeError(
             f"arrow {Q.arrow_name(avoid)} is a bridge and cannot be avoided"
         )
-    chords = tuple(sorted(set(range(Q.num_arrows)) - set(tree)))
-    return ChordDualBasis(tuple(sorted(tree)), chords)
+    return tuple(sorted(set(range(Q.num_arrows)) - set(tree)))
 
 
 def theta(A: MonomialAlgebra, chord: int) -> dict:
@@ -90,7 +85,7 @@ def theta_class_rank(A: MonomialAlgebra) -> int:
     """Rank of all chord-dual cocycles inside kernel-mod-image; equals the
     Betti number for monomial ideals (verified per instance by callers)."""
     C = complex_data(A)
-    coord_vecs = [C.hh1_view.project(theta(A, chord)) for chord in chord_duals(A.quiver).chords]
+    coord_vecs = [C.hh1_view.project(theta(A, chord)) for chord in chord_duals(A.quiver)]
     coord_basis = LabeledBasis(tuple(range(C.hh1_view.dim)))
     return span(A.field, coord_basis, coord_vecs).dim
 
@@ -127,7 +122,7 @@ def check_theta_diagram(g: GluedAlgebra) -> ThetaDiagramReport:
     gamma_vec = g.gamma_pair_vector()
 
     results = []
-    for c_star in chord_duals(QB, avoid=g.gamma).chords:
+    for c_star in chord_duals(QB, avoid=g.gamma):
         if c_star == g.gamma:
             continue
         diff = g.psi1.apply(f, theta(A, preimage[c_star]))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .algebra import MonomialAlgebra, build
 from .errors import GluingError, QuiverHHError
@@ -27,7 +26,6 @@ from .quiver import (
     connected_components,
     is_sink_arrow,
     is_source_arrow,
-    parallel,
 )
 from .paircomplex import complex_data, hh1_lie
 
@@ -81,6 +79,14 @@ class GluedAlgebra:
     @cached_property
     def path_image(self) -> dict:
         return {p: self.map_path(p) for p in self.A.basis}
+
+    @cached_property
+    def fibers(self) -> dict:
+        """Basis paths of A over each basis path of B, in basis order."""
+        out: dict = {}
+        for p, q in self.path_image.items():
+            out.setdefault(q, []).append(p)
+        return out
 
     @cached_property
     def endpoints(self) -> tuple:
@@ -352,12 +358,10 @@ def glue(A: MonomialAlgebra, alpha: int, beta: int, gamma_name: str = "gamma*") 
     g = GluedAlgebra(A, alpha, beta, B, tuple(vertex_map), tuple(arrow_map), gamma, tuple(z_new))
 
     _invariant(B.dim == A.dim - 3, "dim B = {} but dim A - 3 = {}", B.dim, A.dim - 3)
-    fibers: dict = {}
-    for p, q in g.path_image.items():
+    for q in g.fibers:
         _invariant(B.in_basis(q), "image of a basis path is not relation-free: {}", q)
-        fibers.setdefault(q, []).append(p)
-    _invariant(len(fibers) == B.dim, "induced path map is not surjective")
-    for q, pre in fibers.items():
+    _invariant(len(g.fibers) == B.dim, "induced path map is not surjective")
+    for q, pre in g.fibers.items():
         # Fibers of size two occur exactly at the merged arrow and vertices.
         doubled = q.arrows == (gamma,) or (
             q.length == 0 and q.source in (vertex_map[e1], vertex_map[e2])
@@ -402,8 +406,7 @@ def special_paths(g: GluedAlgebra) -> SpecialPathData:
 def crucial_paths(g: GluedAlgebra):
     """Basis paths p from t(alpha) to s(beta) with beta.p.alpha relation-free.
 
-    Only meaningful for a source-sink gluing; returns None then and lets
-    callers surface a not-applicable status.
+    Only meaningful for a source-sink gluing; returns None for any other.
     """
     if not g.source_sink:
         return None
@@ -416,6 +419,14 @@ def crucial_paths(g: GluedAlgebra):
     )
 
 
+def _missed(m: LinearMap) -> list:
+    """Codomain indices that no column of ``m`` touches, ascending."""
+    hit = set()
+    for col in m.columns:
+        hit.update(col)
+    return [i for i in range(len(m.codomain)) if i not in hit]
+
+
 @dataclass(frozen=True)
 class SpecialPairData:
     pairs: tuple  # (arrow id, basis path) in A
@@ -424,47 +435,33 @@ class SpecialPairData:
 
 
 def special_pairs(g: GluedAlgebra) -> SpecialPairData:
-    """Arrow/path pairs made parallel by the gluing, intersected with the kernel."""
-    A, B = g.A, g.B
-    QA = A.quiver
+    """The arrow/path pairs of B that no pair of A maps to, and their
+    kernel part.
+
+    A label of B's degree-one pair space outside the image of ``psi1`` is
+    a pair the gluing made parallel; ``pairs`` lists its preimages in A,
+    ordered by arrow and then by basis path.  Every preimage of such a
+    label is a non-parallel pair of A, since a parallel one would map
+    onto it.  A loop l at a glued vertex v with partner u gives the
+    non-parallel pair (l, e_u), but its label (l*, e_f) is the image of
+    (l, e_v), so it is not listed; on a cocycle of B that coordinate times
+    the power m of l's relation equals the one at (l*^m, l*^(m-1)), so it
+    vanishes when the characteristic does not divide m.
+    """
     CB = g.complexes[1]
-    f = B.field
-    e1, e2, e3, e4 = g.endpoints
-    four = {e1, e2, e3, e4}
-    alpha_path = QA.arrow_path(g.alpha)
-    beta_path = QA.arrow_path(g.beta)
-
-    preimage = {}
-    for v, w in enumerate(g.vertex_map):
-        preimage.setdefault(w, []).append(v)
-
-    pairs = []
-    labels = set()
-    for a in range(QA.num_arrows):
-        if not ({QA.source(a), QA.target(a)} & four):
-            continue
-        a_path = QA.arrow_path(a)
-        a_star = g.arrow_map[a]
-        # the paths whose images are parallel to a*, in basis order
-        ends = product(preimage[B.quiver.source(a_star)], preimage[B.quiver.target(a_star)])
-        candidates = (p for st in ends for p in A.paths_between[st])
-        for p in sorted(candidates, key=A.basis_index.__getitem__):
-            if parallel(a_path, p):
-                continue
-            p_star = g.path_image[p]
-            if a == g.alpha and parallel(p, beta_path):
-                continue
-            if a == g.beta and parallel(p, alpha_path):
-                continue
-            if p == alpha_path and parallel(a_path, beta_path):
-                continue
-            if p == beta_path and parallel(a_path, alpha_path):
-                continue
-            pairs.append((a, p))
-            labels.add(CB.basis1.index[(a_star, p_star)])
-
-    spp_span = span(f, CB.basis1, [{i: f.one} for i in sorted(labels)])
-    z_spp = intersect(f, spp_span, CB.ker1)
+    f = g.B.field
+    labels = _missed(g.psi1)
+    arrows_over: dict = {}
+    for a, b in enumerate(g.arrow_map):
+        arrows_over.setdefault(b, []).append(a)
+    pairs = [
+        (a, p)
+        for b, q in (CB.basis1.labels[i] for i in labels)
+        for a in arrows_over[b]
+        for p in g.fibers[q]
+    ]
+    pairs.sort(key=lambda pair: (pair[0], g.A.basis_index[pair[1]]))
+    z_spp = intersect(f, span(f, CB.basis1, [{i: f.one} for i in labels]), CB.ker1)
     return SpecialPairData(tuple(pairs), z_spp, z_spp.dim)
 
 
@@ -475,16 +472,13 @@ class NspData:
 
 
 def nsp_data(g: GluedAlgebra) -> NspData:
-    """Glued-vertex cycle pairs and their kernel part, controlling the center."""
+    """The vertex/cycle pairs of B that no pair of A maps to (the cycles at
+    a merged vertex whose preimage joins its two glued vertices), and their
+    kernel part, controlling the center."""
     CB = g.complexes[1]
     f = g.B.field
-    labels = {
-        CB.basis0.index[(merged, g.path_image[p])]
-        for merged, paths in g.glued_pair_paths
-        for p in paths
-    }
-    nsp_span = span(f, CB.basis0, [{i: f.one} for i in sorted(labels)])
-    z_nsp = intersect(f, nsp_span, CB.ker0)
+    labels = _missed(g.psi0)
+    z_nsp = intersect(f, span(f, CB.basis0, [{i: f.one} for i in labels]), CB.ker0)
     return NspData(z_nsp, z_nsp.dim)
 
 

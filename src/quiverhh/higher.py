@@ -12,7 +12,7 @@ gluing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 
 from .algebra import MonomialAlgebra
 from .errors import QuiverHHError
@@ -20,24 +20,34 @@ from .gluing import GluedAlgebra
 from .quiver import Quiver, connected_components, crown_order
 
 
-def parallel_counts(Q: Quiver):
+def _product(x: list, y: list) -> list:
+    size = len(x)
+    return [[sum(x[i][k] * y[k][j] for k in range(size)) for j in range(size)] for i in range(size)]
+
+
+def parallel_counts(Q: Quiver, start: int = 1):
     """Yield (|paths of length n parallel to an arrow|, |cycles of length n-1|)
-    for n = 1, 2, ...
+    for n = start, start + 1, ...
 
     Entry (i, j) of the k-th power of the adjacency matrix counts length-k
-    paths from vertex j to vertex i; each step multiplies the last power
-    by the adjacency matrix once.
+    paths from vertex j to vertex i.  The (start-1)-th power is reached by
+    repeated squaring; each later step multiplies the last power by the
+    adjacency matrix once.
     """
     size = Q.num_vertices
     adj = [[0] * size for _ in range(size)]
     for a in range(Q.num_arrows):
         adj[Q.target(a)][Q.source(a)] += 1
     mprev = [[int(i == j) for j in range(size)] for i in range(size)]
+    square, k = adj, start - 1
+    while k:
+        if k & 1:
+            mprev = _product(mprev, square)
+        k >>= 1
+        if k:
+            square = _product(square, square)
     while True:
-        mn = [
-            [sum(mprev[i][k] * adj[k][j] for k in range(size)) for j in range(size)]
-            for i in range(size)
-        ]
+        mn = _product(mprev, adj)
         with_arrows = sum(mn[Q.target(a)][Q.source(a)] for a in range(Q.num_arrows))
         yield with_arrows, sum(mprev[i][i] for i in range(size))
         mprev = mn
@@ -53,14 +63,16 @@ class CrownUnsupported:
         return f"unsupported: {self.order}-crown quiver (counting formula needs a non-crown)"
 
 
-def hh_dims_high(A: MonomialAlgebra):
-    """Iterator over the cohomology dimensions in degrees 2, 3, ... of
-    connected radical-square-zero input.
+def hh_dims_high(A: MonomialAlgebra, start: int = 2):
+    """Iterator over the cohomology dimensions in degrees start, start + 1,
+    ... (start >= 2) of connected radical-square-zero input.
 
     Degrees 0 and 1 belong to the pair complex; a crown yields its
     :class:`CrownUnsupported` status in every degree.  The input is
     validated before the iterator is returned.
     """
+    if start < 2:
+        raise ValueError("use the pair complex for degrees 0 and 1")
     if not A.is_radical_square_zero():
         raise QuiverHHError("counting formula requires a radical-square-zero algebra")
     if len(connected_components(A.quiver)) != 1:
@@ -68,22 +80,19 @@ def hh_dims_high(A: MonomialAlgebra):
     order = crown_order(A.quiver)
     if order is not None:
         return repeat(CrownUnsupported(order))
-    counts = islice(parallel_counts(A.quiver), 1, None)
+    counts = parallel_counts(A.quiver, start)
     return (with_arrows - cycles for with_arrows, cycles in counts)
 
 
 def hh_dim_high(A: MonomialAlgebra, n: int):
     """Degree-n entry of :func:`hh_dims_high`."""
-    if n < 2:
-        raise ValueError("use the pair complex for degrees 0 and 1")
-    return next(islice(hh_dims_high(A), n - 2, None))
+    return next(hh_dims_high(A, n))
 
 
 @dataclass(frozen=True)
 class HighDegreeReport:
     dim_a: int
     dim_b: object  # int or CrownUnsupported
-    difference: object  # int, or None when B is a crown
     monotone: bool
 
 
@@ -112,5 +121,5 @@ def check_high_degree_gluing(g: GluedAlgebra, n: int) -> HighDegreeReport:
         # line, a tree with no cycle and no path of length >= 2 parallel to
         # an arrow, so the source dimension vanishes and the inequality
         # holds whatever the crown's dimension is.
-        return HighDegreeReport(dim_a, dim_b, None, dim_a == 0)
-    return HighDegreeReport(dim_a, dim_b, dim_b - dim_a, dim_b >= dim_a)
+        return HighDegreeReport(dim_a, dim_b, dim_a == 0)
+    return HighDegreeReport(dim_a, dim_b, dim_b >= dim_a)

@@ -247,25 +247,20 @@ def solve_columns(field: FieldSpec, width: int, columns, target: dict):
 class QuotientView:
     """Classes of ``total / sub`` with deterministic representatives.
 
-    Representatives are the echelon rows of ``total`` whose index avoids
-    the pivot set of ``sub`` rewritten in ``total`` coordinates, so two
-    runs (and two machines) pick the same basis.
+    Both subspaces are reduced echelon in one basis, and the pivots of
+    ``sub`` are pivots of ``total``.  The representatives are the rows of
+    ``total`` whose pivot is not a pivot of ``sub``, so two runs (and two
+    machines) pick the same basis.
     """
 
     def __init__(self, field: FieldSpec, total: Subspace, sub: Subspace):
+        if not contains_subspace(field, total, sub):
+            raise ContainmentError("subspace is not contained in the total space")
         self.field = field
         self.total = total
         self.sub = sub
-        coord_rows = []
-        for v in sub.row_vectors():
-            coeffs, rem = reduce_against(field, total, v)
-            if rem:
-                raise ContainmentError("subspace is not contained in the total space")
-            coord_rows.append(coeffs)
-        coord_basis = LabeledBasis(tuple(range(total.dim)))
-        self._sub_in_total = span(field, coord_basis, coord_rows)
-        piv = set(self._sub_in_total.pivots)
-        self.rep_indices = tuple(i for i in range(total.dim) if i not in piv)
+        sub_pivots = set(sub.pivots)
+        self.rep_indices = tuple(i for i, p in enumerate(total.pivots) if p not in sub_pivots)
         self._rep_position = {i: k for k, i in enumerate(self.rep_indices)}
 
     @property
@@ -279,10 +274,10 @@ class QuotientView:
     def project(self, vec: dict) -> dict:
         """Coordinates of the class of ``vec`` as ``{representative position:
         coefficient}``, in ascending position and without zeros."""
-        coeffs, rem = reduce_against(self.field, self.total, vec)
+        _, reduced = reduce_against(self.field, self.sub, vec)
+        coeffs, rem = reduce_against(self.field, self.total, reduced)
         if rem:
             raise ContainmentError("vector lies outside the total space")
-        _, reduced = reduce_against(self.field, self._sub_in_total, coeffs)
         # reduced vanishes on the pivots of the sub, so every key is a representative
         position = self._rep_position
-        return {position[i]: reduced[i] for i in sorted(reduced)}
+        return {position[i]: c for i, c in coeffs.items()}

@@ -40,17 +40,10 @@ from .quiver import Path, path_str
 def pair_str(A: MonomialAlgebra, label, kind: str) -> str:
     """Render a parallel pair as ``left || right`` with right-to-left paths.
 
-    ``kind`` resolves the left id: "0" vertex, "1" arrow, "Z" relation.
+    ``kind`` resolves the left id: "0" vertex, "1" arrow.
     """
     left, p = label
-    if kind == "0":
-        lhs = A.quiver.vertex_names[left]
-    elif kind == "1":
-        lhs = A.quiver.arrow_name(left)
-    elif kind == "Z":
-        lhs = path_str(A.quiver, A.relations[left])
-    else:
-        raise ShapeError(f"unknown pair space kind {kind!r}")
+    lhs = A.quiver.vertex_names[left] if kind == "0" else A.quiver.arrow_name(left)
     return f"{lhs} || {path_str(A.quiver, p)}"
 
 

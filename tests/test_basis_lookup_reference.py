@@ -7,11 +7,18 @@ basis.  Those forms are kept below unchanged apart from taking the algebra
 or gluing as an argument: ``ref_in_ideal``, ``ref_multiply``,
 ``ref_substitute``, ``ref_is_node_arrow``, ``ref_path_set``, the three
 label comprehensions of the pair complex (``ref_pair_labels``), the
-endpoint filters of ``glued_pair_paths`` and ``crucial_paths``, and
+endpoint filters of ``glued_pair_paths`` and ``crucial_paths``,
 ``ref_special_pairs``, which scans the whole basis for every arrow at a
-glued vertex.  The inputs are every composable word up to two arrows
+glued vertex, and ``ref_nsp_data``, which maps the paths joining each
+glued vertex pair.  The inputs are every composable word up to two arrows
 longer than the longest basis path, so words that are not basis paths are
 covered.
+
+The program takes the special and glued-vertex cycle pairs to be the
+pairs of B outside the image of the transport.  The scan also lists (loop at a glued vertex
+v, trivial path at v's partner), whose label the transport hits; those
+are the only pairs it drops, and the kernel part is unchanged wherever
+the loop-power hypothesis holds.
 """
 
 from hypothesis import example, given, settings
@@ -21,8 +28,15 @@ from quiverhh.algebra import build
 from quiverhh.examples_data import EXAMPLES
 from quiverhh.fields import GF, QQ
 from quiverhh.fileformat import parse
-from quiverhh.gluing import SpecialPairData, crucial_paths, glue, special_pairs
-from quiverhh.linalg import intersect, span
+from quiverhh.gluing import (
+    NspData,
+    SpecialPairData,
+    crucial_paths,
+    glue,
+    nsp_data,
+    special_pairs,
+)
+from quiverhh.linalg import contains_subspace, intersect, span
 from quiverhh.paircomplex import PairComplex, substitute
 from quiverhh.quiver import Path, compose, is_sink_arrow, is_source_arrow, parallel
 from quiverhh.randomgen import (
@@ -177,6 +191,46 @@ def ref_special_pairs(g):
     return SpecialPairData(tuple(pairs), z_spp, z_spp.dim)
 
 
+def ref_nsp_data(g):
+    CB = g.complexes[1]
+    f = g.B.field
+    labels = {
+        CB.basis0.index[(merged, g.path_image[p])]
+        for merged, paths in g.glued_pair_paths
+        for p in paths
+    }
+    nsp_span = span(f, CB.basis0, [{i: f.one} for i in sorted(labels)])
+    z_nsp = intersect(f, nsp_span, CB.ker0)
+    return NspData(z_nsp, z_nsp.dim)
+
+
+def assert_special_pairs_match(g):
+    """Compare ``special_pairs`` with the scan; returns the number of
+    scanned pairs it drops."""
+    got, want = special_pairs(g), ref_special_pairs(g)
+    CB = g.complexes[1]
+    hit = {i for col in g.psi1.columns for i in col}
+
+    def label(a, p):
+        return CB.basis1.index[(g.arrow_map[a], g.path_image[p])]
+
+    assert got.pairs == tuple(pair for pair in want.pairs if label(*pair) not in hit)
+    dropped = [pair for pair in want.pairs if label(*pair) in hit]
+    QA = g.A.quiver
+    e1, e2, e3, e4 = g.endpoints
+    partner = {e1: e3, e3: e1, e2: e4, e4: e2}
+    for a, p in dropped:
+        v = QA.source(a)
+        assert QA.target(a) == v and v in partner, (a, p)
+        assert p == QA.trivial_path(partner[v]), (a, p)
+    if g.assumption[0]:
+        assert got.z_spp == want.z_spp
+    else:
+        assert contains_subspace(g.B.field, want.z_spp, got.z_spp)
+    assert got.kspp == got.z_spp.dim
+    return len(dropped)
+
+
 def composable_words(A):
     """Every path of ``A``'s quiver (trivial ones included) of length at most
     two more than the longest basis path."""
@@ -230,18 +284,20 @@ def assert_algebra_matches(A):
 
 
 def assert_gluing_matches(g):
-    """Compare the gluing's path enumerations and both algebras with their
-    references; returns the number of crucial paths and of zero words."""
+    """Compare the gluing's path and pair enumerations and both algebras
+    with their references; returns the number of crucial paths, of zero
+    words and of scanned special pairs the transport hits."""
     assert g.glued_pair_paths == ref_glued_pair_paths(g)
-    assert special_pairs(g) == ref_special_pairs(g)
+    dropped = assert_special_pairs_match(g)
+    assert nsp_data(g) == ref_nsp_data(g)
     crucial = crucial_paths(g)
     assert crucial == ref_crucial_paths(g)
     zero = assert_algebra_matches(g.A) + assert_algebra_matches(g.B)
-    return len(crucial or ()), zero
+    return len(crucial or ()), zero, dropped
 
 
 def test_corpus_matches_reference():
-    totals = [0, 0]
+    totals = [0, 0, 0]
     for ex in EXAMPLES:
         A = parse(ex.text)
         Q = A.quiver
@@ -295,7 +351,15 @@ def test_source_sink_instances_match_reference(seed, field):
 def test_special_pairs_match_basis_scan(seed, field):
     A, gs = instance_with_gluing(RandomSpec(seed=seed, field=FIELDS[field], max_dim=32))
     g = glue(A, gs.alpha, gs.beta)
-    got, want = special_pairs(g), ref_special_pairs(g)
-    # same pairs in the same order, same kernel part
-    assert got.pairs == want.pairs
-    assert got == want
+    assert_special_pairs_match(g)
+    assert nsp_data(g) == ref_nsp_data(g)
+
+
+def test_dropped_loop_pair_leaves_kernel_when_loop_power_fails():
+    # a loop squared to zero at a glued vertex over F2: its dropped pair
+    # carries a cocycle coordinate, so the scan's kernel part is larger
+    A, gs = instance_with_gluing(RandomSpec(seed=20260838, field=FIELDS["F2"], max_dim=32))
+    g = glue(A, gs.alpha, gs.beta)
+    assert g.assumption[0] is False
+    assert assert_special_pairs_match(g) > 0
+    assert special_pairs(g).kspp < ref_special_pairs(g).kspp

@@ -89,6 +89,18 @@ def test_hh_huge_degree_exit_code(capsys, tmp_path, spec):
     ]
 
 
+@pytest.mark.parametrize("source", ["line", "midfan-2"])
+def test_hh_largest_degree_is_reached_directly(capsys, tmp_path, source):
+    # the degree-N entry reads two adjacency-matrix powers, which repeated
+    # squaring reaches without visiting the degrees below N
+    p = tmp_path / "rsz.alg"
+    text = "field Q\nvertex a\nvertex b\narrow x a b\n"
+    p.write_text(text if source == "line" else example_by_name(source).text)
+    code, out, _ = run(capsys, "hh", str(p), f"--degrees={sys.maxsize}")
+    assert code == 0
+    assert out == f"HH^{sys.maxsize}: 0\n"
+
+
 def test_examples_unknown_name_exit_code(capsys):
     code, out, err = run(capsys, "examples", "--show", "nope")
     assert code == 2 and out == ""

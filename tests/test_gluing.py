@@ -210,6 +210,27 @@ def test_special_pairs_combination_generator():
     assert not member(f, spp.z_spp, {CB.basis1.index[(b_star, pb)]: Fraction(1)})
 
 
+def test_kernel_decomposition_on_w1_gluings():
+    """ker delta1 of B = (psi1(ker delta1 of A) meet ker delta1 of B) (+) Z_spp
+    on all 1000 gluings of the fuzz corpus, with no loop-power hypothesis:
+    the 145 gluings that violate it are included."""
+    from quiverhh.linalg import intersect, subspace_sum
+    from quiverhh.randomgen import RandomSpec, instance_with_gluing
+
+    fields = (QQ, GF(2), GF(3), GF(5))
+    violated = 0
+    for i in range(1000):
+        spec = RandomSpec(seed=20260809 + i, field=fields[i % 4], max_dim=32)
+        A, gs = instance_with_gluing(spec)
+        g = glue(A, gs.alpha, gs.beta)
+        f, ker_b, z_spp = g.B.field, g.complexes[1].ker1, g.spp.z_spp
+        kept = intersect(f, g.psi1_ker1, ker_b)
+        total = subspace_sum(f, kept, z_spp)
+        assert total == ker_b and total.dim == kept.dim + z_spp.dim, spec.seed
+        violated += not g.assumption[0]
+    assert violated == 145
+
+
 def test_path_span_inside_pair_span_randomized():
     from quiverhh.linalg import contains_subspace
     from quiverhh.randomgen import RandomSpec, instance_with_gluing

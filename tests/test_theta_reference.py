@@ -111,6 +111,12 @@ def signed_count(w: Walk, arrow: int) -> int:
 # -- parades and the walk-based cocycle -------------------------------------------
 
 
+def forest(Q: Quiver, avoid=None) -> tuple:
+    """The spanning forest behind :func:`chord_duals`: the arrows that are not chords."""
+    chords = chord_duals(Q, avoid)
+    return tuple(a for a in range(Q.num_arrows) if a not in chords)
+
+
 @dataclass(frozen=True)
 class ParadeData:
     """A walk from a per-component base vertex to every vertex."""
@@ -203,7 +209,7 @@ def ref_theta_parades(g: GluedAlgebra):
     f1, f2 = g.vertex_map[e1], g.vertex_map[e2]
 
     duals_B = chord_duals(QB, avoid=g.gamma)
-    walks_B = parade(QB, duals_B.tree, base_override={min(c): f2 for c in connected_components(QB) if f2 in c})
+    walks_B = parade(QB, forest(QB, avoid=g.gamma), base_override={min(c): f2 for c in connected_components(QB) if f2 in c})
 
     preimage = {}
     for a in range(QA.num_arrows):
@@ -263,7 +269,7 @@ def ref_check_theta_diagram(g: GluedAlgebra) -> RefThetaDiagramReport:
 
     results = []
     new_dual_ok = None
-    for c_star in duals_B.chords:
+    for c_star in duals_B:
         t_B = ref_theta(B, c_star, walks_B)
         if c_star == g.gamma:
             new_dual_ok = t_B == gamma_vec
@@ -295,12 +301,12 @@ def assert_gluing_matches(g):
     """Compare theta on both algebras' forests and, for a same-block
     source-sink gluing, on the pulled-back parades and the whole square;
     returns the number of chords and of squares compared."""
-    chords = assert_theta_matches(g.A, chord_duals(g.A.quiver).tree)
-    chords += assert_theta_matches(g.B, chord_duals(g.B.quiver).tree)
+    chords = assert_theta_matches(g.A, forest(g.A.quiver))
+    chords += assert_theta_matches(g.B, forest(g.B.quiver))
     squares = 0
     if g.source_sink and g.same_block:
         duals_B, walks_B, preimage, walks_A = ref_theta_parades(g)
-        for c_star in duals_B.chords:
+        for c_star in duals_B:
             assert theta(g.B, c_star) == ref_theta(g.B, c_star, walks_B)
             if c_star != g.gamma:
                 a = preimage[c_star]
@@ -319,10 +325,10 @@ def assert_gluing_matches(g):
         (rep,) = run_checks(g, ["theta_diagram"])
         assert (rep.status, rep.reason) == ("not-applicable", ref_check_theta_diagram(g).reason)
         try:
-            duals_B = chord_duals(g.B.quiver, avoid=g.gamma)
+            tree_B = forest(g.B.quiver, avoid=g.gamma)
         except BridgeError:
             return chords, squares
-        chords += assert_theta_matches(g.B, duals_B.tree)
+        chords += assert_theta_matches(g.B, tree_B)
     return chords, squares
 
 
@@ -344,7 +350,7 @@ def test_corpus_matches_reference():
 def test_parade_walks_are_valid_and_based():
     for ex in EXAMPLES:
         Q = parse(ex.text).quiver
-        walks = parade(Q, chord_duals(Q).tree)
+        walks = parade(Q, forest(Q))
         for comp in connected_components(Q):
             for v in comp:
                 w = walks.walks[v]
@@ -357,7 +363,7 @@ def test_parade_walks_are_valid_and_based():
 @example(20260809, "F5", 32)
 def test_random_instances_match_reference(seed, field, max_dim):
     A = random_instance(RandomSpec(seed=seed, field=FIELDS[field], max_dim=max_dim))
-    assert_theta_matches(A, chord_duals(A.quiver).tree)
+    assert_theta_matches(A, forest(A.quiver))
     gs = random_gluing(A, seed)
     if gs is not None:
         assert_gluing_matches(glue(A, gs.alpha, gs.beta))
