@@ -177,7 +177,7 @@ def check_im_delta0_structure(g: GluedAlgebra) -> CheckReport:
     ok = ok and decomposed.dim == g.psi1_im0.dim + g.sp.z_sp.dim
     ok = ok and g.psi1_im0.dim == CA.im0.dim - 1
     if g.same_block:
-        ok = ok and not member(f, CB.im0, g.gamma_pair_vector())
+        ok = ok and g.gamma_outside_im0
     else:
         ok = ok and CB.im0 == g.psi1_im0
     return _verdict(ok, enlarged.dim, decomposed.dim)
@@ -451,8 +451,7 @@ def check_pi1_rank(g: GluedAlgebra) -> CheckReport:
 
 @check("gamma_not_in_image", SAME_BLOCK_SOURCE_SINK)
 def check_gamma_not_in_image(g: GluedAlgebra) -> CheckReport:
-    outside = not member(g.B.field, g.complexes[1].im0, g.gamma_pair_vector())
-    return _verdict(outside, outside, True)
+    return _verdict(g.gamma_outside_im0, g.gamma_outside_im0, True)
 
 
 @check("theta_diagram", SAME_BLOCK_SOURCE_SINK)

@@ -130,5 +130,4 @@ def check_theta_diagram(g: GluedAlgebra) -> ThetaDiagramReport:
             accumulate(f, diff, i, f.neg(c))
         results.append((QB.arrow_name(c_star), member(f, g.im0_gamma, diff)))
     new_dual_ok = theta(B, g.gamma) == gamma_vec
-    outside = not member(f, g.complexes[1].im0, gamma_vec)
-    return ThetaDiagramReport(tuple(results), new_dual_ok, outside)
+    return ThetaDiagramReport(tuple(results), new_dual_ok, g.gamma_outside_im0)

@@ -7,8 +7,10 @@ are exactly the newly composable words of length two through a merged
 vertex and of length three through the merged arrow, in both directions.
 The construction also carries the induced linear maps between the
 parallel-pair spaces of the two algebras and the combinatorial data
-(special paths, crucial paths, special pairs, glued-vertex cycle pairs)
-controlling how kernels and images of the two complexes differ.
+controlling how kernels and images of the two complexes differ.  The
+special paths, the special pairs and the glued-vertex cycle pairs are all
+read off the labels of B that the transport maps miss; the crucial paths
+are enumerated directly.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import cached_property
 
 from .algebra import MonomialAlgebra, build
 from .errors import GluingError, QuiverHHError
-from .linalg import LinearMap, Subspace, intersect, restricted_kernel, span, subspace_sum
+from .linalg import LinearMap, Subspace, member, restricted_kernel, span, subspace_sum
 from .oracles import oracle_center, oracle_hh1_dim
 from .quiver import (
     Path,
@@ -112,6 +114,11 @@ class GluedAlgebra:
     def gamma_pair_vector(self) -> dict:
         return {self.gamma_pair_index: self.B.field.one}
 
+    @cached_property
+    def gamma_outside_im0(self) -> bool:
+        """Whether the merged arrow's diagonal pair lies outside the degree-zero image of B."""
+        return not member(self.B.field, self.complexes[1].im0, self.gamma_pair_vector())
+
     # -- induced linear maps ----------------------------------------------------
 
     @cached_property
@@ -176,18 +183,6 @@ class GluedAlgebra:
         return len(self.components_a), len(connected_components(self.B.quiver))
 
     # -- derived subspaces and invariants ---------------------------------------
-
-    @cached_property
-    def glued_pair_paths(self) -> tuple:
-        """(merged vertex of B, basis paths of A of length >= 1 joining the
-        pair) for the pair e1, e3 and then for the pair e2, e4."""
-        A = self.A
-        e1, e2, e3, e4 = self.endpoints
-        out = []
-        for u, v in ((e1, e3), (e2, e4)):
-            paths = A.paths_between[(u, v)] + A.paths_between[(v, u)]
-            out.append((self.vertex_map[u], tuple(sorted(paths, key=A.basis_index.get))))
-        return tuple(out)
 
     @cached_property
     def sp(self) -> "SpecialPathData":
@@ -260,8 +255,8 @@ def glue(A: MonomialAlgebra, alpha: int, beta: int, gamma_name: str = "gamma*") 
     the four endpoint vertices are not pairwise distinct, or ``gamma_name``
     is not one token of the file format (non-empty, no whitespace, no
     ``#``).  The merged vertices are named ``f1``/``f2`` and the merged
-    arrow ``gamma_name`` (uniquified against existing names); everything
-    else keeps its name.
+    arrow ``gamma_name``, each with ``*`` appended until it differs from
+    every kept name; everything else keeps its name.
     """
     if gamma_name.split() != [gamma_name] or "#" in gamma_name:
         raise GluingError(
@@ -286,24 +281,19 @@ def glue(A: MonomialAlgebra, alpha: int, beta: int, gamma_name: str = "gamma*") 
     # vertices; keep A's arrow order, dropping beta.
     vertex_map = [0] * QA.num_vertices
     new_names: list = []
-    taken: set = set()
+    taken = {name for v, name in enumerate(QA.vertex_names) if v not in (e1, e2, e3, e4)}
+    merged_names = {e1: _unique_name("f1", taken), e2: _unique_name("f2", taken)}
     for v in range(QA.num_vertices):
         if v in (e3, e4):
             continue
-        if v == e1:
-            name = _unique_name("f1", taken)
-        elif v == e2:
-            name = _unique_name("f2", taken)
-        else:
-            name = _unique_name(QA.vertex_names[v], taken)
         vertex_map[v] = len(new_names)
-        new_names.append(name)
+        new_names.append(merged_names.get(v, QA.vertex_names[v]))
     vertex_map[e3] = vertex_map[e1]
     vertex_map[e4] = vertex_map[e2]
 
     arrow_map = [0] * QA.num_arrows
     new_arrows: list = []
-    taken_arrows: set = set()
+    taken_arrows = {arr[0] for a, arr in enumerate(QA.arrows) if a not in (alpha, beta)}
     gamma = -1
     for a in range(QA.num_arrows):
         if a == beta:
@@ -312,7 +302,7 @@ def glue(A: MonomialAlgebra, alpha: int, beta: int, gamma_name: str = "gamma*") 
             name = _unique_name(gamma_name, taken_arrows)
             gamma = len(new_arrows)
         else:
-            name = _unique_name(QA.arrow_name(a), taken_arrows)
+            name = QA.arrow_name(a)
         arrow_map[a] = len(new_arrows)
         new_arrows.append((name, vertex_map[QA.source(a)], vertex_map[QA.target(a)]))
     arrow_map[beta] = gamma
@@ -379,6 +369,14 @@ def glue(A: MonomialAlgebra, alpha: int, beta: int, gamma_name: str = "gamma*") 
 # -- special paths --------------------------------------------------------------
 
 
+def _missed(m: LinearMap) -> list:
+    """Codomain indices that no column of ``m`` touches, ascending."""
+    hit = set()
+    for col in m.columns:
+        hit.update(col)
+    return [i for i in range(len(m.codomain)) if i not in hit]
+
+
 @dataclass(frozen=True)
 class SpecialPathData:
     between_first: tuple  # basis paths joining the first merged vertex pair
@@ -388,19 +386,25 @@ class SpecialPathData:
 
 
 def special_paths(g: GluedAlgebra) -> SpecialPathData:
-    """Paths between the glued vertex pairs with nonzero degree-zero image."""
+    """Paths between the glued vertex pairs with nonzero degree-zero image.
+
+    The degree-zero labels of B that no column of ``psi0`` touches are the
+    cycles at a merged vertex whose one preimage joins its two glued
+    vertices.  Z_sp is the span of their images under delta0 of B; the
+    preimages with a nonzero image are listed per merged vertex in the
+    basis order of A.
+    """
     CB = g.complexes[1]
-    found = []  # (path, nonzero image column) per glued vertex pair
-    for merged, paths in g.glued_pair_paths:
-        survivors = []
-        for p in paths:
-            col = CB.delta0.columns[CB.basis0.index[(merged, g.path_image[p])]]
-            if col:
-                survivors.append((p, col))
-        found.append(survivors)
-    first, second = found
-    z_sp = span(g.B.field, CB.basis1, [col for _, col in first + second])
-    return SpecialPathData(tuple(p for p, _ in first), tuple(p for p, _ in second), z_sp, z_sp.dim)
+    columns = {i: CB.delta0.columns[i] for i in _missed(g.psi0)}
+    first_merged = g.vertex_map[g.endpoints[0]]
+    found = ([], [])
+    for i, col in columns.items():
+        if col:
+            merged, q = CB.basis0.labels[i]
+            found[merged != first_merged].extend(g.fibers[q])
+    first, second = (tuple(sorted(paths, key=g.A.basis_index.get)) for paths in found)
+    z_sp = span(g.B.field, CB.basis1, list(columns.values()))
+    return SpecialPathData(first, second, z_sp, z_sp.dim)
 
 
 def crucial_paths(g: GluedAlgebra):
@@ -417,14 +421,6 @@ def crucial_paths(g: GluedAlgebra):
         for p in A.paths_between[(e2, e3)]
         if A.in_basis(Path(e1, e4, (g.alpha,) + p.arrows + (g.beta,)))
     )
-
-
-def _missed(m: LinearMap) -> list:
-    """Codomain indices that no column of ``m`` touches, ascending."""
-    hit = set()
-    for col in m.columns:
-        hit.update(col)
-    return [i for i in range(len(m.codomain)) if i not in hit]
 
 
 @dataclass(frozen=True)
@@ -461,7 +457,7 @@ def special_pairs(g: GluedAlgebra) -> SpecialPairData:
         for p in g.fibers[q]
     ]
     pairs.sort(key=lambda pair: (pair[0], g.A.basis_index[pair[1]]))
-    z_spp = intersect(f, span(f, CB.basis1, [{i: f.one} for i in labels]), CB.ker1)
+    z_spp = restricted_kernel(f, CB.delta1, [{i: f.one} for i in labels])
     return SpecialPairData(tuple(pairs), z_spp, z_spp.dim)
 
 
@@ -477,8 +473,7 @@ def nsp_data(g: GluedAlgebra) -> NspData:
     kernel part, controlling the center."""
     CB = g.complexes[1]
     f = g.B.field
-    labels = _missed(g.psi0)
-    z_nsp = intersect(f, span(f, CB.basis0, [{i: f.one} for i in labels]), CB.ker0)
+    z_nsp = restricted_kernel(f, CB.delta0, [{i: f.one} for i in _missed(g.psi0)])
     return NspData(z_nsp, z_nsp.dim)
 
 

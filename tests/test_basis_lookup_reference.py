@@ -6,19 +6,22 @@ and the basis paths between two vertices were found by filtering the whole
 basis.  Those forms are kept below unchanged apart from taking the algebra
 or gluing as an argument: ``ref_in_ideal``, ``ref_multiply``,
 ``ref_substitute``, ``ref_is_node_arrow``, ``ref_path_set``, the three
-label comprehensions of the pair complex (``ref_pair_labels``), the
-endpoint filters of ``glued_pair_paths`` and ``crucial_paths``,
-``ref_special_pairs``, which scans the whole basis for every arrow at a
-glued vertex, and ``ref_nsp_data``, which maps the paths joining each
-glued vertex pair.  The inputs are every composable word up to two arrows
-longer than the longest basis path, so words that are not basis paths are
-covered.
+label comprehensions of the pair complex (``ref_pair_labels``),
+``ref_crucial_paths``, ``ref_special_pairs``, which scans the whole basis
+for every arrow at a glued vertex, and ``ref_glued_pair_paths``, the paths
+of A joining each glued vertex pair in basis order.  Two references are
+built on the last: ``ref_special_paths`` keeps the paths whose degree-zero
+image is nonzero and spans those images, and ``ref_nsp_data`` intersects
+the span of their pairs with the degree-zero kernel.  The inputs are every
+composable word up to two arrows longer than the longest basis path, so
+words that are not basis paths are covered.
 
-The program takes the special and glued-vertex cycle pairs to be the
-pairs of B outside the image of the transport.  The scan also lists (loop at a glued vertex
-v, trivial path at v's partner), whose label the transport hits; those
-are the only pairs it drops, and the kernel part is unchanged wherever
-the loop-power hypothesis holds.
+The program reads all three gluing data off the pairs of B outside the
+image of the transport.  For degree zero those are exactly the images of
+the glued-pair paths.  In degree one the scan also lists (loop at a glued
+vertex v, trivial path at v's partner), whose label the transport hits;
+those are the only pairs it drops, and the kernel part is unchanged
+wherever the loop-power hypothesis holds.
 """
 
 from hypothesis import example, given, settings
@@ -31,10 +34,12 @@ from quiverhh.fileformat import parse
 from quiverhh.gluing import (
     NspData,
     SpecialPairData,
+    SpecialPathData,
     crucial_paths,
     glue,
     nsp_data,
     special_pairs,
+    special_paths,
 )
 from quiverhh.linalg import contains_subspace, intersect, span
 from quiverhh.paircomplex import PairComplex, substitute
@@ -191,12 +196,27 @@ def ref_special_pairs(g):
     return SpecialPairData(tuple(pairs), z_spp, z_spp.dim)
 
 
+def ref_special_paths(g):
+    CB = g.complexes[1]
+    found = []  # (path, nonzero image column) per glued vertex pair
+    for merged, paths in ref_glued_pair_paths(g):
+        survivors = []
+        for p in paths:
+            col = CB.delta0.columns[CB.basis0.index[(merged, g.path_image[p])]]
+            if col:
+                survivors.append((p, col))
+        found.append(survivors)
+    first, second = found
+    z_sp = span(g.B.field, CB.basis1, [col for _, col in first + second])
+    return SpecialPathData(tuple(p for p, _ in first), tuple(p for p, _ in second), z_sp, z_sp.dim)
+
+
 def ref_nsp_data(g):
     CB = g.complexes[1]
     f = g.B.field
     labels = {
         CB.basis0.index[(merged, g.path_image[p])]
-        for merged, paths in g.glued_pair_paths
+        for merged, paths in ref_glued_pair_paths(g)
         for p in paths
     }
     nsp_span = span(f, CB.basis0, [{i: f.one} for i in sorted(labels)])
@@ -284,10 +304,10 @@ def assert_algebra_matches(A):
 
 
 def assert_gluing_matches(g):
-    """Compare the gluing's path and pair enumerations and both algebras
-    with their references; returns the number of crucial paths, of zero
-    words and of scanned special pairs the transport hits."""
-    assert g.glued_pair_paths == ref_glued_pair_paths(g)
+    """Compare the gluing's path and pair data and both algebras with their
+    references; returns the number of crucial paths, of zero words and of
+    scanned special pairs the transport hits."""
+    assert special_paths(g) == ref_special_paths(g)
     dropped = assert_special_pairs_match(g)
     assert nsp_data(g) == ref_nsp_data(g)
     crucial = crucial_paths(g)
@@ -317,7 +337,8 @@ def test_glued_pair_paths_both_ways_in_basis_order():
         "rel x y\nrel y x\n"
     )
     g = glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"])
-    assert [p.arrows for p in g.glued_pair_paths[0][1]] == [(1,), (2,)]
+    assert [p.arrows for p in ref_glued_pair_paths(g)[0][1]] == [(1,), (2,)]
+    assert special_paths(g).between_first == ref_glued_pair_paths(g)[0][1]
     assert assert_gluing_matches(g)[1] > 0
 
 
@@ -352,6 +373,7 @@ def test_special_pairs_match_basis_scan(seed, field):
     A, gs = instance_with_gluing(RandomSpec(seed=seed, field=FIELDS[field], max_dim=32))
     g = glue(A, gs.alpha, gs.beta)
     assert_special_pairs_match(g)
+    assert special_paths(g) == ref_special_paths(g)
     assert nsp_data(g) == ref_nsp_data(g)
 
 

@@ -239,6 +239,19 @@ def test_hh_fan5_lie_byte_identical(capsys, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == HH_FAN5_LIE_SHA256
 
 
+# sha256 of ``quiverhh fuzz --seed 1 --count 300 --checks all --json``: every
+# check on arbitrary gluings, with 57 failures that the oracles confirm.
+FUZZ_ALL_CHECKS_JSON_SHA256 = "f3308cd07a0b8b145277ea0f6a4b7a8c258ed7d18b543738918e476caa9681f6"
+
+
+def test_fuzz_all_checks_json_byte_identical(capsys):
+    code, out, _ = run(capsys, "fuzz", "--seed", "1", "--count", "300", "--checks", "all", "--json")
+    assert code == 1
+    summary = {"instances": 300, "fails": 57, "confirmed": 57, "unconfirmed": 0}
+    assert json.loads(out.splitlines()[-1]) == {"summary": summary}
+    assert hashlib.sha256(out.encode()).hexdigest() == FUZZ_ALL_CHECKS_JSON_SHA256
+
+
 def test_fuzz_cli(capsys):
     code, out, _ = run(capsys, "fuzz", "--seed", "5000", "--count", "6",
                        "--checks", "pi1_rank,im_delta0_dim")
@@ -343,6 +356,13 @@ def test_glue_custom_name_round_trips(capsys, line_free_file):
     g = glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"], "merged")
     assert parse(print_algebra(g.B)) == g.B
     assert parse(out) == g.B
+
+
+def test_glue_name_collision_renames_only_the_merged_arrow(capsys, line_free_file):
+    code, out, _ = run(capsys, "glue", line_free_file, "--alpha", "alpha", "--beta", "beta",
+                       "--name", "eta")
+    assert code == 0
+    assert "arrow eta* f1 f2\narrow eta f2 f1\nrel eta eta* eta\n" in out
 
 
 def test_non_utf8_input_exit_code(capsys, tmp_path):

@@ -53,6 +53,19 @@ def test_z_new_two_lines():
     assert g.B.dim == g.A.dim - 3
 
 
+def test_glue_keeps_names_the_merged_ones_collide_with():
+    # the kept f1, f2 and x come after the vertices and arrow they collide with
+    Q = Quiver(
+        ("e1", "e2", "e3", "e4", "f1", "f2"),
+        (("alpha", 0, 1), ("beta", 2, 3), ("x", 4, 5), ("y", 1, 4)),
+    )
+    g = glue(build(Q, [], QQ), 0, 1, "x")
+    QB = g.B.quiver
+    assert QB.vertex_names == ("f1*", "f2*", "f1", "f2")
+    assert QB.arrows == (("x*", 0, 1), ("x", 2, 3), ("y", 1, 2))
+    assert g.gamma == 0
+
+
 def test_glue_rejects_loops_shared_vertices_self():
     Q = Quiver(("e1", "e2"), (("alpha", 0, 1), ("beta", 1, 1)))
     A = build(Q, [Q.path((1, 1))], QQ)
@@ -213,9 +226,14 @@ def test_special_pairs_combination_generator():
 def test_kernel_decomposition_on_w1_gluings():
     """ker delta1 of B = (psi1(ker delta1 of A) meet ker delta1 of B) (+) Z_spp
     on all 1000 gluings of the fuzz corpus, with no loop-power hypothesis:
-    the 145 gluings that violate it are included."""
+    the 145 gluings that violate it are included.  On the same gluings the
+    special paths and Z_nsp match the glued-pair enumeration, and rank plus
+    nullity of each differential on the labels the transport misses is
+    their number."""
+    from quiverhh.gluing import _missed
     from quiverhh.linalg import intersect, subspace_sum
     from quiverhh.randomgen import RandomSpec, instance_with_gluing
+    from test_basis_lookup_reference import ref_nsp_data, ref_special_paths
 
     fields = (QQ, GF(2), GF(3), GF(5))
     violated = 0
@@ -223,11 +241,16 @@ def test_kernel_decomposition_on_w1_gluings():
         spec = RandomSpec(seed=20260809 + i, field=fields[i % 4], max_dim=32)
         A, gs = instance_with_gluing(spec)
         g = glue(A, gs.alpha, gs.beta)
-        f, ker_b, z_spp = g.B.field, g.complexes[1].ker1, g.spp.z_spp
-        kept = intersect(f, g.psi1_ker1, ker_b)
+        f, CB, z_spp = g.B.field, g.complexes[1], g.spp.z_spp
+        kept = intersect(f, g.psi1_ker1, CB.ker1)
         total = subspace_sum(f, kept, z_spp)
-        assert total == ker_b and total.dim == kept.dim + z_spp.dim, spec.seed
+        assert total == CB.ker1 and total.dim == kept.dim + z_spp.dim, spec.seed
         violated += not g.assumption[0]
+        assert g.sp == ref_special_paths(g) and g.nsp == ref_nsp_data(g), spec.seed
+        assert g.sp.sp + g.nsp.nsp == len(_missed(g.psi0)), spec.seed
+        missed1 = _missed(g.psi1)
+        rank1 = span(f, CB.basisZ, [CB.delta1.columns[j] for j in missed1]).dim
+        assert rank1 + g.spp.kspp == len(missed1), spec.seed
     assert violated == 145
 
 
