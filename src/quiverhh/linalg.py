@@ -8,7 +8,9 @@ value one, and no row has an entry in another row's pivot column.  That
 form is unique, so two subspaces are equal iff their stored rows are
 identical, whatever order or pivot choice produced them.  Every kernel,
 image, intersection and solve goes through the one sparse elimination
-routine :func:`_rref`.
+routine :func:`_rref`.  Most rows it receives hold a single nonzero
+entry, so it takes each such row's column as a pivot up front, deletes
+those columns from the other rows and eliminates only what is left.
 
 Coordinates are sparse too.  Because the stored rows are reduced
 echelon, the coefficient of a member vector along a row is its entry at
@@ -58,22 +60,41 @@ def accumulate(field: FieldSpec, out: dict, key, c) -> None:
 def _rref(field: FieldSpec, rows) -> dict:
     """Reduced row echelon form of sparse rows as ``{pivot column: row dict}``.
 
-    Each incoming row is reduced against the pivots found so far, its
-    lowest remaining column becomes a new pivot (scaled to one), and that
-    column is cleared from the earlier rows.  A row whose new pivot is
-    already one is neither inverted nor rescaled, which over the rationals
-    keeps a row of integers on machine integers.  The result depends only
-    on the span of ``rows``.
+    A presolve first sets aside every row with exactly one nonzero entry:
+    its column ``u`` is a pivot whose reduced row is ``{u: one}``, so no
+    other row of the result has an entry there.  The other nonzero rows are
+    copied with every such unit column deleted and then eliminated one by
+    one: each is reduced against the pivots found so far, its lowest
+    remaining column becomes a new pivot (scaled to one), and that column
+    is cleared from the earlier rows.  A row whose new pivot is already one
+    is neither inverted nor rescaled, which over the rationals keeps a row
+    of integers on machine integers.  The unit rows join the result last.
+    The result depends only on the span of ``rows``, and no row of it is
+    one of the input dicts.
     """
-    mul, neg, inv = field.mul, field.neg, field.inv
+    mul, neg, inv, is_zero = field.mul, field.neg, field.inv, field.is_zero
+    units: set = set()
+    kept = []
+    for v in rows:
+        if len(v) == 1:
+            [(k, x)] = v.items()
+            if not is_zero(x):
+                units.add(k)
+            continue
+        r = {k: x for k, x in v.items() if not is_zero(x)}
+        if len(r) == 1:
+            units.update(r)
+        elif r:
+            kept.append(r)
     piv: dict = {}
 
     def axpy(r: dict, c, row: dict):
         for k, x in row.items():
             accumulate(field, r, k, mul(c, x))
 
-    for v in rows:
-        r = {k: x for k, x in v.items() if not field.is_zero(x)}
+    for r in kept:
+        for u in [k for k in r if k in units]:
+            del r[u]
         # pivot rows vanish on each other's pivots, so one pass suffices
         for p in [k for k in r if k in piv]:
             axpy(r, neg(r[p]), piv[p])
@@ -88,6 +109,8 @@ def _rref(field: FieldSpec, rows) -> dict:
             if c is not None:
                 axpy(row, neg(c), r)
         piv[p] = r
+    for u in units:
+        piv[u] = {u: field.one}
     return piv
 
 

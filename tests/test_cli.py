@@ -252,6 +252,24 @@ def test_fuzz_all_checks_json_byte_identical(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == FUZZ_ALL_CHECKS_JSON_SHA256
 
 
+# sha256 of ``quiverhh center <example>``: the basis of Z(A), each element
+# with its pivot, and the multiplication table in that basis.
+CENTER_SHA256 = {
+    "biline": (9, "edf42b43dc30a8544a35c77abf5350f729dc8b3171ba70f89c39be3da443c477"),
+    "loop-crowd-2": (5, "a3314cbd6ce180ec75a3d75b351572301019779f9869007b90416b92c191169d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENTER_SHA256))
+def test_center_table_byte_identical(capsys, tmp_path, name):
+    p = tmp_path / f"{name}.alg"
+    p.write_text(example_by_name(name).text)
+    code, out, _ = run(capsys, "center", str(p))
+    dim, digest = CENTER_SHA256[name]
+    assert code == 0 and out.splitlines()[0] == f"dim Z: {dim}"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_fuzz_cli(capsys):
     code, out, _ = run(capsys, "fuzz", "--seed", "5000", "--count", "6",
                        "--checks", "pi1_rank,im_delta0_dim")

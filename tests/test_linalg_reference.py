@@ -10,8 +10,14 @@ exactly on every input.
 returned one coefficient per row and ``project`` a dense tuple of
 coordinates, rebuilt on the dense reduction; the sparse forms must hold
 exactly its nonzero entries.
+
+``ref_rref_rowwise`` is the sparse ``_rref`` as it was before its
+unit-row presolve: every row, single-entry rows included, is reduced
+against the pivots so far and then cleared from them.  The presolved
+``_rref`` must return the same pivots and the same rows.
 """
 
+import copy
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -19,18 +25,54 @@ from hypothesis import strategies as st
 
 import pytest
 
+from quiverhh import linalg
 from quiverhh.errors import ContainmentError
 from quiverhh.fields import GF, QQ
 from quiverhh.linalg import (
     LabeledBasis,
     LinearMap,
     QuotientView,
+    accumulate,
     intersect,
     kernel,
+    null_space,
     reduce_against,
     solve_columns,
     span,
 )
+
+
+def ref_rref_rowwise(field, rows) -> dict:
+    """Reduced row echelon form of sparse rows as ``{pivot column: row dict}``.
+
+    Each incoming row is reduced against the pivots found so far, its
+    lowest remaining column becomes a new pivot (scaled to one), and that
+    column is cleared from the earlier rows.
+    """
+    mul, neg, inv = field.mul, field.neg, field.inv
+    piv: dict = {}
+
+    def axpy(r: dict, c, row: dict):
+        for k, x in row.items():
+            accumulate(field, r, k, mul(c, x))
+
+    for v in rows:
+        r = {k: x for k, x in v.items() if not field.is_zero(x)}
+        # pivot rows vanish on each other's pivots, so one pass suffices
+        for p in [k for k in r if k in piv]:
+            axpy(r, neg(r[p]), piv[p])
+        if not r:
+            continue
+        p = min(r)
+        if r[p] != 1:
+            s = inv(r[p])
+            r = {k: mul(s, x) for k, x in r.items()}
+        for row in piv.values():
+            c = row.get(p)
+            if c is not None:
+                axpy(row, neg(c), r)
+        piv[p] = r
+    return piv
 
 
 def _rref(field, rows: list, width: int) -> tuple:
@@ -221,6 +263,47 @@ def test_span_matches_dense(case):
     f, width, rows = case
     got = span(f, LabeledBasis(tuple(range(width))), rows)
     assert as_dense(f, got) == ref_span(f, width, rows)
+
+
+# the first row keeps a single entry once the unit columns 2 and 3 are deleted
+ONE_LEFT_AFTER_UNITS = [
+    {0: Fraction(1), 2: Fraction(1), 3: Fraction(2)}, {2: Fraction(1, 2)}, {3: Fraction(5)}
+]
+
+
+def _sorted_rows(piv: dict) -> dict:
+    return {p: sorted(row.items()) for p, row in sorted(piv.items())}
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+@example((QQ, 4, [{1: Fraction(2), 3: Fraction(1)}, {3: Fraction(4)}]))  # unit after longer row
+@example((QQ, 3, [{1: Fraction(-2, 3)}, {0: Fraction(1), 1: Fraction(1)}]))
+@example((GF(5), 3, [{2: 3}, {0: 1, 2: 4}]))
+@example((GF(3), 2, [{1: 2}, {1: 2}, {1: 1}, {0: 1, 1: 1}]))  # repeated unit rows
+@example((QQ, 3, [{1: Fraction(0)}, {1: Fraction(1), 2: Fraction(1)}]))
+@example((GF(2), 3, [{2: 0}]))
+@example((GF(5), 6, [{3: 0, 5: 2}, {3: 1, 5: 1}]))
+@example((QQ, 4, ONE_LEFT_AFTER_UNITS))
+def test_rref_matches_rowwise(case):
+    f, _, rows = case
+    assert _sorted_rows(linalg._rref(f, rows)) == _sorted_rows(ref_rref_rowwise(f, rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+@example((QQ, 3, [{1: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]))
+@example((GF(5), 6, [{3: 0, 5: 2}, {2: 1}]))
+def test_elimination_leaves_input_rows_alone(case):
+    f, width, rows = case
+    before = copy.deepcopy(rows)
+    piv = linalg._rref(f, rows)
+    assert rows == before
+    assert not any(row is v for row in piv.values() for v in rows)
+    basis = LabeledBasis(tuple(range(width)))
+    span(f, basis, rows)
+    null_space(f, basis, rows)
+    assert rows == before
 
 
 @settings(max_examples=150, deadline=None)
