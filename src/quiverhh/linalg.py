@@ -218,11 +218,12 @@ class LinearMap:
 
 
 def _transpose(columns, height: int) -> list:
+    """The nonzero rows of the matrix with these sparse columns, top to bottom."""
     rows = [{} for _ in range(height)]
     for j, col in enumerate(columns):
         for i, x in col.items():
             rows[i][j] = x
-    return rows
+    return [r for r in rows if r]
 
 
 def image(field: FieldSpec, m: LinearMap) -> Subspace:

@@ -13,6 +13,15 @@ so it vanishes unless a occurs in ε or b occurs in γ.  Every pairwise
 bracket loop (``hh1_lie`` here; the bracket checks of ``checks``) visits
 only the pairs :meth:`PairComplex.interacting_pairs` keeps, and
 ``lie_center_dim`` eliminates only the nonzero rows of its matrix.
+
+Both differentials are assembled by index arithmetic on the pair labels.
+A product or substitution of paths parallel to an arrow (or a relation)
+is a basis path iff its pair is a label, so one lookup of the pair key in
+the label index both tests for zero and finds the row.  The degree-one
+differential visits, for a column ``(a, γ)``, only the occurrences of
+``a`` in the relations, read off a table built once per complex.  The
+image of δ⁰, the kernel of δ¹ and the complex property are computed on
+construction; ker δ⁰ is eliminated on its first read.
 """
 
 from __future__ import annotations
@@ -90,7 +99,6 @@ class PairComplex:
         self.delta0 = self._build_delta0()
         self.delta1 = self._build_delta1()
 
-        self.ker0: Subspace = kernel(self.field, self.delta0)
         self.im0: Subspace = image(self.field, self.delta0)
         self.ker1: Subspace = kernel(self.field, self.delta1)
         # Raises if the image is not inside the kernel: the complex property
@@ -100,31 +108,48 @@ class PairComplex:
     # -- differentials -------------------------------------------------------
 
     def _build_delta0(self) -> LinearMap:
-        A, Q, f = self.A, self.A.quiver, self.field
+        """Column of a cycle ``p`` at ``v``: +1 at ``(a, a·p)`` for each arrow
+        ``a`` out of ``v`` and -1 at ``(a, p·a)`` for each arrow into ``v``,
+        wherever that pair is a label (the product is a basis path)."""
+        Q, f = self.A.quiver, self.field
         idx1 = self.basis1.index
+        one, minus_one = f.one, f.neg(f.one)
         cols = []
         for v, p in self.basis0.labels:
             col: dict = {}
             for a in Q.arrows_from[v]:
-                q = A.multiply(Q.arrow_path(a), p)
-                if q is not None:
-                    accumulate(f, col, idx1[(a, q)], f.one)
+                k = idx1.get((a, Path(v, Q.target(a), p.arrows + (a,))))
+                if k is not None:
+                    col[k] = one
             for a in Q.arrows_into[v]:
-                q = A.multiply(p, Q.arrow_path(a))
-                if q is not None:
-                    accumulate(f, col, idx1[(a, q)], f.neg(f.one))
+                k = idx1.get((a, Path(Q.source(a), v, (a,) + p.arrows)))
+                # a loop with a·p = p·a: the two terms cancel, also over F2
+                if k is not None and col.pop(k, None) is None:
+                    col[k] = minus_one
             cols.append(col)
         return LinearMap(self.basis0, self.basis1, tuple(cols))
 
     def _build_delta1(self) -> LinearMap:
+        """Column of ``(a, γ)``: +1 at ``(r, q)`` for each occurrence of ``a``
+        in a relation ``r`` that ``γ`` turns into the basis path ``q``.  Equal
+        hits add up and may cancel; ``γ = a`` gives back ``r``, never a basis path."""
         A, f = self.A, self.field
         idxZ = self.basisZ.index
+        one = f.one
+        occurrences: dict = {}  # arrow -> (relation index, source, target, before, after)
+        for ri, r in enumerate(A.relations):
+            w = r.arrows
+            for i, a in enumerate(w):
+                occurrences.setdefault(a, []).append((ri, r.source, r.target, w[:i], w[i + 1 :]))
         cols = []
         for a, gamma in self.basis1.labels:
             col: dict = {}
-            for ri, r in enumerate(A.relations):
-                for q in substitute(A, r, a, gamma):
-                    accumulate(f, col, idxZ[(ri, q)], f.one)
+            g = gamma.arrows
+            if g != (a,):
+                for ri, s, t, before, after in occurrences.get(a, ()):
+                    k = idxZ.get((ri, Path(s, t, before + g + after)))
+                    if k is not None:
+                        accumulate(f, col, k, one)
             cols.append(col)
         return LinearMap(self.basis1, self.basisZ, tuple(cols))
 
@@ -165,6 +190,11 @@ class PairComplex:
         return sorted(pairs)
 
     # -- cohomology --------------------------------------------------------------
+
+    @cached_property
+    def ker0(self) -> Subspace:
+        """ker δ⁰, eliminated on first read: many callers never need it."""
+        return kernel(self.field, self.delta0)
 
     @property
     def hh0(self) -> Subspace:

@@ -2,7 +2,9 @@ import pytest
 
 from quiverhh.examples_data import example_by_name
 from quiverhh.fileformat import parse
+from quiverhh.fields import GF, QQ
 from quiverhh.gluing import glue
+from quiverhh.randomgen import RandomSpec, instance_with_gluing
 
 
 def algebra(name):
@@ -78,3 +80,17 @@ def line_bound():
 @pytest.fixture
 def line_free():
     return algebra("line-free")
+
+
+@pytest.fixture(scope="session")
+def w1_gluings():
+    """The 1000 gluings of the fuzz corpus ``run_fuzz(20260809, 1000,
+    max_dim=32)`` as ``(spec, gluing)`` pairs, fields cycling Q, F2, F3, F5;
+    built once per session."""
+    fields = (QQ, GF(2), GF(3), GF(5))
+    out = []
+    for i in range(1000):
+        spec = RandomSpec(seed=20260809 + i, field=fields[i % 4], max_dim=32)
+        A, gs = instance_with_gluing(spec)
+        out.append((spec, glue(A, gs.alpha, gs.beta)))
+    return out

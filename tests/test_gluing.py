@@ -223,7 +223,7 @@ def test_special_pairs_combination_generator():
     assert not member(f, spp.z_spp, {CB.basis1.index[(b_star, pb)]: Fraction(1)})
 
 
-def test_kernel_decomposition_on_w1_gluings():
+def test_kernel_decomposition_on_w1_gluings(w1_gluings):
     """ker delta1 of B = (psi1(ker delta1 of A) meet ker delta1 of B) (+) Z_spp
     on all 1000 gluings of the fuzz corpus, with no loop-power hypothesis:
     the 145 gluings that violate it are included.  On the same gluings the
@@ -232,15 +232,11 @@ def test_kernel_decomposition_on_w1_gluings():
     their number."""
     from quiverhh.gluing import _missed
     from quiverhh.linalg import intersect, subspace_sum
-    from quiverhh.randomgen import RandomSpec, instance_with_gluing
     from test_basis_lookup_reference import ref_nsp_data, ref_special_paths
 
-    fields = (QQ, GF(2), GF(3), GF(5))
+    assert len(w1_gluings) == 1000
     violated = 0
-    for i in range(1000):
-        spec = RandomSpec(seed=20260809 + i, field=fields[i % 4], max_dim=32)
-        A, gs = instance_with_gluing(spec)
-        g = glue(A, gs.alpha, gs.beta)
+    for spec, g in w1_gluings:
         f, CB, z_spp = g.B.field, g.complexes[1], g.spp.z_spp
         kept = intersect(f, g.psi1_ker1, CB.ker1)
         total = subspace_sum(f, kept, z_spp)

@@ -7,10 +7,11 @@ from conftest import algebra, glued, pair0_index, pair1_index
 from quiverhh.algebra import build
 from quiverhh.fields import GF, QQ
 from quiverhh.gluing import glue
-from quiverhh.linalg import member, span
+from quiverhh.linalg import kernel, member, span
 from quiverhh.quiver import Quiver
 from quiverhh.randomgen import RandomSpec, random_instance
 from quiverhh.paircomplex import (
+    PairComplex,
     center_product,
     complex_data,
     hh1_lie,
@@ -236,3 +237,41 @@ def test_hh0_matches_center_table_dim(seed):
     A = random_instance(RandomSpec(seed=seed, max_vertices=4, max_arrows=5, max_dim=18))
     C = complex_data(A)
     assert center_product(A).dim == C.hh0.dim
+
+
+def _loop_power(field, m):
+    """The pair complex of k[x]/(x^m) on one vertex."""
+    Q = Quiver(("v",), (("x", 0, 0),))
+    return PairComplex(build(Q, [Q.path((0,) * m)], field))
+
+
+def test_delta1_loop_power_trivial_pair_vanishes_in_char():
+    # substituting e_v for x in x^m hits (x^m, x^(m-1)) m times; a sum that
+    # vanishes leaves no entry rather than a stored zero
+    for field, m, expected in ((QQ, 2, {(0, (0,)): 2}), (GF(2), 2, {}), (GF(3), 3, {})):
+        C = _loop_power(field, m)
+        col = C.delta1.columns[pair1_index(C, "x")]
+        labels = C.basisZ.labels
+        assert {(labels[k][0], labels[k][1].arrows): c for k, c in col.items()} == expected
+
+
+def test_delta0_loop_products_cancel():
+    # at a vertex with a loop x and an arrow a out, the cycle e_v maps to
+    # +(x, x) + (a, a) - (x, x): the loop's two products coincide and cancel
+    Q = Quiver(("v", "w"), (("x", 0, 0), ("a", 0, 1)))
+    for field in (QQ, GF(2)):
+        A = build(Q, [Q.path((0, 0)), Q.path((0, 1))], field)
+        C = PairComplex(A)
+        assert C.delta0.columns[pair0_index(C, "v")] == {pair1_index(C, "a", "a"): field.one}
+        # in k[x]/(x^3) the cycle x maps to +(x, x^2) - (x, x^2)
+        C = _loop_power(field, 3)
+        assert C.delta0.columns[pair0_index(C, "v", "x")] == {}
+
+
+def test_ker0_is_computed_on_first_read():
+    A = algebra("loop-power")
+    C = PairComplex(A)
+    assert "ker0" not in C.__dict__
+    ker0 = C.hh0
+    assert ker0 == kernel(A.field, C.delta0)
+    assert C.hh0 is ker0 and C.ker0 is ker0
