@@ -1,10 +1,10 @@
 """One checker per comparison statement about a gluing, plus a runner.
 
 Every checker takes the :class:`GluedAlgebra` and reads the data derived
-from the gluing (pair complexes, transported kernels and images,
-special-path data, the Lie structure of A, the oracle dimensions) from its
-lazily computed attributes, so each is built once per gluing however many
-checkers use it.
+from the gluing (pair complexes, transported kernels and images, the
+subspaces Z_sp, Z_spp and Z_nsp, the Lie structure of A, the oracle
+dimensions) from its lazily computed attributes, so each is built once per
+gluing however many checkers use it.
 
 Each checker is declared with :func:`check`, which names it, lists the
 hypotheses of its statement and the oracles that can confirm a failure of
@@ -103,7 +103,7 @@ NO_CONNECTING_PATHS = Hypothesis(
     lambda g: not g.A.paths_between[(g.endpoints[1], g.endpoints[2])],
 )
 NO_SPECIAL_PAIR_KERNEL = Hypothesis(
-    "requires a vanishing special-pair kernel part", lambda g: g.spp.kspp == 0
+    "requires a vanishing special-pair kernel part", lambda g: g.z_spp.dim == 0
 )
 # The preconditions of the higher-degree counting formula, with its own reasons.
 COUNTING_RAD_SQ_ZERO = Hypothesis("algebra is not radical square zero", RAD_SQ_ZERO.holds)
@@ -112,9 +112,9 @@ NOT_A_CROWN = Hypothesis("source quiver is a crown", lambda g: crown_order(g.A.q
 # No glued vertex of a source-sink gluing carries a loop, so this holds there.
 LOOP_POWER = Hypothesis(
     "characteristic divides a glued-vertex loop power",
-    lambda g: g.assumption[0],
+    lambda g: g.assumption is None,
     status="assumption-violated",
-    witness=lambda g: (g.A.quiver.arrow_name(g.assumption[1][0]), g.assumption[1][1]),
+    witness=lambda g: (g.A.quiver.arrow_name(g.assumption[0]), g.assumption[1]),
 )
 
 CHECKS: dict = {}  # name -> checker, in declaration order
@@ -163,7 +163,7 @@ def check_im_delta0_dim(g: GluedAlgebra) -> CheckReport:
     CA, CB = g.complexes
     c_a, c_b = g.components
     lhs = CA.im0.dim
-    rhs = CB.im0.dim + 2 + c_b - c_a - g.sp.sp
+    rhs = CB.im0.dim + 2 + c_b - c_a - g.z_sp.dim
     return _verdict(lhs == rhs, lhs, rhs)
 
 
@@ -172,9 +172,9 @@ def check_im_delta0_structure(g: GluedAlgebra) -> CheckReport:
     f = g.B.field
     CA, CB = g.complexes
     enlarged = g.im0_gamma
-    decomposed = subspace_sum(f, g.psi1_im0, g.sp.z_sp)
+    decomposed = subspace_sum(f, g.psi1_im0, g.z_sp)
     ok = enlarged == decomposed
-    ok = ok and decomposed.dim == g.psi1_im0.dim + g.sp.z_sp.dim
+    ok = ok and decomposed.dim == g.psi1_im0.dim + g.z_sp.dim
     ok = ok and g.psi1_im0.dim == CA.im0.dim - 1
     if g.same_block:
         ok = ok and g.gamma_outside_im0
@@ -233,11 +233,11 @@ def check_ker_delta1_hom(g: GluedAlgebra) -> CheckReport:
 def check_ker_delta1_structure(g: GluedAlgebra) -> CheckReport:
     f = g.B.field
     CA, CB = g.complexes
-    total = subspace_sum(f, g.psi1_ker1, g.spp.z_spp)
-    ok = total.dim == g.psi1_ker1.dim + g.spp.z_spp.dim
+    total = subspace_sum(f, g.psi1_ker1, g.z_spp)
+    ok = total.dim == g.psi1_ker1.dim + g.z_spp.dim
     ok = ok and total == CB.ker1
     lhs = CB.ker1.dim
-    rhs = CA.ker1.dim - 1 + g.spp.kspp
+    rhs = CA.ker1.dim - 1 + g.z_spp.dim
     ok = ok and lhs == rhs
     if g.source_sink:
         crucial = crucial_paths(g)
@@ -247,10 +247,10 @@ def check_ker_delta1_structure(g: GluedAlgebra) -> CheckReport:
             long_path = g.B.quiver.path(word)
             generators.append({CB.basis1.index[(g.gamma, long_path)]: f.one})
         stated = span(f, CB.basis1, generators)
-        ok = ok and g.spp.z_spp == stated == g.sp.z_sp
-        ok = ok and g.spp.kspp == g.sp.sp == len(crucial)
+        ok = ok and g.z_spp == stated == g.z_sp
+        ok = ok and g.z_sp.dim == len(crucial)
     rep = _verdict(ok, lhs, rhs)
-    rep.witness = {"ker_a": CA.ker1.dim, "ker_b": CB.ker1.dim, "kspp": g.spp.kspp}
+    rep.witness = {"ker_a": CA.ker1.dim, "ker_b": CB.ker1.dim, "kspp": g.z_spp.dim}
     return rep
 
 
@@ -316,7 +316,7 @@ def check_hh1_dim_general(g: GluedAlgebra) -> CheckReport:
     CA, CB = g.complexes
     c_a, c_b = g.components
     lhs = CA.hh1_view.dim
-    rhs = CB.hh1_view.dim - 1 - g.spp.kspp + g.sp.sp + c_a - c_b
+    rhs = CB.hh1_view.dim - 1 - g.z_spp.dim + g.z_sp.dim + c_a - c_b
     return _verdict(lhs == rhs, lhs, rhs)
 
 
@@ -337,10 +337,10 @@ def check_center_geq1(g: GluedAlgebra) -> CheckReport:
     f = g.B.field
     ker_b_pos = g.ker0_positive[1]
     psi0_ker = g.psi0_ker0_positive
-    total = subspace_sum(f, psi0_ker, g.nsp.z_nsp)
-    ok = total.dim == psi0_ker.dim + g.nsp.z_nsp.dim
+    total = subspace_sum(f, psi0_ker, g.z_nsp)
+    ok = total.dim == psi0_ker.dim + g.z_nsp.dim
     ok = ok and total == ker_b_pos
-    return _verdict(ok, ker_b_pos.dim, psi0_ker.dim + g.nsp.nsp)
+    return _verdict(ok, ker_b_pos.dim, psi0_ker.dim + g.z_nsp.dim)
 
 
 def _center_embedding(g: GluedAlgebra):
@@ -376,7 +376,7 @@ def check_center_indec(g: GluedAlgebra) -> CheckReport:
     f = g.B.field
     CA, CB = g.complexes
     lhs = CB.hh0.dim
-    rhs = CA.hh0.dim + g.nsp.nsp
+    rhs = CA.hh0.dim + g.z_nsp.dim
     ok = lhs == rhs
     mu = _center_embedding(g)
     rows = CA.hh0.row_vectors()
@@ -401,7 +401,7 @@ def check_center_indec(g: GluedAlgebra) -> CheckReport:
        oracles=("center",))
 def check_center_source_sink(g: GluedAlgebra) -> CheckReport:
     CA, CB = g.complexes
-    ok = CA.hh0.dim == CB.hh0.dim and g.nsp.nsp == 0
+    ok = CA.hh0.dim == CB.hh0.dim and g.z_nsp.dim == 0
     return _verdict(ok, CA.hh0.dim, CB.hh0.dim)
 
 
@@ -423,7 +423,7 @@ def check_center_diff_blocks(g: GluedAlgebra) -> CheckReport:
     CA, CB = g.complexes
     lhs = CA.hh0.dim
     rhs = CB.hh0.dim + 1
-    ok = lhs == rhs and g.nsp.nsp == 0
+    ok = lhs == rhs and g.z_nsp.dim == 0
     ok = ok and g.psi0_ker0_positive == g.ker0_positive[1]
     rows = g.ker0_positive[0].row_vectors()
     psi = [g.psi0.apply(f, r) for r in rows]

@@ -6,11 +6,11 @@ monomial subalgebra presented on the merged quiver.  The new relations
 are exactly the newly composable words of length two through a merged
 vertex and of length three through the merged arrow, in both directions.
 The construction also carries the induced linear maps between the
-parallel-pair spaces of the two algebras and the combinatorial data
-controlling how kernels and images of the two complexes differ.  The
-special paths, the special pairs and the glued-vertex cycle pairs are all
-read off the labels of B that the transport maps miss; the crucial paths
-are enumerated directly.
+parallel-pair spaces of the two algebras and the subspaces controlling
+how kernels and images of the two complexes differ.  The labels of B that
+the transport maps miss are held once per gluing (``missed0``,
+``missed1``); Z_sp, Z_spp and Z_nsp are read off them as plain subspaces.
+The crucial paths are enumerated directly.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ class GluingSpec:
 class GluedAlgebra:
     """Result of gluing arrows ``alpha`` and ``beta`` of ``A``.
 
-    Everything derived from the gluing (transport maps, special-path data,
+    Everything derived from the gluing (transport maps, the labels of B
+    they miss, the subspaces Z_sp, Z_spp and Z_nsp read off those labels,
     transported kernels and images, the Lie structures of A and B, oracle
     dimensions) is a lazily computed attribute, so each is built at most
     once per instance and is shared by every checker that reads it.
@@ -185,19 +186,30 @@ class GluedAlgebra:
     # -- derived subspaces and invariants ---------------------------------------
 
     @cached_property
-    def sp(self) -> "SpecialPathData":
+    def missed0(self) -> list:
+        """Degree-zero labels of B outside the image of psi0, ascending."""
+        return _missed(self.psi0)
+
+    @cached_property
+    def missed1(self) -> list:
+        """Degree-one labels of B outside the image of psi1, ascending."""
+        return _missed(self.psi1)
+
+    @cached_property
+    def z_sp(self) -> Subspace:
         return special_paths(self)
 
     @cached_property
-    def spp(self) -> "SpecialPairData":
+    def z_spp(self) -> Subspace:
         return special_pairs(self)
 
     @cached_property
-    def nsp(self) -> "NspData":
+    def z_nsp(self) -> Subspace:
         return nsp_data(self)
 
     @cached_property
-    def assumption(self) -> tuple:
+    def assumption(self):
+        """None, or the (loop, power) witness of a violated loop-power hypothesis."""
         return assumption_holds(self)
 
     @cached_property
@@ -366,7 +378,7 @@ def glue(A: MonomialAlgebra, alpha: int, beta: int, gamma_name: str = "gamma*") 
     return g
 
 
-# -- special paths --------------------------------------------------------------
+# -- the pairs the transport misses --------------------------------------------
 
 
 def _missed(m: LinearMap) -> list:
@@ -377,34 +389,12 @@ def _missed(m: LinearMap) -> list:
     return [i for i in range(len(m.codomain)) if i not in hit]
 
 
-@dataclass(frozen=True)
-class SpecialPathData:
-    between_first: tuple  # basis paths joining the first merged vertex pair
-    between_second: tuple
-    z_sp: Subspace
-    sp: int
-
-
-def special_paths(g: GluedAlgebra) -> SpecialPathData:
-    """Paths between the glued vertex pairs with nonzero degree-zero image.
-
-    The degree-zero labels of B that no column of ``psi0`` touches are the
-    cycles at a merged vertex whose one preimage joins its two glued
-    vertices.  Z_sp is the span of their images under delta0 of B; the
-    preimages with a nonzero image are listed per merged vertex in the
-    basis order of A.
-    """
+def special_paths(g: GluedAlgebra) -> Subspace:
+    """Z_sp: the image under delta0 of B of the vertex/cycle pairs that
+    ``psi0`` misses.  The special paths are the preimages of those cycles
+    whose pair delta0 does not send to zero."""
     CB = g.complexes[1]
-    columns = {i: CB.delta0.columns[i] for i in _missed(g.psi0)}
-    first_merged = g.vertex_map[g.endpoints[0]]
-    found = ([], [])
-    for i, col in columns.items():
-        if col:
-            merged, q = CB.basis0.labels[i]
-            found[merged != first_merged].extend(g.fibers[q])
-    first, second = (tuple(sorted(paths, key=g.A.basis_index.get)) for paths in found)
-    z_sp = span(g.B.field, CB.basis1, list(columns.values()))
-    return SpecialPathData(first, second, z_sp, z_sp.dim)
+    return span(g.B.field, CB.basis1, [CB.delta0.columns[i] for i in g.missed0])
 
 
 def crucial_paths(g: GluedAlgebra):
@@ -423,66 +413,35 @@ def crucial_paths(g: GluedAlgebra):
     )
 
 
-@dataclass(frozen=True)
-class SpecialPairData:
-    pairs: tuple  # (arrow id, basis path) in A
-    z_spp: Subspace  # inside the degree-one pair space of B
-    kspp: int
+def special_pairs(g: GluedAlgebra) -> Subspace:
+    """Z_spp: the part of ker delta1 of B spanned by the arrow/path pairs
+    that ``psi1`` misses, the special pairs.
 
-
-def special_pairs(g: GluedAlgebra) -> SpecialPairData:
-    """The arrow/path pairs of B that no pair of A maps to, and their
-    kernel part.
-
-    A label of B's degree-one pair space outside the image of ``psi1`` is
-    a pair the gluing made parallel; ``pairs`` lists its preimages in A,
-    ordered by arrow and then by basis path.  Every preimage of such a
-    label is a non-parallel pair of A, since a parallel one would map
-    onto it.  A loop l at a glued vertex v with partner u gives the
-    non-parallel pair (l, e_u), but its label (l*, e_f) is the image of
-    (l, e_v), so it is not listed; on a cocycle of B that coordinate times
-    the power m of l's relation equals the one at (l*^m, l*^(m-1)), so it
-    vanishes when the characteristic does not divide m.
+    Every preimage of a special pair is a non-parallel pair of A, since a
+    parallel one would map onto it.  A loop l at a glued vertex v with
+    partner u gives the non-parallel pair (l, e_u), but its label
+    (l*, e_f) is the image of (l, e_v), so it is not a special pair; on a
+    cocycle of B that coordinate times the power m of l's relation equals
+    the one at (l*^m, l*^(m-1)), so it vanishes when the characteristic
+    does not divide m.
     """
-    CB = g.complexes[1]
     f = g.B.field
-    labels = _missed(g.psi1)
-    arrows_over: dict = {}
-    for a, b in enumerate(g.arrow_map):
-        arrows_over.setdefault(b, []).append(a)
-    pairs = [
-        (a, p)
-        for b, q in (CB.basis1.labels[i] for i in labels)
-        for a in arrows_over[b]
-        for p in g.fibers[q]
-    ]
-    pairs.sort(key=lambda pair: (pair[0], g.A.basis_index[pair[1]]))
-    z_spp = restricted_kernel(f, CB.delta1, [{i: f.one} for i in labels])
-    return SpecialPairData(tuple(pairs), z_spp, z_spp.dim)
+    return restricted_kernel(f, g.complexes[1].delta1, [{i: f.one} for i in g.missed1])
 
 
-@dataclass(frozen=True)
-class NspData:
-    z_nsp: Subspace  # inside the degree-zero pair space of B
-    nsp: int
-
-
-def nsp_data(g: GluedAlgebra) -> NspData:
-    """The vertex/cycle pairs of B that no pair of A maps to (the cycles at
-    a merged vertex whose preimage joins its two glued vertices), and their
-    kernel part, controlling the center."""
-    CB = g.complexes[1]
+def nsp_data(g: GluedAlgebra) -> Subspace:
+    """Z_nsp: the part of ker delta0 of B spanned by the vertex/cycle pairs
+    that ``psi0`` misses; it controls the center."""
     f = g.B.field
-    z_nsp = restricted_kernel(f, CB.delta0, [{i: f.one} for i in _missed(g.psi0)])
-    return NspData(z_nsp, z_nsp.dim)
+    return restricted_kernel(f, g.complexes[1].delta0, [{i: f.one} for i in g.missed0])
 
 
 def assumption_holds(g: GluedAlgebra):
     """Characteristic condition on loop powers at the four glued vertices.
 
-    Returns (True, None) or (False, (loop arrow id, power)) for the first
-    loop at a glued endpoint whose unique pure-power relation length is
-    divisible by the characteristic.
+    Returns None when it holds, else the witness (loop arrow id, power)
+    for the first loop at a glued endpoint whose unique pure-power
+    relation length is divisible by the characteristic.
     """
     A = g.A
     QA = A.quiver
@@ -498,5 +457,5 @@ def assumption_holds(g: GluedAlgebra):
                     break
             _invariant(m is not None, "loop without a pure power relation in a finite-dimensional algebra")
             if f.divides_char(m):
-                return False, (a, m)
-    return True, None
+                return a, m
+    return None

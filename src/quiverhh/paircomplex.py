@@ -192,13 +192,9 @@ class PairComplex:
     # -- cohomology --------------------------------------------------------------
 
     @cached_property
-    def ker0(self) -> Subspace:
-        """ker δ⁰, eliminated on first read: many callers never need it."""
-        return kernel(self.field, self.delta0)
-
-    @property
     def hh0(self) -> Subspace:
-        return self.ker0
+        """HH⁰ = ker δ⁰, eliminated on first read: many callers never need it."""
+        return kernel(self.field, self.delta0)
 
 
 @lru_cache(maxsize=64)

@@ -24,9 +24,16 @@ unchanged apart from taking the complex as an argument, and are compared
 column for column on the corpus, on random instances and on both sides of
 the 1000 gluings of the fuzz corpus.
 
-The program reads all three gluing data off the pairs of B outside the
-image of the transport.  For degree zero those are exactly the images of
-the glued-pair paths.  In degree one the scan also lists (loop at a glued
+The program reads Z_sp, Z_spp and Z_nsp off the pairs of B outside the
+image of the transport and keeps only those subspaces.  The earlier forms
+also listed the special paths per glued vertex pair and the preimages in A
+of the special pairs, inside three dataclasses: ``ref_missed_special_paths``,
+``ref_missed_special_pairs`` and ``ref_missed_nsp_data`` keep those bodies
+unchanged, with the dataclasses, and the gluing's subspaces must equal
+their ``z_*`` fields on the corpus over every field, on random gluings and
+on the 1000 gluings of the fuzz corpus.  Their listings are compared with
+the scans: for degree zero the missed pairs are exactly the images of the
+glued-pair paths.  In degree one the scan also lists (loop at a glued
 vertex v, trivial path at v's partner), whose label the transport hits;
 those are the only pairs it drops, and the kernel part is unchanged
 wherever the loop-power hypothesis holds.
@@ -39,17 +46,18 @@ from quiverhh.algebra import build
 from quiverhh.examples_data import EXAMPLES
 from quiverhh.fields import GF, QQ
 from quiverhh.fileformat import parse
-from quiverhh.gluing import (
-    NspData,
-    SpecialPairData,
-    SpecialPathData,
-    crucial_paths,
-    glue,
-    nsp_data,
-    special_pairs,
-    special_paths,
+from dataclasses import dataclass
+
+from quiverhh.gluing import GluedAlgebra, crucial_paths, glue
+from quiverhh.linalg import (
+    LinearMap,
+    Subspace,
+    accumulate,
+    contains_subspace,
+    intersect,
+    restricted_kernel,
+    span,
 )
-from quiverhh.linalg import LinearMap, accumulate, contains_subspace, intersect, span
 from quiverhh.paircomplex import PairComplex, substitute
 from quiverhh.quiver import Path, compose, is_sink_arrow, is_source_arrow, parallel
 from quiverhh.randomgen import (
@@ -204,6 +212,98 @@ def ref_crucial_paths(g):
     return tuple(out)
 
 
+def _missed(m: LinearMap) -> list:
+    """Codomain indices that no column of ``m`` touches, ascending."""
+    hit = set()
+    for col in m.columns:
+        hit.update(col)
+    return [i for i in range(len(m.codomain)) if i not in hit]
+
+
+@dataclass(frozen=True)
+class SpecialPathData:
+    between_first: tuple  # basis paths joining the first merged vertex pair
+    between_second: tuple
+    z_sp: Subspace
+    sp: int
+
+
+def ref_missed_special_paths(g: GluedAlgebra) -> SpecialPathData:
+    """Paths between the glued vertex pairs with nonzero degree-zero image.
+
+    The degree-zero labels of B that no column of ``psi0`` touches are the
+    cycles at a merged vertex whose one preimage joins its two glued
+    vertices.  Z_sp is the span of their images under delta0 of B; the
+    preimages with a nonzero image are listed per merged vertex in the
+    basis order of A.
+    """
+    CB = g.complexes[1]
+    columns = {i: CB.delta0.columns[i] for i in _missed(g.psi0)}
+    first_merged = g.vertex_map[g.endpoints[0]]
+    found = ([], [])
+    for i, col in columns.items():
+        if col:
+            merged, q = CB.basis0.labels[i]
+            found[merged != first_merged].extend(g.fibers[q])
+    first, second = (tuple(sorted(paths, key=g.A.basis_index.get)) for paths in found)
+    z_sp = span(g.B.field, CB.basis1, list(columns.values()))
+    return SpecialPathData(first, second, z_sp, z_sp.dim)
+
+
+@dataclass(frozen=True)
+class SpecialPairData:
+    pairs: tuple  # (arrow id, basis path) in A
+    z_spp: Subspace  # inside the degree-one pair space of B
+    kspp: int
+
+
+def ref_missed_special_pairs(g: GluedAlgebra) -> SpecialPairData:
+    """The arrow/path pairs of B that no pair of A maps to, and their
+    kernel part.
+
+    A label of B's degree-one pair space outside the image of ``psi1`` is
+    a pair the gluing made parallel; ``pairs`` lists its preimages in A,
+    ordered by arrow and then by basis path.  Every preimage of such a
+    label is a non-parallel pair of A, since a parallel one would map
+    onto it.  A loop l at a glued vertex v with partner u gives the
+    non-parallel pair (l, e_u), but its label (l*, e_f) is the image of
+    (l, e_v), so it is not listed; on a cocycle of B that coordinate times
+    the power m of l's relation equals the one at (l*^m, l*^(m-1)), so it
+    vanishes when the characteristic does not divide m.
+    """
+    CB = g.complexes[1]
+    f = g.B.field
+    labels = _missed(g.psi1)
+    arrows_over: dict = {}
+    for a, b in enumerate(g.arrow_map):
+        arrows_over.setdefault(b, []).append(a)
+    pairs = [
+        (a, p)
+        for b, q in (CB.basis1.labels[i] for i in labels)
+        for a in arrows_over[b]
+        for p in g.fibers[q]
+    ]
+    pairs.sort(key=lambda pair: (pair[0], g.A.basis_index[pair[1]]))
+    z_spp = restricted_kernel(f, CB.delta1, [{i: f.one} for i in labels])
+    return SpecialPairData(tuple(pairs), z_spp, z_spp.dim)
+
+
+@dataclass(frozen=True)
+class NspData:
+    z_nsp: Subspace  # inside the degree-zero pair space of B
+    nsp: int
+
+
+def ref_missed_nsp_data(g: GluedAlgebra) -> NspData:
+    """The vertex/cycle pairs of B that no pair of A maps to (the cycles at
+    a merged vertex whose preimage joins its two glued vertices), and their
+    kernel part, controlling the center."""
+    CB = g.complexes[1]
+    f = g.B.field
+    z_nsp = restricted_kernel(f, CB.delta0, [{i: f.one} for i in _missed(g.psi0)])
+    return NspData(z_nsp, z_nsp.dim)
+
+
 def ref_special_pairs(g):
     A, B = g.A, g.B
     QA = A.quiver
@@ -272,14 +372,14 @@ def ref_nsp_data(g):
         for p in paths
     }
     nsp_span = span(f, CB.basis0, [{i: f.one} for i in sorted(labels)])
-    z_nsp = intersect(f, nsp_span, CB.ker0)
+    z_nsp = intersect(f, nsp_span, CB.hh0)
     return NspData(z_nsp, z_nsp.dim)
 
 
 def assert_special_pairs_match(g):
-    """Compare ``special_pairs`` with the scan; returns the number of
-    scanned pairs it drops."""
-    got, want = special_pairs(g), ref_special_pairs(g)
+    """Compare the listing of the pairs the transport misses with the scan;
+    returns the number of scanned pairs it drops."""
+    got, want = ref_missed_special_pairs(g), ref_special_pairs(g)
     CB = g.complexes[1]
     hit = {i for col in g.psi1.columns for i in col}
 
@@ -295,12 +395,19 @@ def assert_special_pairs_match(g):
         v = QA.source(a)
         assert QA.target(a) == v and v in partner, (a, p)
         assert p == QA.trivial_path(partner[v]), (a, p)
-    if g.assumption[0]:
+    if g.assumption is None:
         assert got.z_spp == want.z_spp
     else:
         assert contains_subspace(g.B.field, want.z_spp, got.z_spp)
     assert got.kspp == got.z_spp.dim
     return len(dropped)
+
+
+def assert_subspaces_match(g):
+    """The gluing's Z_sp, Z_spp and Z_nsp equal the listing references'."""
+    assert g.z_sp == ref_missed_special_paths(g).z_sp
+    assert g.z_spp == ref_missed_special_pairs(g).z_spp
+    assert g.z_nsp == ref_missed_nsp_data(g).z_nsp
 
 
 def composable_words(A):
@@ -360,9 +467,10 @@ def assert_gluing_matches(g):
     """Compare the gluing's path and pair data and both algebras with their
     references; returns the number of crucial paths, of zero words and of
     scanned special pairs the transport hits."""
-    assert special_paths(g) == ref_special_paths(g)
+    assert ref_missed_special_paths(g) == ref_special_paths(g)
     dropped = assert_special_pairs_match(g)
-    assert nsp_data(g) == ref_nsp_data(g)
+    assert ref_missed_nsp_data(g) == ref_nsp_data(g)
+    assert_subspaces_match(g)
     crucial = crucial_paths(g)
     assert crucial == ref_crucial_paths(g)
     zero = assert_algebra_matches(g.A) + assert_algebra_matches(g.B)
@@ -391,7 +499,7 @@ def test_glued_pair_paths_both_ways_in_basis_order():
     )
     g = glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"])
     assert [p.arrows for p in ref_glued_pair_paths(g)[0][1]] == [(1,), (2,)]
-    assert special_paths(g).between_first == ref_glued_pair_paths(g)[0][1]
+    assert ref_missed_special_paths(g).between_first == ref_glued_pair_paths(g)[0][1]
     assert assert_gluing_matches(g)[1] > 0
 
 
@@ -426,8 +534,9 @@ def test_special_pairs_match_basis_scan(seed, field):
     A, gs = instance_with_gluing(RandomSpec(seed=seed, field=FIELDS[field], max_dim=32))
     g = glue(A, gs.alpha, gs.beta)
     assert_special_pairs_match(g)
-    assert special_paths(g) == ref_special_paths(g)
-    assert nsp_data(g) == ref_nsp_data(g)
+    assert ref_missed_special_paths(g) == ref_special_paths(g)
+    assert ref_missed_nsp_data(g) == ref_nsp_data(g)
+    assert_subspaces_match(g)
 
 
 def test_dropped_loop_pair_leaves_kernel_when_loop_power_fails():
@@ -435,9 +544,9 @@ def test_dropped_loop_pair_leaves_kernel_when_loop_power_fails():
     # carries a cocycle coordinate, so the scan's kernel part is larger
     A, gs = instance_with_gluing(RandomSpec(seed=20260838, field=FIELDS["F2"], max_dim=32))
     g = glue(A, gs.alpha, gs.beta)
-    assert g.assumption[0] is False
+    assert g.assumption is not None
     assert assert_special_pairs_match(g) > 0
-    assert special_pairs(g).kspp < ref_special_pairs(g).kspp
+    assert g.z_spp.dim < ref_special_pairs(g).kspp
 
 
 def test_w1_differentials_match_reference(w1_gluings):
@@ -446,4 +555,13 @@ def test_w1_differentials_match_reference(w1_gluings):
     for spec, g in w1_gluings:
         for C in g.complexes:
             nonzero += assert_differentials_match(C)
+    assert nonzero
+
+
+def test_w1_subspaces_match_reference(w1_gluings):
+    assert len(w1_gluings) == 1000
+    nonzero = 0
+    for spec, g in w1_gluings:
+        assert_subspaces_match(g)
+        nonzero += g.z_sp.dim + g.z_spp.dim + g.z_nsp.dim
     assert nonzero

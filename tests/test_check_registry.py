@@ -11,6 +11,8 @@ tested for every degree.  The declared forms must agree with them on the
 built-in corpus and on generated gluings.
 """
 
+import contextlib
+import io
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,6 +31,7 @@ from quiverhh.randomgen import RandomSpec, instance_with_gluing, source_sink_ins
 
 FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5)}
 GUARDED = ("not-applicable", "assumption-violated")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _na(check, reason):
@@ -59,8 +62,8 @@ def ref_guard(name, g):
             return _na("rad_sq_zero_im", "requires a radical-square-zero algebra")
     elif name in ("ker_delta1_hom", "ker_delta1_structure"):
         if not g.source_sink:
-            ok_assum, witness = g.assumption
-            if not ok_assum:
+            witness = g.assumption
+            if witness is not None:
                 return _violated(name, _loop_witness(g, witness))
     elif name == "hh1_lie_iso":
         if not g.source_sink:
@@ -73,8 +76,8 @@ def ref_guard(name, g):
         if f.char != 0:
             return _na("hh1_central_summand", "requires characteristic zero")
     elif name == "hh1_dim_general":
-        ok_assum, witness = g.assumption
-        if not ok_assum:
+        witness = g.assumption
+        if witness is not None:
             return _violated("hh1_dim_general", _loop_witness(g, witness))
     elif name == "rad_sq_zero_summand":
         if not g.A.is_radical_square_zero():
@@ -83,7 +86,7 @@ def ref_guard(name, g):
             return _na("rad_sq_zero_summand", "requires a same-block gluing")
         if g.B.field.char != 0:
             return _na("rad_sq_zero_summand", "requires characteristic zero")
-        if g.spp.kspp != 0:
+        if g.z_spp.dim != 0:
             return _na("rad_sq_zero_summand", "requires a vanishing special-pair kernel part")
     elif name == "center_indec":
         if c_a != 1:
@@ -219,7 +222,7 @@ def test_source_sink_gluings_meet_the_loop_power_hypothesis(seed, field, arrows)
     A, gs = source_sink_instance(spec)
     g = glue(A, gs.alpha, gs.beta)
     assert g.source_sink
-    assert g.assumption == (True, None)
+    assert g.assumption is None
 
 
 def _row(cells, names):
@@ -235,7 +238,7 @@ def _table_rows(readme: str, header: str) -> list:
 
 
 def test_readme_tables_match_the_declarations():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     by_hypothesis: dict = {}
     by_oracles: dict = {}
     for name, checker in CHECKS.items():
@@ -253,3 +256,20 @@ def test_readme_tables_match_the_declarations():
         # every row once, and no row that the declarations do not produce
         assert len(rows) == len(set(rows)), header
         assert set(rows) == set(declared), header
+
+
+def test_readme_library_block_runs():
+    # README's only python block: its first output line is the one its
+    # "# 1 1" comment states, then one "<check> <status>" line per check
+    blocks = README.read_text(encoding="utf-8").split("```python\n")
+    assert len(blocks) == 2
+    code = blocks[1].split("```")[0]
+    stated = [line.split("# ")[1] for line in code.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    first, *rows = out.getvalue().splitlines()
+    assert [first] == stated == ["1 1"]
+    assert [row.split()[0] for row in rows] == list(CHECKS)
+    statuses = {"pass", "fail", "not-applicable", "assumption-violated"}
+    assert all(len(row.split()) == 2 and row.split()[1] in statuses for row in rows)

@@ -271,7 +271,7 @@ def test_delta0_loop_products_cancel():
 def test_ker0_is_computed_on_first_read():
     A = algebra("loop-power")
     C = PairComplex(A)
-    assert "ker0" not in C.__dict__
-    ker0 = C.hh0
-    assert ker0 == kernel(A.field, C.delta0)
-    assert C.hh0 is ker0 and C.ker0 is ker0
+    assert "hh0" not in C.__dict__
+    hh0 = C.hh0
+    assert hh0 == kernel(A.field, C.delta0)
+    assert C.hh0 is hh0 and C.__dict__["hh0"] is hh0
