@@ -188,6 +188,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    if args.show and args.run:
+        raise QuiverHHError("--show cannot be combined with --run")
+    if args.json and not args.run:
+        raise QuiverHHError("--json applies only to --run")
     if args.show:
         try:
             entry = example_by_name(args.show)

@@ -16,8 +16,8 @@ Coordinates are sparse too.  Because the stored rows are reduced
 echelon, the coefficient of a member vector along a row is its entry at
 that row's pivot, so :func:`reduce_against` visits only the pivots that
 occur in the vector and returns ``{row index: coefficient}``, and
-:meth:`QuotientView.project` returns ``{representative position:
-coefficient}``; neither ever holds a zero.
+:meth:`QuotientView.project` reduces once against the total space and
+returns ``{representative position: coefficient}``; neither has a zero.
 """
 
 from __future__ import annotations
@@ -149,17 +149,18 @@ def reduce_against(field: FieldSpec, space: Subspace, vec: dict) -> tuple:
 
     Each row is one at its own pivot and zero at every other pivot, so the
     coefficient along a row is ``vec`` at its pivot and only the pivots
-    present in ``vec`` are visited, in row order.  The remainder is zero
-    at every pivot; it is empty iff ``vec`` lies in ``space``.
+    present in ``vec`` are visited, in row order.  The remainder drops the
+    pivot entry, which cancels exactly, and takes only the row's others, so
+    a unit row costs nothing; it is empty iff ``vec`` lies in ``space``.
     """
     index = space.pivot_index
     rem = dict(vec)
     coeffs = {}
     mul, neg = field.mul, field.neg
     for p in sorted(p for p in vec if p in index):
-        r, c = index[p], vec[p]
+        r, c = index[p], rem.pop(p)
         coeffs[r] = c
-        for i, x in space.rows[r]:
+        for i, x in space.rows[r][1:]:
             accumulate(field, rem, i, neg(mul(c, x)))
     return coeffs, rem
 
@@ -295,13 +296,27 @@ class QuotientView:
         rows = self.total.row_vectors()
         return [rows[i] for i in self.rep_indices]
 
+    @cached_property
+    def _fold(self) -> dict:
+        """``{row of total at a pivot p of sub: ((position, c), ...)}``, built on
+        first use: modulo sub that row is the sum of the representatives, each
+        times minus the entry of sub's row at p in the representative's pivot."""
+        at, pos, neg = self.total.pivot_index, self._rep_position, self.field.neg
+        subrows = zip(self.sub.pivots, self.sub.rows)
+        return {at[p]: tuple((pos[at[q]], neg(x)) for q, x in r[1:] if q in at) for p, r in subrows}
+
     def project(self, vec: dict) -> dict:
         """Coordinates of the class of ``vec`` as ``{representative position:
-        coefficient}``, in ascending position and without zeros."""
-        _, reduced = reduce_against(self.field, self.sub, vec)
-        coeffs, rem = reduce_against(self.field, self.total, reduced)
+        coefficient}``, ascending and without zeros, reducing once against total."""
+        coeffs, rem = reduce_against(self.field, self.total, vec)
         if rem:
             raise ContainmentError("vector lies outside the total space")
-        # reduced vanishes on the pivots of the sub, so every key is a representative
         position = self._rep_position
-        return {position[i]: c for i, c in coeffs.items()}
+        out = {position[i]: c for i, c in coeffs.items() if i in position}
+        if len(out) == len(coeffs):
+            return out
+        f, fold = self.field, self._fold
+        for i, c in coeffs.items():
+            for k, x in fold.get(i, ()):
+                accumulate(f, out, k, f.mul(c, x))
+        return dict(sorted(out.items()))

@@ -14,14 +14,15 @@ bracket loop (``hh1_lie`` here; the bracket checks of ``checks``) visits
 only the pairs :meth:`PairComplex.interacting_pairs` keeps, and
 ``lie_center_dim`` eliminates only the nonzero rows of its matrix.
 
-Both differentials are assembled by index arithmetic on the pair labels.
-A product or substitution of paths parallel to an arrow (or a relation)
-is a basis path iff its pair is a label, so one lookup of the pair key in
-the label index both tests for zero and finds the row.  The degree-one
-differential visits, for a column ``(a, γ)``, only the occurrences of
-``a`` in the relations, read off a table built once per complex.  The
-image of δ⁰, the kernel of δ¹ and the complex property are computed on
-construction; ker δ⁰ is eliminated on its first read.
+Both differentials and the bracket are assembled by index arithmetic on
+the pair labels.  A product or substitution of paths parallel to an arrow
+(or a relation) is a basis path iff its pair is a label, so one lookup of
+the pair key in the label index both tests for zero and finds the row.
+δ¹ visits, for a column ``(a, γ)``, only the occurrences of ``a`` in the
+relations, read off a table built once per complex; the bracket only
+those of ``a`` in ε and of ``b`` in γ.  The image of δ⁰, the kernel of δ¹
+and the complex property are computed on construction; ker δ⁰ is
+eliminated on its first read.
 """
 
 from __future__ import annotations
@@ -54,20 +55,6 @@ def pair_str(A: MonomialAlgebra, label, kind: str) -> str:
     left, p = label
     lhs = A.quiver.vertex_names[left] if kind == "0" else A.quiver.arrow_name(left)
     return f"{lhs} || {path_str(A.quiver, p)}"
-
-
-def substitute(A: MonomialAlgebra, target: Path, a: int, gamma: Path) -> list:
-    """All basis paths obtained by replacing one occurrence of arrow ``a``
-    in ``target`` by the parallel path ``gamma`` (with multiplicity)."""
-    out = []
-    word = target.arrows
-    for i, arr in enumerate(word):
-        if arr != a:
-            continue
-        p = Path(target.source, target.target, word[:i] + gamma.arrows + word[i + 1 :])
-        if A.in_basis(p):
-            out.append(p)
-    return out
 
 
 class PairComplex:
@@ -157,19 +144,28 @@ class PairComplex:
 
     def bracket(self, x: dict, y: dict) -> dict:
         """Degree-one bracket, bilinear over arrow/path pair labels."""
-        A, f = self.A, self.field
+        f = self.field
         labels = self.basis1.labels
         idx = self.basis1.index
         out: dict = {}
         for i, ci in x.items():
-            a, gamma = labels[i]
+            a, (gs, gt, g) = labels[i]
             for j, cj in y.items():
-                b, eps = labels[j]
-                c = f.mul(ci, cj)
-                for q in substitute(A, eps, a, gamma):
-                    accumulate(f, out, idx[(b, q)], c)
-                for q in substitute(A, gamma, b, eps):
-                    accumulate(f, out, idx[(a, q)], f.neg(c))
+                b, (es, et, e) = labels[j]
+                if a in e:
+                    c = f.mul(ci, cj)
+                    for n, arr in enumerate(e):
+                        if arr == a:
+                            k = idx.get((b, Path(es, et, e[:n] + g + e[n + 1 :])))
+                            if k is not None:
+                                accumulate(f, out, k, c)
+                if b in g:
+                    c = f.neg(f.mul(ci, cj))
+                    for n, arr in enumerate(g):
+                        if arr == b:
+                            k = idx.get((a, Path(gs, gt, g[:n] + e + g[n + 1 :])))
+                            if k is not None:
+                                accumulate(f, out, k, c)
         return out
 
     def interacting_pairs(self, vectors) -> list:

@@ -24,6 +24,17 @@ unchanged apart from taking the complex as an argument, and are compared
 column for column on the corpus, on random instances and on both sides of
 the 1000 gluings of the fuzz corpus.
 
+The degree-one bracket called ``substitute`` for both of its terms, which
+listed the basis paths by ``in_basis`` and then looked each pair up again,
+before it too became a lookup of pair keys.  ``substitute`` is kept here,
+compared with ``ref_substitute`` on every word, and ``ref_bracket`` is the
+bracket built on it, unchanged apart from taking the complex as an
+argument.  ``PairComplex.bracket`` must equal it on every interacting pair
+of kernel rows and of HH^1 representatives, both ways round, on both sides
+of every corpus gluing over every field, of ``fan(2..6)`` and of random
+and source-sink gluings, and on random vectors with non-unit coefficients
+over small algebras.
+
 The program reads Z_sp, Z_spp and Z_nsp off the pairs of B outside the
 image of the transport and keeps only those subspaces.  The earlier forms
 also listed the special paths per glued vertex pair and the preimages in A
@@ -39,11 +50,13 @@ those are the only pairs it drops, and the kernel part is unchanged
 wherever the loop-power hypothesis holds.
 """
 
+from fractions import Fraction
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quiverhh.algebra import build
-from quiverhh.examples_data import EXAMPLES
+from quiverhh.examples_data import EXAMPLES, fan
 from quiverhh.fields import GF, QQ
 from quiverhh.fileformat import parse
 from dataclasses import dataclass
@@ -58,7 +71,7 @@ from quiverhh.linalg import (
     restricted_kernel,
     span,
 )
-from quiverhh.paircomplex import PairComplex, substitute
+from quiverhh.paircomplex import PairComplex
 from quiverhh.quiver import Path, compose, is_sink_arrow, is_source_arrow, parallel
 from quiverhh.randomgen import (
     RandomSpec,
@@ -102,6 +115,39 @@ def ref_substitute(A, target, a, gamma):
         if ref_word_in_ideal(A, new_word):
             continue
         out.append(Path(target.source, target.target, new_word))
+    return out
+
+
+def substitute(A, target, a, gamma):
+    """All basis paths obtained by replacing one occurrence of arrow ``a``
+    in ``target`` by the parallel path ``gamma`` (with multiplicity)."""
+    out = []
+    word = target.arrows
+    for i, arr in enumerate(word):
+        if arr != a:
+            continue
+        p = Path(target.source, target.target, word[:i] + gamma.arrows + word[i + 1 :])
+        if A.in_basis(p):
+            out.append(p)
+    return out
+
+
+def ref_bracket(C, x, y):
+    """Degree-one bracket of the pair complex ``C``, bilinear over arrow/path
+    pair labels."""
+    A, f = C.A, C.field
+    labels = C.basis1.labels
+    idx = C.basis1.index
+    out: dict = {}
+    for i, ci in x.items():
+        a, gamma = labels[i]
+        for j, cj in y.items():
+            b, eps = labels[j]
+            c = f.mul(ci, cj)
+            for q in substitute(A, eps, a, gamma):
+                accumulate(f, out, idx[(b, q)], c)
+            for q in substitute(A, gamma, b, eps):
+                accumulate(f, out, idx[(a, q)], f.neg(c))
     return out
 
 
@@ -565,3 +611,80 @@ def test_w1_subspaces_match_reference(w1_gluings):
         assert_subspaces_match(g)
         nonzero += g.z_sp.dim + g.z_spp.dim + g.z_nsp.dim
     assert nonzero
+
+
+def assert_brackets_match(C):
+    """Compare ``PairComplex.bracket`` with ``ref_bracket`` in both orders on
+    every interacting pair of kernel rows and of HH^1 representatives;
+    returns the number of nonzero brackets compared."""
+    nonzero = 0
+    for vectors in (C.ker1.row_vectors(), C.hh1_view.representatives()):
+        for i, j in C.interacting_pairs(vectors):
+            for x, y in ((vectors[i], vectors[j]), (vectors[j], vectors[i])):
+                got = C.bracket(x, y)
+                assert got == ref_bracket(C, x, y), (x, y)
+                nonzero += bool(got)
+    return nonzero
+
+
+def test_brackets_match_reference_on_corpus_and_fans():
+    gluings = []
+    for ex in EXAMPLES:
+        A = parse(ex.text)
+        Q = A.quiver
+        alpha, beta = Q.arrow_index[ex.alpha], Q.arrow_index[ex.beta]
+        gluings += [glue(build(Q, A.relations, f), alpha, beta) for f in FIELDS.values()]
+    for m in range(2, 7):
+        A = parse(fan(m))
+        gluings.append(glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"]))
+    counts = [assert_brackets_match(C) for g in gluings for C in g.complexes]
+    assert all(counts[-10:])  # both sides of every fan
+    assert sum(counts[:-10])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(sorted(FIELDS)), st.booleans())
+@example(20260809, "Q", False)
+@example(0, "F2", True)
+def test_brackets_match_reference_on_random_gluings(seed, field, source_sink):
+    if source_sink:
+        A, gs = source_sink_instance(RandomSpec(seed=seed, field=FIELDS[field]))
+    else:
+        A, gs = instance_with_gluing(RandomSpec(seed=seed, field=FIELDS[field], max_dim=32))
+    g = glue(A, gs.alpha, gs.beta)
+    for C in g.complexes:
+        assert_brackets_match(C)
+
+
+# label indices into each algebra's degree-one basis are taken modulo its size
+SMALL_ALGEBRAS = {
+    "loop-square": "field Q\nvertex v\narrow x v v\nrel x x\n",
+    "loop-fourth": "field Q\nvertex v\narrow x v v\nrel x x x x\n",
+    "two-loops": "field Q\nvertex v\narrow x v v\narrow y v v\nrel x x\nrel y y\nrel x y x\nrel y x y\n",
+    "line-bound": EXAMPLES[0].text,
+}
+TERMS = st.lists(st.tuples(st.integers(0, 40), st.integers(-4, 4)), min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(SMALL_ALGEBRAS)), st.sampled_from(sorted(FIELDS)), TERMS, TERMS)
+# [(x, e), (x, x)] = (x, e): gamma is the trivial path, so x becomes e in x
+@example("loop-square", "Q", [(0, 1)], [(1, 1)])
+# [(x, x), (x, x^2)] = 2 (x, x^2) - (x, x^2): both substitutions fire
+@example("loop-fourth", "Q", [(1, 1)], [(2, 1)])
+@example("loop-fourth", "F5", [(0, 3), (1, 2)], [(2, 4), (1, -2)])
+@example("two-loops", "Q", [(1, -4), (4, 2)], [(2, 3), (3, 1)])
+def test_bracket_matches_reference_on_vectors(name, field, xs, ys):
+    f = FIELDS[field]
+    P = parse(SMALL_ALGEBRAS[name])
+    C = PairComplex(build(P.quiver, P.relations, f))
+    n = len(C.basis1)
+
+    def vector(terms):
+        out: dict = {}
+        for i, c in terms:
+            accumulate(f, out, i % n, c % f.char if f.char else Fraction(c, 3))
+        return out
+
+    x, y = vector(xs), vector(ys)
+    assert C.bracket(x, y) == ref_bracket(C, x, y)

@@ -56,8 +56,9 @@ from quiverhh.linalg import (
     span,
     subspace_sum,
 )
-from quiverhh.paircomplex import LieAlgebraPresentation, substitute
+from quiverhh.paircomplex import LieAlgebraPresentation
 from quiverhh.randomgen import RandomSpec, source_sink_instance
+from test_basis_lookup_reference import substitute
 from test_linalg_reference import RefQuotientView
 
 FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5)}

@@ -107,6 +107,21 @@ def test_examples_unknown_name_exit_code(capsys):
     assert err.splitlines() == ["error: --show: no example named 'nope'"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--run", "--show", "biline"], "--show cannot be combined with --run"),
+        (["--show", "biline", "--run", "--json"], "--show cannot be combined with --run"),
+        (["--json"], "--json applies only to --run"),
+        (["--show", "biline", "--json"], "--json applies only to --run"),
+    ],
+)
+def test_examples_conflicting_flags_exit_code(capsys, argv, message):
+    code, out, err = run(capsys, "examples", *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.parametrize("count", ["-3", "-1"])
 def test_fuzz_negative_count_exit_code(capsys, count):
     code, out, err = run(capsys, "fuzz", "--seed", "1", f"--count={count}")

