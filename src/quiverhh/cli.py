@@ -230,6 +230,8 @@ def cmd_examples(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    if args.json and args.repro:
+        raise QuiverHHError("--repro cannot be combined with --json")
     if args.count < 0:
         raise QuiverHHError(f"--count expects a non-negative integer, got {args.count}")
     named = {"default": FUZZ_CHECKS, "all": tuple(CHECKS)}
@@ -327,7 +329,9 @@ def main(argv=None) -> int:
         f"{', '.join(CHECKS)}",
     )
     p.add_argument("--json", action="store_true")
-    p.add_argument("--repro", action="store_true", help="print reproduction files for failures")
+    p.add_argument(
+        "--repro", action="store_true", help="print reproduction files for failures (text output only)"
+    )
     p.set_defaults(fn=cmd_fuzz)
 
     args = ap.parse_args(argv)

@@ -7,8 +7,9 @@ value)`` pairs sorted by column, whose lowest column is its pivot with
 value one, and no row has an entry in another row's pivot column.  That
 form is unique, so two subspaces are equal iff their stored rows are
 identical, whatever order or pivot choice produced them.  Every kernel,
-image, intersection and solve goes through the one sparse elimination
-routine :func:`_rref`.  Most rows it receives hold a single nonzero
+image, intersection, solve and rank goes through the one sparse
+elimination routine :func:`_rref`; :func:`rank` counts its pivots and
+builds no subspace.  Most rows it receives hold a single nonzero
 entry, so it takes each such row's column as a pivot up front, deletes
 those columns from the other rows and eliminates only what is left.
 
@@ -142,6 +143,11 @@ def span(field: FieldSpec, basis: LabeledBasis, vectors: Sequence[dict]) -> Subs
     pivots = tuple(sorted(piv))
     rows = tuple(tuple(sorted(piv[p].items())) for p in pivots)
     return Subspace(basis, rows, pivots)
+
+
+def rank(field: FieldSpec, rows: Sequence[dict]) -> int:
+    """Dimension of the span of sparse rows."""
+    return len(_rref(field, rows))
 
 
 def reduce_against(field: FieldSpec, space: Subspace, vec: dict) -> tuple:

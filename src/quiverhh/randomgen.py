@@ -94,17 +94,8 @@ def random_instance(spec: RandomSpec) -> MonomialAlgebra:
 
 def gluable_pairs(A: MonomialAlgebra) -> list:
     """All (alpha, beta) with distinct arrows, no loops, four distinct vertices."""
-    Q = A.quiver
-    out = []
-    for a in range(Q.num_arrows):
-        if Q.source(a) == Q.target(a):
-            continue
-        for b in range(Q.num_arrows):
-            if b == a or Q.source(b) == Q.target(b):
-                continue
-            if len({Q.source(a), Q.target(a), Q.source(b), Q.target(b)}) == 4:
-                out.append((a, b))
-    return out
+    ends = [(a, {s, t}) for a, (_, s, t) in enumerate(A.quiver.arrows) if s != t]
+    return [(a, b) for a, ea in ends for b, eb in ends if ea.isdisjoint(eb)]
 
 
 def random_gluing(A: MonomialAlgebra, seed: int):

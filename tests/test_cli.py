@@ -129,6 +129,13 @@ def test_fuzz_negative_count_exit_code(capsys, count):
     assert err.splitlines() == [f"error: --count expects a non-negative integer, got {count}"]
 
 
+def test_fuzz_json_repro_exit_code(capsys):
+    # JSON fail rows carry their repro already; rejected before any instance is generated
+    code, out, err = run(capsys, "fuzz", "--seed", "1", "--count", "3", "--json", "--repro")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: --repro cannot be combined with --json"]
+
+
 BAD_CHECKS = [
     ("nope", "unknown check 'nope'"),
     ("pi1_rank,nope", "unknown check 'nope'"),

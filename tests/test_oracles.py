@@ -92,6 +92,17 @@ def test_oracles_on_corpus():
             assert oracle_hh1_dim(A) == C.hh1_view.dim
 
 
+def test_oracles_on_w1_gluings(w1_gluings):
+    """On both sides of all 1000 W1 gluings, passing and failing alike, the
+    Der/Inn oracle gives dim HH¹ of the pair complex and the center oracle
+    gives its dim HH⁰."""
+    assert len(w1_gluings) == 1000
+    for spec, g in w1_gluings:
+        for side, C in zip((g.A, g.B), g.complexes):
+            assert oracle_hh1_dim(side) == C.hh1_view.dim, spec.seed
+            assert oracle_center(side)[0] == C.hh0.dim, spec.seed
+
+
 def test_oracle_center_elements_commute():
     A = algebra("double-braid")
     dim, elements = oracle_center(A)

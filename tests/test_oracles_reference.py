@@ -1,4 +1,4 @@
-"""Differential tests: both oracles against their two earlier implementations.
+"""Differential tests: both oracles against their three earlier implementations.
 
 The first reference is the commutant and the derivation system the
 package used before both oracles were built from one commutator matrix
@@ -6,19 +6,34 @@ and one product-rule loop, kept here unchanged.  It expands the
 idempotent, vertex/arrow and relation equations block by block and
 builds the commutator matrix twice.
 
-The second reference (``ref_*``) is that commutator matrix and
-product-rule loop as they were before the generator product table: every
-product is a fresh ``A.multiply`` call, and every product-rule term runs
-over the whole basis.  All three must give the same (dim Der, dim InnDer)
-and the same canonical center basis, and the table must hold exactly the
-nonzero products of a generator with a basis path.
+The second reference (``ref_commutators``, ``ref_oracle_center``,
+``ref_add_derivative`` and ``ref_derivation_dims``) is that commutator
+matrix and product-rule loop as they were before the generator product
+table: every product is a fresh ``A.multiply`` call, and every
+product-rule term runs over the whole basis.  All of them must give the
+same (dim Der, dim InnDer) and the same canonical center basis, and the
+table must hold exactly the nonzero products of a generator with a basis
+path.
+
+The third reference (``ref_product_table`` and ``ref_table_*``) is the
+product table and the table walks as they were before the table was
+built by index arithmetic: every table entry is an ``A.multiply`` call,
+the generator-pair products are ``A.multiply`` calls too, each
+product-rule term walks one q at a time through ``accumulate``, and both
+dimensions are read off a :class:`Subspace` built by ``span``.  The
+package's derivation system must be the same equations: the rows it
+ranks equal, as a multiset, the rows this reference spans.
 """
 
+import sys
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quiverhh import oracles
 from quiverhh.algebra import MonomialAlgebra, build
+from quiverhh.checks import run_checks
 from quiverhh.examples_data import EXAMPLES
 from quiverhh.fields import GF, QQ
 from quiverhh.fileformat import parse
@@ -307,14 +322,128 @@ def ref_derivation_dims(A: MonomialAlgebra):
 
 
 
+def ref_product_table(A: MonomialAlgebra) -> oracles.ProductTable:
+    """Every nonzero product of a generator with a basis path, both sides."""
+    Q = A.quiver
+    index = A.basis_index
+    gens = [Q.trivial_path(v) for v in range(Q.num_vertices)]
+    gens += [Q.arrow_path(a) for a in range(Q.num_arrows)]
+    left = [{} for _ in gens]
+    right = [{} for _ in gens]
+    for gi, g in enumerate(gens):
+        for pi, p in enumerate(A.basis):
+            gp = A.multiply(g, p)
+            if gp is not None:
+                left[gi][pi] = index[gp]
+            pg = A.multiply(p, g)
+            if pg is not None:
+                right[gi][pi] = index[pg]
+    return oracles.ProductTable(gens, left, right)
+
+
+def ref_table_commutators(A: MonomialAlgebra, table) -> list:
+    """One column per basis path p: [p, g] at ``gi * dim A + coord``.
+
+    Generator by generator, the column of p is the value of the inner
+    derivation ad p in the unknowns of :func:`derivation_dims`.
+    """
+    f, n = A.field, A.dim
+    columns = [{} for _ in range(n)]
+    for gi in range(len(table.gens)):
+        offset = gi * n
+        for pi, r in table.right[gi].items():
+            accumulate(f, columns[pi], offset + r, f.one)
+        for pi, r in table.left[gi].items():
+            accumulate(f, columns[pi], offset + r, f.neg(f.one))
+    return columns
+
+
+def ref_table_add_derivative(A: MonomialAlgebra, table, rows: dict, word, c) -> None:
+    """Add ``c`` times d(x_k ⋯ x_1) to ``rows`` for the generator indices
+    ``word = (x_1, ..., x_k)``.
+
+    By the product rule d(x_k ⋯ x_1) is the sum over i of
+    x_k ⋯ x_{i+1} d(x_i) x_{i-1} ⋯ x_1, where d(x_i) is the sum over basis
+    paths q of the unknown ``(x_i, q)`` times q.  Each term walks q through
+    the table, one factor at a time, and starts from the table entries of
+    the factor next to q, so a q whose first product is zero is never
+    visited; only a one-letter word runs over the whole basis.  ``rows``
+    maps the basis index of the product to ``{unknown: coeff}``.
+    """
+    f, n = A.field, A.dim
+    for i, x in enumerate(word):
+        offset = x * n
+        steps = [table.right[y] for y in reversed(word[:i])]
+        steps += [table.left[y] for y in word[i + 1 :]]
+        start = steps.pop(0).items() if steps else zip(range(n), range(n))
+        for qi, r in start:
+            for step in steps:
+                r = step.get(r)
+                if r is None:
+                    break
+            else:
+                accumulate(f, rows.setdefault(r, {}), offset + qi, c)
+
+
+def ref_table_derivation_dims(A: MonomialAlgebra):
+    """(dim Der, dim InnDer) from the generator-value parametrization."""
+    f = A.field
+    Q = A.quiver
+    table = ref_product_table(A)
+    gens = table.gens
+    gen_index = {g: i for i, g in enumerate(gens)}
+    # The relations presenting A: yx = 0 or a generator for every generator
+    # pair other than two arrows, and r = 0 for every relation.  A derivation
+    # must respect each: d(y)x + y d(x) = d(yx) and d(r) = 0.
+    words = [
+        ((xi, yi), gen_index.get(A.multiply(y, x)))
+        for yi, y in enumerate(gens)
+        for xi, x in enumerate(gens)
+        if x.length + y.length < 2
+    ]
+    words += [(tuple(gen_index[Q.arrow_path(a)] for a in r.arrows), None) for r in A.relations]
+    equations = []
+    for word, product in words:
+        rows: dict = {}
+        ref_table_add_derivative(A, table, rows, word, f.one)
+        if product is not None:
+            ref_table_add_derivative(A, table, rows, (product,), f.neg(f.one))
+        equations.extend(rows.values())
+    unknowns = LabeledBasis(tuple(range(len(gens) * A.dim)))
+    der = len(unknowns) - span(f, unknowns, equations).dim
+    return der, span(f, unknowns, ref_table_commutators(A, table)).dim
+
+
 FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5)}
+
+
+def _multiset(rows) -> list:
+    return sorted(sorted(r.items()) for r in rows)
 
 
 def assert_oracles_match(A):
     dims = oracles.derivation_dims(A)
     center = oracles.oracle_center(A)
-    assert dims == derivation_dims(A) == ref_derivation_dims(A)
+    assert dims == derivation_dims(A) == ref_derivation_dims(A) == ref_table_derivation_dims(A)
     assert center == oracle_center(A) == ref_oracle_center(A)
+    assert_same_equations(A)
+
+
+def assert_same_equations(A):
+    """The package ranks exactly the rows the table reference spans: the
+    derivation equations, then the commutator columns."""
+    ranked, spanned = [], []
+    here = sys.modules[__name__]
+    real_rank, real_span = oracles.rank, span
+    oracles.rank = lambda f, rows: ranked.append(rows) or real_rank(f, rows)
+    here.span = lambda f, basis, rows: spanned.append(rows) or real_span(f, basis, rows)
+    try:
+        oracles.derivation_dims(A)
+        ref_table_derivation_dims(A)
+    finally:
+        oracles.rank, here.span = real_rank, real_span
+    assert len(ranked) == len(spanned) == 2
+    assert [_multiset(rows) for rows in ranked] == [_multiset(rows) for rows in spanned]
 
 
 def assert_table_is_products(A):
@@ -322,6 +451,10 @@ def assert_table_is_products(A):
     table = oracles.product_table(A)
     index = A.basis_index
     assert table.gens == _generators(A)
+    # the generators are the first basis paths, so a generator's basis index
+    # is its generator index
+    assert table.gens == list(A.basis[: len(table.gens)])
+    assert table == ref_product_table(A)
     for gi, g in enumerate(table.gens):
         for side, mul in ((table.left, lambda p: A.multiply(g, p)),
                           (table.right, lambda p: A.multiply(p, g))):
@@ -368,4 +501,26 @@ def test_gluing_sides_match_reference(seed, field, max_dim):
     g = glue(A, gs.alpha, gs.beta)
     for side in (g.A, g.B):
         assert_table_is_products(side)
+        assert_oracles_match(side)
+
+
+@pytest.fixture(scope="module")
+def w1_failing_sides(w1_gluings):
+    """Both sides of the 50 W1 gluings that fail ``hh1_dim_general``: the
+    counterexamples the hh1 oracle confirms, and the fuzz tail."""
+    sides = []
+    for _, g in w1_gluings:
+        if run_checks(g, ("hh1_dim_general",))[0].failed:
+            sides += [g.A, g.B]
+    assert len(sides) == 100
+    return sides
+
+
+def test_w1_failing_sides_product_tables(w1_failing_sides):
+    for side in w1_failing_sides:
+        assert_table_is_products(side)
+
+
+def test_w1_failing_sides_match_reference(w1_failing_sides):
+    for side in w1_failing_sides:
         assert_oracles_match(side)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverhh import randomgen
 from quiverhh.algebra import build
@@ -60,6 +62,46 @@ def test_gluable_pairs_rule():
     assert (0, 1) in pairs and (1, 0) in pairs
     assert all(2 not in p for p in pairs)  # loops never participate
     assert (0, 3) not in pairs  # shares vertices
+
+
+def ref_gluable_pairs(A) -> list:
+    """The quadratic loop ``gluable_pairs`` used before it compared endpoint sets."""
+    Q = A.quiver
+    out = []
+    for a in range(Q.num_arrows):
+        if Q.source(a) == Q.target(a):
+            continue
+        for b in range(Q.num_arrows):
+            if b == a or Q.source(b) == Q.target(b):
+                continue
+            if len({Q.source(a), Q.target(a), Q.source(b), Q.target(b)}) == 4:
+                out.append((a, b))
+    return out
+
+
+@st.composite
+def quivers(draw):
+    """Any quiver on at most seven vertices, loops and parallel arrows included."""
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    ends = draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    arrows = tuple((f"a{i}", s, t) for i, (s, t) in enumerate(ends))
+    return Quiver(tuple(f"v{i}" for i in range(n)), arrows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quivers())
+def test_gluable_pairs_match_reference(Q):
+    # with every path of length two a relation, any quiver gives a finite algebra
+    rels = [Q.path((a, b)) for a in range(Q.num_arrows) for b in Q.arrows_from[Q.target(a)]]
+    A = build(Q, rels, QQ)
+    assert gluable_pairs(A) == ref_gluable_pairs(A)
+
+
+def test_random_instances_gluable_pairs_match_reference():
+    for seed in range(300):
+        A = random_instance(RandomSpec(seed=seed, field=QQ, max_dim=32))
+        assert gluable_pairs(A) == ref_gluable_pairs(A)
 
 
 def test_instance_with_gluing_valid():
