@@ -98,7 +98,11 @@ def cmd_hh(args) -> int:
         elif n == 1:
             print(f"HH^1: {C.hh1_view.dim}")
         else:
-            print(f"HH^{n}: {next(high)}")
+            dim = next(high)
+            try:
+                print(f"HH^{n}: {dim}")
+            except ValueError:  # more digits than Python converts to a string
+                raise QuiverHHError(f"--degrees: dim HH^{n} has too many digits to print") from None
     if args.lie and C.hh1_view.dim:
         pres = hh1_lie(A)
         print("HH^1 basis: " + "; ".join(pres.basis_labels))

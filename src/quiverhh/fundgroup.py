@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .algebra import MonomialAlgebra
 from .errors import BridgeError, QuiverHHError
 from .gluing import GluedAlgebra
-from .linalg import LabeledBasis, accumulate, member, span
+from .linalg import accumulate, member, rank
 from .quiver import Quiver, betti
 from .paircomplex import complex_data
 
@@ -86,8 +86,7 @@ def theta_class_rank(A: MonomialAlgebra) -> int:
     Betti number for monomial ideals (verified per instance by callers)."""
     C = complex_data(A)
     coord_vecs = [C.hh1_view.project(theta(A, chord)) for chord in chord_duals(A.quiver)]
-    coord_basis = LabeledBasis(tuple(range(C.hh1_view.dim)))
-    return span(A.field, coord_basis, coord_vecs).dim
+    return rank(A.field, coord_vecs)
 
 
 @dataclass(frozen=True)

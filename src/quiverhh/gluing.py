@@ -10,7 +10,8 @@ parallel-pair spaces of the two algebras and the subspaces controlling
 how kernels and images of the two complexes differ.  The labels of B that
 the transport maps miss are held once per gluing (``missed0``,
 ``missed1``); Z_sp, Z_spp and Z_nsp are read off them as plain subspaces.
-The crucial paths are enumerated directly.
+The crucial paths are enumerated directly.  Per-algebra data, the HH¹ Lie
+presentation included, lives on the pair complexes of ``complex_data``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .quiver import (
     is_sink_arrow,
     is_source_arrow,
 )
-from .paircomplex import complex_data, hh1_lie
+from .paircomplex import complex_data
 
 
 def _unique_name(base: str, taken: set) -> str:
@@ -58,9 +59,9 @@ class GluedAlgebra:
 
     Everything derived from the gluing (transport maps, the labels of B
     they miss, the subspaces Z_sp, Z_spp and Z_nsp read off those labels,
-    transported kernels and images, the Lie structures of A and B, oracle
-    dimensions) is a lazily computed attribute, so each is built at most
-    once per instance and is shared by every checker that reads it.
+    transported kernels and images, oracle dimensions) is a lazily
+    computed attribute, built at most once and shared by every checker;
+    each algebra's HH¹ Lie presentation is held by its pair complex.
     """
 
     def __init__(self, A, alpha, beta, B, vertex_map, arrow_map, gamma, z_new):
@@ -240,16 +241,6 @@ class GluedAlgebra:
     @cached_property
     def psi0_ker0_positive(self) -> Subspace:
         return self.psi_subspace(self.psi0, self.ker0_positive[0])
-
-    @cached_property
-    def lie_a(self):
-        """Structure constants of the degree-one cohomology Lie algebra of A."""
-        return hh1_lie(self.A)
-
-    @cached_property
-    def lie_b(self):
-        """Structure constants of the degree-one cohomology Lie algebra of B."""
-        return hh1_lie(self.B)
 
     @cached_property
     def oracle_hh1_dims(self) -> tuple:

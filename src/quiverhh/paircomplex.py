@@ -9,9 +9,9 @@ HH1 the kernel modulo image in degree one, and the degree-one bracket of
 two arrow pairs substitutes each into the other.
 
 The bracket [(a, γ), (b, ε)] substitutes γ for a in ε and ε for b in γ,
-so it vanishes unless a occurs in ε or b occurs in γ.  Every pairwise
-bracket loop (``hh1_lie`` here; the bracket checks of ``checks``) visits
-only the pairs :meth:`PairComplex.interacting_pairs` keeps, and
+so it vanishes unless a occurs in ε or b occurs in γ.  The one pair loop,
+:meth:`PairComplex.brackets` (read by ``PairComplex.lie`` and the checks),
+brackets only the pairs :meth:`PairComplex.interacting_pairs` keeps, and
 ``lie_center_dim`` eliminates only the nonzero rows of its matrix.
 
 Both differentials and the bracket are assembled by index arithmetic on
@@ -21,8 +21,8 @@ the pair key in the label index both tests for zero and finds the row.
 δ¹ visits, for a column ``(a, γ)``, only the occurrences of ``a`` in the
 relations, read off a table built once per complex; the bracket only
 those of ``a`` in ε and of ``b`` in γ.  The image of δ⁰, the kernel of δ¹
-and the complex property are computed on construction; ker δ⁰ is
-eliminated on its first read.
+and the complex property are computed on construction; ker δ⁰ and the
+HH¹ Lie presentation ``lie`` are computed on their first read.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .linalg import (
     accumulate,
     image,
     kernel,
-    null_space,
+    rank,
     reduce_against,
 )
 from .quiver import Path, path_str
@@ -185,12 +185,34 @@ class PairComplex:
                         pairs.add((i, j) if i < j else (j, i))
         return sorted(pairs)
 
+    def brackets(self, vectors, reduce=None) -> dict:
+        """``{(i, j): reduce([v_i, v_j])}`` for ``i < j``, ascending and without
+        empty values, bracketing only the pairs :meth:`interacting_pairs`
+        keeps; ``reduce`` (linear, the identity by default) never sees ``{}``."""
+        out = {}
+        for i, j in self.interacting_pairs(vectors):
+            v = self.bracket(vectors[i], vectors[j])
+            v = reduce(v) if v and reduce else v
+            if v:
+                out[i, j] = v
+        return out
+
     # -- cohomology --------------------------------------------------------------
 
     @cached_property
     def hh0(self) -> Subspace:
         """HH⁰ = ker δ⁰, eliminated on first read: many callers never need it."""
         return kernel(self.field, self.delta0)
+
+    @cached_property
+    def lie(self) -> LieAlgebraPresentation:
+        """HH¹ structure constants on the deterministic representatives."""
+        reps = self.hh1_view.representatives()
+        coords = self.brackets(reps, self.hh1_view.project)
+        terms = {pair: tuple(v.items()) for pair, v in coords.items()}
+        pivots = [self.ker1.pivots[i] for i in self.hh1_view.rep_indices]
+        labels = tuple(pair_str(self.A, self.basis1.labels[p], "1") for p in pivots)
+        return LieAlgebraPresentation(len(reps), labels, terms, self.field)
 
 
 @lru_cache(maxsize=64)
@@ -262,7 +284,7 @@ class LieAlgebraPresentation:
 
 
 def lie_center_dim(pres: LieAlgebraPresentation) -> int:
-    """Dimension of the center of the presented Lie algebra: the kernel of
+    """Dimension of the center of the presented Lie algebra: the nullity of
     x -> ([x, x_k])_k, with one row per (k, m) that has a nonzero
     coefficient of x_m in some [x_i, x_k]."""
     f = pres.field
@@ -271,21 +293,12 @@ def lie_center_dim(pres: LieAlgebraPresentation) -> int:
         for m, c in terms:
             rows.setdefault((k, m), {})[i] = c
             rows.setdefault((i, m), {})[k] = f.neg(c)
-    return null_space(f, LabeledBasis(tuple(range(pres.dim))), list(rows.values())).dim
+    return pres.dim - rank(f, list(rows.values()))
 
 
 def hh1_lie(A: MonomialAlgebra) -> LieAlgebraPresentation:
-    """Structure constants on the deterministic degree-one representatives."""
-    C = complex_data(A)
-    reps = C.hh1_view.representatives()
-    terms = {}
-    for i, j in C.interacting_pairs(reps):
-        coords = C.hh1_view.project(C.bracket(reps[i], reps[j]))
-        if coords:
-            terms[(i, j)] = tuple(coords.items())
-    pivots = [C.ker1.pivots[i] for i in C.hh1_view.rep_indices]
-    labels = tuple(pair_str(A, C.basis1.labels[p], "1") for p in pivots)
-    return LieAlgebraPresentation(len(reps), labels, terms, A.field)
+    """The HH¹ Lie presentation of ``A``, held by its pair complex."""
+    return complex_data(A).lie
 
 
 @dataclass(frozen=True)

@@ -11,22 +11,25 @@ quotient coordinates come from the dense ``RefQuotientView`` of
 ``test_linalg_reference``, as they did when ``project`` returned tuples.
 
 The reference ``ref_check_ker_delta1_hom`` is ``check_ker_delta1_hom`` as
-it ran before the check visited only the pairs that
-``PairComplex.interacting_pairs`` keeps on either side: it brackets every
-pair of kernel rows.  No corpus gluing fails that check, so the pair it
-reports is compared under perturbations: B's bracket scaled by 2 or 3 or
-made symmetric (``_SymmetricBracket``), and a transport that drops every
-B pair with one given left arrow.  Under the symmetric bracket some
-mismatched pairs are kept only by B's side of the filter, under the
-dropping transport some only by A's side.  ``ref_hh1_central_summand_body``
+it ran before the check compared the tables that ``PairComplex.brackets``
+builds on either side, each over the pairs its own filter keeps: it
+brackets every pair of kernel rows. No corpus gluing fails that check, so
+the pair it reports is compared under perturbations: B's bracket scaled by
+2 or 3 or made symmetric (``_SymmetricBracket``), and a transport that
+drops every B pair with one given left arrow. Under the symmetric bracket
+some mismatched pairs are kept only by B's side of the filter, under the
+dropping transport some only by A's side. ``ref_hh1_central_summand_body``
 is the body of ``check_hh1_central_summand`` before it bracketed only the
 kernel rows that meet the merged arrow's pair.
 
-``check_hh1_lie_iso`` visits the union of the pairs with nonzero A
-structure constants and the pairs B's filter keeps.  A bracket that
+``check_hh1_lie_iso`` compares the transported nonzero A structure
+constants with the projected B brackets of the pairs B's filter keeps, and
+reports the least pair where the two tables differ.  A bracket that
 forgets one arrow (``_ForgetfulBracket``) on A's side or on B's side
-makes some pairs nonzero on the other side only, so each half of that
-union is needed to report the same pair as the reference.
+makes some pairs nonzero on the other side only, so a pair missing from
+either table must still be reported as the reference reports it.  The
+test doubles take the package's ``brackets`` loop, and a forgetful A side
+carries its own Lie presentation as ``lie``.
 """
 
 from itertools import combinations
@@ -56,7 +59,7 @@ from quiverhh.linalg import (
     span,
     subspace_sum,
 )
-from quiverhh.paircomplex import LieAlgebraPresentation
+from quiverhh.paircomplex import LieAlgebraPresentation, PairComplex
 from quiverhh.randomgen import RandomSpec, source_sink_instance
 from test_basis_lookup_reference import substitute
 from test_linalg_reference import RefQuotientView
@@ -125,7 +128,12 @@ def ref_check_hh1_lie_iso(ctx):
 
 
 class _ScaledBracket:
-    """B's pair complex with its degree-one bracket multiplied by ``c``."""
+    """B's pair complex with its degree-one bracket multiplied by ``c``.
+
+    ``brackets`` is the package's own pair loop, rebound here so that it
+    calls this double's ``bracket`` and ``interacting_pairs``."""
+
+    brackets = PairComplex.brackets
 
     def __init__(self, C, c):
         self._C = C
@@ -261,7 +269,7 @@ def _forgetful_glued(A, alpha, beta, side, arrow):
     CA, CB = g.complexes
     if side == "A":
         g.complexes = (_ForgetfulBracket(CA, arrow), CB)
-        g.lie_a = _all_pairs_lie(g.complexes[0])
+        g.complexes[0].lie = _all_pairs_lie(g.complexes[0])
     else:
         g.complexes = (CA, _ForgetfulBracket(CB, arrow))
     return g

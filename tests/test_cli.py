@@ -101,6 +101,40 @@ def test_hh_largest_degree_is_reached_directly(capsys, tmp_path, source):
     assert out == f"HH^{sys.maxsize}: 0\n"
 
 
+# one vertex, loops x and y, every length-2 word a relation: radical square
+# zero with dim HH^n = 3 * 2^(n - 1) for n >= 2, which has 4215 digits at
+# n = 14000 and first exceeds 4300 digits at n = 14284
+TWO_LOOPS = "field Q\nvertex v\narrow x v v\narrow y v v\nrel x x\nrel x y\nrel y x\nrel y y\n"
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's integer-to-string digit limit, set to its default of 4300."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts integers of any length to strings")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_hh_degree_too_long_to_print_exit_code(capsys, tmp_path, digit_limit):
+    p = tmp_path / "two_loops.alg"
+    p.write_text(TWO_LOOPS)
+    code, out, err = run(capsys, "hh", str(p), "--degrees", "14000")
+    assert code == 0 and err == ""
+    assert out == f"HH^14000: {3 * 2**13999}\n"
+    message = "error: --degrees: dim HH^{} has too many digits to print"
+    code, out, err = run(capsys, "hh", str(p), "--degrees", "15000")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [message.format(15000)]
+    # the degrees below the first one that cannot print are printed first
+    code, out, err = run(capsys, "hh", str(p), "--degrees", "14280..15000")
+    assert code == 2
+    assert out.splitlines() == [f"HH^{n}: {3 * 2 ** (n - 1)}" for n in range(14280, 14284)]
+    assert err.splitlines() == [message.format(14284)]
+
+
 def test_examples_unknown_name_exit_code(capsys):
     code, out, err = run(capsys, "examples", "--show", "nope")
     assert code == 2 and out == ""

@@ -2,10 +2,12 @@
 
 ``PairComplex.interacting_pairs`` keeps a pair of degree-one vectors when
 a left arrow of one occurs in a right-hand path of the other.  Every pair
-it leaves out must bracket to ``{}``, on every family of vectors that a
-bracket loop reads: the degree-one kernel rows and the HH^1
-representatives of A and of the glued B, and the transports of A's rows
-and representatives into B.
+it leaves out must bracket to ``{}``, on every family of vectors that the
+bracket loop ``PairComplex.brackets`` reads: the degree-one kernel rows
+and the HH^1 representatives of A and of the glued B, and the transports
+of A's rows and representatives into B.  ``brackets`` must build the same
+table as bracketing every pair, and the Lie presentation it feeds is
+computed once per pair complex.
 """
 
 from itertools import combinations
@@ -13,10 +15,12 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quiverhh.checks import run_checks
 from quiverhh.examples_data import EXAMPLES, fan
 from quiverhh.fields import GF, QQ
 from quiverhh.fileformat import parse
 from quiverhh.gluing import glue
+from quiverhh.linalg import QuotientView
 from quiverhh.paircomplex import PairComplex, complex_data, hh1_lie
 from quiverhh.randomgen import RandomSpec, instance_with_gluing, source_sink_instance
 
@@ -85,3 +89,97 @@ def test_hh1_lie_brackets_only_interacting_pairs(monkeypatch):
     assert pres.dim == 143
     assert len(results) == 1628
     assert all(results)
+
+
+def assert_brackets_match_all_pairs(C, vectors, reduce=None) -> int:
+    """``C.brackets`` equals the table read off every pair: the same keys in
+    the same order, the same values with their entries in the same order,
+    and no empty value.  Returns the number of entries."""
+    want = {}
+    for i, j in combinations(range(len(vectors)), 2):
+        v = C.bracket(vectors[i], vectors[j])
+        v = v if reduce is None else reduce(v)
+        if v:
+            want[(i, j)] = v
+    got = C.brackets(vectors, reduce)
+    assert all(got.values())
+    assert [(k, list(v.items())) for k, v in got.items()] == [
+        (k, list(v.items())) for k, v in want.items()
+    ]
+    return len(got)
+
+
+def assert_gluing_brackets_match(g) -> int:
+    f = g.B.field
+    CA, CB = g.complexes
+    entries = 0
+    for C in (CA, CB):
+        reps = C.hh1_view.representatives()
+        entries += assert_brackets_match_all_pairs(C, C.ker1.row_vectors())
+        entries += assert_brackets_match_all_pairs(C, reps)
+        entries += assert_brackets_match_all_pairs(C, reps, C.hh1_view.project)
+    rows, reps = CA.ker1.row_vectors(), CA.hh1_view.representatives()
+
+    def psi(v):
+        return g.psi1.apply(f, v)
+
+    entries += assert_brackets_match_all_pairs(CA, rows, psi)
+    entries += assert_brackets_match_all_pairs(CB, [psi(r) for r in rows])
+    entries += assert_brackets_match_all_pairs(CB, [psi(r) for r in reps])
+    if g.source_sink:
+        view_b = QuotientView(f, CB.ker1, g.im0_gamma)
+        entries += assert_brackets_match_all_pairs(CB, [psi(r) for r in reps], view_b.project)
+    return entries
+
+
+def test_brackets_match_all_pairs_on_corpus_and_fans():
+    cases = [(e.text, e.alpha, e.beta) for e in EXAMPLES]
+    cases += [(fan(m), "alpha", "beta") for m in (2, 3, 4, 5)]
+    entries = 0
+    for text, alpha, beta in cases:
+        A = parse(text)
+        entries += assert_gluing_brackets_match(
+            glue(A, A.quiver.arrow_index[alpha], A.quiver.arrow_index[beta])
+        )
+    assert entries > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(sorted(FIELDS)), st.booleans())
+def test_brackets_match_all_pairs_on_random_gluings(seed, field, source_sink):
+    spec = RandomSpec(seed=seed, field=FIELDS[field], max_vertices=4, max_arrows=5, max_dim=24)
+    A, gs = (source_sink_instance if source_sink else instance_with_gluing)(spec)
+    assert_gluing_brackets_match(glue(A, gs.alpha, gs.beta))
+
+
+def _count_brackets(monkeypatch) -> list:
+    calls = []
+    bracket = PairComplex.bracket
+
+    def counting(self, x, y):
+        calls.append(None)
+        return bracket(self, x, y)
+
+    monkeypatch.setattr(PairComplex, "bracket", counting)
+    return calls
+
+
+def test_hh1_lie_is_computed_once_per_complex(monkeypatch):
+    A = parse(fan(4, 5))
+    calls = _count_brackets(monkeypatch)
+    pres = hh1_lie(A)
+    assert calls
+    del calls[:]
+    assert hh1_lie(A) is pres is complex_data(A).lie
+    assert not calls
+
+
+def test_fan6_checks_bracket_at_most_958_times(monkeypatch):
+    """The Lie presentation of A is read from its complex, and the checks
+    compare tables that ``brackets`` builds on each side's filtered pairs."""
+    A = parse(fan(6))
+    g = glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"])
+    calls = _count_brackets(monkeypatch)
+    reports = run_checks(g)
+    assert not any(r.failed for r in reports)
+    assert 0 < len(calls) <= 958
