@@ -4,7 +4,7 @@ Every checker takes the :class:`GluedAlgebra` and reads the data derived
 from the gluing (pair complexes, transported kernels and images, the
 subspaces Z_sp, Z_spp and Z_nsp, the oracle dimensions) from its lazily
 computed attributes, so each is built once per gluing however many
-checkers use it, and brackets only through :meth:`PairComplex.brackets`.
+checkers use it; bracket checks read their tables via ``restrict_table``.
 
 Each checker is declared with :func:`check`, which names it, lists the
 hypotheses of its statement and the oracles that can confirm a failure of
@@ -41,7 +41,7 @@ from .linalg import (
     span,
     subspace_sum,
 )
-from .paircomplex import central_mult, lie_center_dim
+from .paircomplex import central_mult, lie_center_dim, restrict_table
 from .quiver import crown_order
 
 
@@ -220,9 +220,9 @@ def check_ker_delta1_hom(g: GluedAlgebra) -> CheckReport:
     if g.source_sink:
         # bracket preservation at the cochain level (source-sink only: the
         # glued arrows appear in no off-diagonal kernel pair there)
-        rows = CA.ker1.row_vectors()
-        transported = CA.brackets(rows, lambda v: g.psi1.apply(f, v))
-        bad = _first_difference(transported, CB.brackets([g.psi1.apply(f, r) for r in rows]))
+        psi1 = functools.partial(g.psi1.apply, f)
+        transported = restrict_table(CA.ker1_brackets, range(CA.ker1.dim), psi1)
+        bad = _first_difference(transported, g.psi1_brackets)
         if bad is not None:
             ok = False
             detail = f"bracket mismatch on kernel rows {bad}"
@@ -270,16 +270,16 @@ def check_hh1_lie_iso(g: GluedAlgebra) -> CheckReport:
     f = g.B.field
     CA, CB = g.complexes
     view_b = QuotientView(f, CB.ker1, g.im0_gamma)
-    psi_reps = [g.psi1.apply(f, r) for r in CA.hh1_view.representatives()]
-    cols = [view_b.project(v) for v in psi_reps]
+    reps = CA.hh1_view.rep_indices
+    cols = [view_b.project(g.psi1_rows[i]) for i in reps]
     dim_target = view_b.dim
     ok = len(cols) == dim_target and rank(f, cols) == dim_target
     detail = ""
     if ok:
         coord_basis = LabeledBasis(tuple(range(dim_target)))
         transported = LinearMap(coord_basis, coord_basis, tuple(cols))
-        want = {k: transported.apply(f, dict(t)) for k, t in CA.lie.terms.items()}
-        bad = _first_difference(want, CB.brackets(psi_reps, view_b.project))
+        want = {k: transported.apply(f, t) for k, t in CA.lie.terms.items()}
+        bad = _first_difference(want, restrict_table(g.psi1_brackets, reps, view_b.project))
         if bad is not None:
             ok = False
             detail = f"structure constants differ at basis pair {bad}"

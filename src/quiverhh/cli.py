@@ -110,7 +110,7 @@ def cmd_hh(args) -> int:
             print("bracket: abelian")
         else:
             for (i, j), terms in sorted(pres.terms.items()):
-                txt = " + ".join(f"{c}*x{k}" for k, c in terms)
+                txt = " + ".join(f"{c}*x{k}" for k, c in terms.items())
                 print(f"[x{i}, x{j}] = {txt}")
     return 0
 
@@ -192,11 +192,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_examples(args) -> int:
-    if args.show and args.run:
+    if args.show is not None and args.run:
         raise QuiverHHError("--show cannot be combined with --run")
     if args.json and not args.run:
         raise QuiverHHError("--json applies only to --run")
-    if args.show:
+    if args.show is not None:
         try:
             entry = example_by_name(args.show)
         except KeyError:

@@ -11,7 +11,8 @@ how kernels and images of the two complexes differ.  The labels of B that
 the transport maps miss are held once per gluing (``missed0``,
 ``missed1``); Z_sp, Z_spp and Z_nsp are read off them as plain subspaces.
 The crucial paths are enumerated directly.  Per-algebra data, the HH¹ Lie
-presentation included, lives on the pair complexes of ``complex_data``.
+presentation included, lives on the pair complexes of ``complex_data``;
+``psi1_rows`` and their bracket table ``psi1_brackets`` live on the gluing.
 """
 
 from __future__ import annotations
@@ -224,8 +225,19 @@ class GluedAlgebra:
         return self.psi_subspace(self.psi1, self.complexes[0].im0)
 
     @cached_property
+    def psi1_rows(self) -> list:
+        """ψ¹ of the rows of A's ker δ¹, in row order."""
+        f = self.B.field
+        return [self.psi1.apply(f, r) for r in self.complexes[0].ker1.row_vectors()]
+
+    @cached_property
+    def psi1_brackets(self) -> dict:
+        """The bracket table of ``psi1_rows`` in B."""
+        return self.complexes[1].brackets(self.psi1_rows)
+
+    @cached_property
     def psi1_ker1(self) -> Subspace:
-        return self.psi_subspace(self.psi1, self.complexes[0].ker1)
+        return span(self.B.field, self.psi1.codomain, self.psi1_rows)
 
     @cached_property
     def ker0_positive(self) -> tuple:

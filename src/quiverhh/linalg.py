@@ -298,10 +298,6 @@ class QuotientView:
     def dim(self) -> int:
         return len(self.rep_indices)
 
-    def representatives(self) -> list:
-        rows = self.total.row_vectors()
-        return [rows[i] for i in self.rep_indices]
-
     @cached_property
     def _fold(self) -> dict:
         """``{row of total at a pivot p of sub: ((position, c), ...)}``, built on

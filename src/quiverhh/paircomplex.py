@@ -10,8 +10,9 @@ two arrow pairs substitutes each into the other.
 
 The bracket [(a, γ), (b, ε)] substitutes γ for a in ε and ε for b in γ,
 so it vanishes unless a occurs in ε or b occurs in γ.  The one pair loop,
-:meth:`PairComplex.brackets` (read by ``PairComplex.lie`` and the checks),
-brackets only the pairs :meth:`PairComplex.interacting_pairs` keeps, and
+:meth:`PairComplex.brackets`, brackets only the pairs ``interacting_pairs``
+keeps.  ``lie`` restricts the table of ker δ¹'s rows, ``ker1_brackets``,
+to the HH¹ representatives (rows too) by :func:`restrict_table`, and
 ``lie_center_dim`` eliminates only the nonzero rows of its matrix.
 
 Both differentials and the bracket are assembled by index arithmetic on
@@ -21,8 +22,8 @@ the pair key in the label index both tests for zero and finds the row.
 δ¹ visits, for a column ``(a, γ)``, only the occurrences of ``a`` in the
 relations, read off a table built once per complex; the bracket only
 those of ``a`` in ε and of ``b`` in γ.  The image of δ⁰, the kernel of δ¹
-and the complex property are computed on construction; ker δ⁰ and the
-HH¹ Lie presentation ``lie`` are computed on their first read.
+and the complex property are computed on construction; ker δ⁰, the
+bracket table and the Lie presentation are computed on their first read.
 """
 
 from __future__ import annotations
@@ -185,17 +186,20 @@ class PairComplex:
                         pairs.add((i, j) if i < j else (j, i))
         return sorted(pairs)
 
-    def brackets(self, vectors, reduce=None) -> dict:
-        """``{(i, j): reduce([v_i, v_j])}`` for ``i < j``, ascending and without
-        empty values, bracketing only the pairs :meth:`interacting_pairs`
-        keeps; ``reduce`` (linear, the identity by default) never sees ``{}``."""
+    def brackets(self, vectors) -> dict:
+        """``{(i, j): [v_i, v_j]}`` for ``i < j``, ascending and without empty
+        values, bracketing only the pairs :meth:`interacting_pairs` keeps."""
         out = {}
         for i, j in self.interacting_pairs(vectors):
             v = self.bracket(vectors[i], vectors[j])
-            v = reduce(v) if v and reduce else v
             if v:
                 out[i, j] = v
         return out
+
+    @cached_property
+    def ker1_brackets(self) -> dict:
+        """The bracket table of the rows of ker δ¹, built on first read."""
+        return self.brackets(self.ker1.row_vectors())
 
     # -- cohomology --------------------------------------------------------------
 
@@ -207,12 +211,19 @@ class PairComplex:
     @cached_property
     def lie(self) -> LieAlgebraPresentation:
         """HH¹ structure constants on the deterministic representatives."""
-        reps = self.hh1_view.representatives()
-        coords = self.brackets(reps, self.hh1_view.project)
-        terms = {pair: tuple(v.items()) for pair, v in coords.items()}
-        pivots = [self.ker1.pivots[i] for i in self.hh1_view.rep_indices]
-        labels = tuple(pair_str(self.A, self.basis1.labels[p], "1") for p in pivots)
-        return LieAlgebraPresentation(len(reps), labels, terms, self.field)
+        view = self.hh1_view
+        reps = view.rep_indices
+        terms = restrict_table(self.ker1_brackets, reps, view.project)
+        labels = tuple(pair_str(self.A, self.basis1.labels[self.ker1.pivots[i]], "1") for i in reps)
+        return LieAlgebraPresentation(view.dim, labels, terms, self.field)
+
+
+def restrict_table(table: dict, positions, reduce) -> dict:
+    """``{(m, n): reduce(table[p_m, p_n])}`` over the ascending ``positions``
+    p, ascending and without empty values; ``reduce`` is linear."""
+    at = {p: m for m, p in enumerate(positions)}
+    kept = ((at[i], at[j], reduce(v)) for (i, j), v in table.items() if i in at and j in at)
+    return {(m, n): v for m, n, v in kept if v}
 
 
 @lru_cache(maxsize=64)
@@ -225,21 +236,14 @@ class LieAlgebraPresentation:
     """Structure constants of the degree-one cohomology Lie algebra, sparse.
 
     ``terms`` maps each pair ``i < j`` with a nonzero bracket to the
-    ``(k, c)`` terms of ``[x_i, x_j] = sum c x_k``, ascending in k and with
-    no zero coefficient; a pair that is absent brackets to zero.
+    coordinates ``{k: c}`` of ``[x_i, x_j] = sum c x_k``, ascending in k and
+    with no zero coefficient; a pair that is absent brackets to zero.
     """
 
     dim: int
     basis_labels: tuple
-    terms: dict  # (i, j) with i < j -> ((k, c), ...)
+    terms: dict  # (i, j) with i < j -> {k: c}
     field: FieldSpec
-
-    def bracket_terms(self, i: int, j: int) -> tuple:
-        """The ``(k, c)`` terms of ``[x_i, x_j]``, antisymmetric in i and j."""
-        if i < j:
-            return self.terms.get((i, j), ())
-        neg = self.field.neg
-        return tuple((k, neg(c)) for k, c in self.terms.get((j, i), ()))
 
     @cached_property
     def constants(self) -> dict:
@@ -249,7 +253,7 @@ class LieAlgebraPresentation:
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 coords = [zero] * self.dim
-                for k, c in self.terms.get((i, j), ()):
+                for k, c in self.terms.get((i, j), {}).items():
                     coords[k] = c
                 out[(i, j)] = tuple(coords)
         return out
@@ -260,16 +264,16 @@ class LieAlgebraPresentation:
     def check_jacobi(self) -> bool:
         """True iff [[x_i, x_j], x_k] + [[x_j, x_k], x_i] + [[x_k, x_i], x_j] = 0.
 
-        ``bracket_terms`` is antisymmetric by construction, so this
-        Jacobiator is alternating and the triples i < j < k decide it; each
-        term multiplies only nonzero structure constants.
+        The bracket is antisymmetric by construction, so this Jacobiator
+        is alternating and the triples i < j < k decide it; each term
+        multiplies only nonzero structure constants.
         """
         f = self.field
         d = self.dim
         nonzero = {}
-        for i, j in self.terms:
-            nonzero[(i, j)] = self.bracket_terms(i, j)
-            nonzero[(j, i)] = self.bracket_terms(j, i)
+        for (i, j), v in self.terms.items():
+            nonzero[(i, j)] = tuple(v.items())
+            nonzero[(j, i)] = tuple((k, f.neg(c)) for k, c in v.items())
         for i in range(d):
             for j in range(i + 1, d):
                 for k in range(j + 1, d):
@@ -290,7 +294,7 @@ def lie_center_dim(pres: LieAlgebraPresentation) -> int:
     f = pres.field
     rows: dict = {}  # (k, m) -> {i: coefficient of x_m in [x_i, x_k]}
     for (i, k), terms in pres.terms.items():
-        for m, c in terms:
+        for m, c in terms.items():
             rows.setdefault((k, m), {})[i] = c
             rows.setdefault((i, m), {})[k] = f.neg(c)
     return pres.dim - rank(f, list(rows.values()))

@@ -80,6 +80,7 @@ from quiverhh.randomgen import (
     random_instance,
     source_sink_instance,
 )
+from test_linalg_reference import representatives
 
 FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5)}
 
@@ -618,7 +619,7 @@ def assert_brackets_match(C):
     every interacting pair of kernel rows and of HH^1 representatives;
     returns the number of nonzero brackets compared."""
     nonzero = 0
-    for vectors in (C.ker1.row_vectors(), C.hh1_view.representatives()):
+    for vectors in (C.ker1.row_vectors(), representatives(C.hh1_view)):
         for i, j in C.interacting_pairs(vectors):
             for x, y in ((vectors[i], vectors[j]), (vectors[j], vectors[i])):
                 got = C.bracket(x, y)

@@ -28,8 +28,10 @@ reports the least pair where the two tables differ.  A bracket that
 forgets one arrow (``_ForgetfulBracket``) on A's side or on B's side
 makes some pairs nonzero on the other side only, so a pair missing from
 either table must still be reported as the reference reports it.  The
-test doubles take the package's ``brackets`` loop, and a forgetful A side
-carries its own Lie presentation as ``lie``.
+test doubles take the package's ``brackets`` loop and its cached
+``ker1_brackets`` table, so no table cached on the wrapped complex skips a
+double's ``bracket``, and a forgetful A side carries its own Lie
+presentation as ``lie``.
 """
 
 from itertools import combinations
@@ -62,7 +64,7 @@ from quiverhh.linalg import (
 from quiverhh.paircomplex import LieAlgebraPresentation, PairComplex
 from quiverhh.randomgen import RandomSpec, source_sink_instance
 from test_basis_lookup_reference import substitute
-from test_linalg_reference import RefQuotientView
+from test_linalg_reference import RefQuotientView, representatives
 
 FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5)}
 
@@ -97,7 +99,7 @@ def ref_check_hh1_lie_iso(ctx):
     if not g.source_sink:
         return _na("hh1_lie_iso", "requires a source-sink gluing")
     view_b = _quotient_view_b(ctx)
-    reps_a = ctx.CA.hh1_view.representatives()
+    reps_a = representatives(ctx.CA.hh1_view)
     cols = []
     for r in reps_a:
         coords = view_b.project(g.psi1.apply(f, r))
@@ -130,10 +132,12 @@ def ref_check_hh1_lie_iso(ctx):
 class _ScaledBracket:
     """B's pair complex with its degree-one bracket multiplied by ``c``.
 
-    ``brackets`` is the package's own pair loop, rebound here so that it
-    calls this double's ``bracket`` and ``interacting_pairs``."""
+    ``brackets`` is the package's own pair loop and ``ker1_brackets`` its
+    table of the kernel rows, rebound here so that they call this double's
+    ``bracket`` and ``interacting_pairs``."""
 
     brackets = PairComplex.brackets
+    ker1_brackets = PairComplex.ker1_brackets
 
     def __init__(self, C, c):
         self._C = C
@@ -249,12 +253,12 @@ class _ForgetfulBracket(_ScaledBracket):
 def _all_pairs_lie(C):
     """The structure constants of ``C``'s bracket on its HH^1
     representatives, read off every pair."""
-    reps = C.hh1_view.representatives()
+    reps = representatives(C.hh1_view)
     terms = {}
     for i, j in combinations(range(len(reps)), 2):
         coords = C.hh1_view.project(C.bracket(reps[i], reps[j]))
         if coords:
-            terms[(i, j)] = tuple(coords.items())
+            terms[(i, j)] = coords
     return LieAlgebraPresentation(len(reps), (), terms, C.field)
 
 

@@ -8,6 +8,8 @@ from quiverhh import checks
 from quiverhh.checks import CHECKS
 from quiverhh.cli import main
 from quiverhh.examples_data import example_by_name, fan
+from quiverhh.fileformat import parse, print_algebra
+from quiverhh.gluing import glue
 
 
 @pytest.fixture
@@ -148,6 +150,8 @@ def test_examples_unknown_name_exit_code(capsys):
         (["--show", "biline", "--run", "--json"], "--show cannot be combined with --run"),
         (["--json"], "--json applies only to --run"),
         (["--show", "biline", "--json"], "--json applies only to --run"),
+        (["--show", ""], "--show: no example named ''"),
+        (["--show", "", "--run"], "--show cannot be combined with --run"),
     ],
 )
 def test_examples_conflicting_flags_exit_code(capsys, argv, message):
@@ -293,6 +297,31 @@ def test_hh_fan5_lie_byte_identical(capsys, tmp_path):
     assert code == 0
     assert "HH^1: 24" in out and "[x0, x5] = -1*x0" in out
     assert hashlib.sha256(out.encode()).hexdigest() == HH_FAN5_LIE_SHA256
+
+
+# sha256 of ``quiverhh hh <fan(12, 5)> --lie`` (143 classes over F5) and of
+# ``quiverhh hh <B> --lie`` (36 classes over Q) for the algebra B that glues
+# alpha to beta in fan(6): labels and structure constants.
+HH_LIE_SHA256 = {
+    "fan12-5": "a59c44c13edff5d396068a339147766b949c5e8c6cd734b0e707796df267e5fc",
+    "glued-fan6": "8030c53767c324ddfdc6b97ec39e4fcb56c74d5754bda1bfea0a01500b7534c2",
+}
+
+
+def _lie_pin_text(name):
+    if name == "fan12-5":
+        return fan(12, 5)
+    A = parse(fan(6))
+    return print_algebra(glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"]).B)
+
+
+@pytest.mark.parametrize("name", sorted(HH_LIE_SHA256))
+def test_hh_lie_byte_identical(capsys, tmp_path, name):
+    p = tmp_path / f"{name}.alg"
+    p.write_text(_lie_pin_text(name))
+    code, out, _ = run(capsys, "hh", str(p), "--lie")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HH_LIE_SHA256[name]
 
 
 # sha256 of ``quiverhh fuzz --seed 1 --count 300 --checks all --json``: every

@@ -55,7 +55,7 @@ def presentation(field, d, coords) -> LieAlgebraPresentation:
     """Presentation with ``coords[(i, j)]`` as the sparse bracket of i < j."""
     terms = {}
     for (i, j), vec in coords.items():
-        nonzero = tuple((m, c) for m, c in sorted(vec.items()) if not field.is_zero(c))
+        nonzero = {m: c for m, c in sorted(vec.items()) if not field.is_zero(c)}
         if nonzero:
             terms[(i, j)] = nonzero
     labels = tuple(f"x{i}" for i in range(d))

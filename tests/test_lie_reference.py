@@ -69,12 +69,16 @@ def assert_lie_matches(A) -> bool:
     assert pres.constants == constants
     for (i, j), terms in pres.terms.items():
         assert i < j and terms
-        assert [k for k, _ in terms] == sorted({k for k, _ in terms})
-        assert not any(f.is_zero(c) for _, c in terms)
+        assert list(terms) == sorted(terms)
+        assert not any(f.is_zero(c) for c in terms.values())
     for i in range(d):
         for j in range(d):
             want = {k: c for k, c in enumerate(bracket_coords(pres, i, j)) if not f.is_zero(c)}
-            assert dict(pres.bracket_terms(i, j)) == want
+            if i < j:
+                assert pres.terms.get((i, j), {}) == want
+            else:
+                back = pres.terms.get((j, i), {})
+                assert {k: f.neg(c) for k, c in back.items()} == want
     abelian = all(all(f.is_zero(c) for c in v) for v in constants.values())
     assert pres.is_abelian() is abelian
     assert lie_center_dim(pres) == ref_lie_center_dim(pres)

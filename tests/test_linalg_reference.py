@@ -9,7 +9,8 @@ exactly on every input.
 ``RefQuotientView`` is ``QuotientView`` as it was while ``reduce_against``
 returned one coefficient per row and ``project`` a dense tuple of
 coordinates, rebuilt on the dense reduction; the sparse forms must hold
-exactly its nonzero entries.
+exactly its nonzero entries.  ``representatives`` lists the rows of the
+total space that ``QuotientView`` takes as class representatives.
 
 ``ref_rref_rowwise`` is the sparse ``_rref`` as it was before its
 unit-row presolve: every row, single-entry rows included, is reduced
@@ -210,6 +211,13 @@ def as_dense(field, space):
 def nonzero(field, coords) -> dict:
     """The nonzero entries of a dense coordinate sequence, by position."""
     return {k: c for k, c in enumerate(coords) if not field.is_zero(c)}
+
+
+def representatives(view) -> list:
+    """The rows of ``view.total`` at ``view.rep_indices``, as the package's
+    ``QuotientView.representatives`` returned them before it was removed."""
+    rows = view.total.row_vectors()
+    return [rows[i] for i in view.rep_indices]
 
 
 class RefQuotientView:

@@ -6,10 +6,14 @@ it leaves out must bracket to ``{}``, on every family of vectors that the
 bracket loop ``PairComplex.brackets`` reads: the degree-one kernel rows
 and the HH^1 representatives of A and of the glued B, and the transports
 of A's rows and representatives into B.  ``brackets`` must build the same
-table as bracketing every pair, and the Lie presentation it feeds is
-computed once per pair complex.
+table as bracketing every pair, and so must each table read off its two
+cached tables through ``restrict_table``: ``ker1_brackets`` of a complex
+feeds the Lie terms and the transported A table, ``psi1_brackets`` of a
+gluing the B side of both bracket checks.  Each table is built once, so
+the checks on ``glue(fan(6))`` bracket no pair of A's kernel rows twice.
 """
 
+from functools import partial
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -21,8 +25,9 @@ from quiverhh.fields import GF, QQ
 from quiverhh.fileformat import parse
 from quiverhh.gluing import glue
 from quiverhh.linalg import QuotientView
-from quiverhh.paircomplex import PairComplex, complex_data, hh1_lie
+from quiverhh.paircomplex import PairComplex, complex_data, hh1_lie, restrict_table
 from quiverhh.randomgen import RandomSpec, instance_with_gluing, source_sink_instance
+from test_linalg_reference import representatives
 
 FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5)}
 
@@ -45,8 +50,8 @@ def assert_gluing_sound(g) -> int:
     kept = 0
     for C in (CA, CB):
         kept += assert_sound(C, C.ker1.row_vectors())
-        kept += assert_sound(C, C.hh1_view.representatives())
-    for vectors in (CA.ker1.row_vectors(), CA.hh1_view.representatives()):
+        kept += assert_sound(C, representatives(C.hh1_view))
+    for vectors in (CA.ker1.row_vectors(), representatives(CA.hh1_view)):
         kept += assert_sound(CB, [g.psi1.apply(f, v) for v in vectors])
     return kept
 
@@ -72,8 +77,9 @@ def test_filter_sound_on_random_gluings(seed, field, source_sink):
 
 
 def test_hh1_lie_brackets_only_interacting_pairs(monkeypatch):
-    """fan(12) over F5 has 143 representatives, so 10153 pairs, of which
-    exactly 1628 have a nonzero cochain bracket; hh1_lie brackets those."""
+    """fan(12) over F5 has 143 representatives among its kernel rows.
+    hh1_lie reads the bracket table of all the kernel rows: exactly their
+    1650 interacting pairs, each with a nonzero cochain bracket."""
     results = []
     bracket = PairComplex.bracket
 
@@ -87,26 +93,26 @@ def test_hh1_lie_brackets_only_interacting_pairs(monkeypatch):
     monkeypatch.setattr(PairComplex, "bracket", counting)
     pres = hh1_lie(A)
     assert pres.dim == 143
-    assert len(results) == 1628
+    assert len(results) == 1650
     assert all(results)
 
 
-def assert_brackets_match_all_pairs(C, vectors, reduce=None) -> int:
-    """``C.brackets`` equals the table read off every pair: the same keys in
-    the same order, the same values with their entries in the same order,
-    and no empty value.  Returns the number of entries."""
+def assert_table_matches_all_pairs(C, vectors, table, reduce=None) -> int:
+    """``table`` equals the table read off every pair of ``vectors`` in
+    ``C``, each bracket reduced by ``reduce``: the same keys in the same
+    order, the same values with their entries in the same order, and no
+    empty value.  Returns the number of entries."""
     want = {}
     for i, j in combinations(range(len(vectors)), 2):
         v = C.bracket(vectors[i], vectors[j])
         v = v if reduce is None else reduce(v)
         if v:
             want[(i, j)] = v
-    got = C.brackets(vectors, reduce)
-    assert all(got.values())
-    assert [(k, list(v.items())) for k, v in got.items()] == [
+    assert all(table.values())
+    assert [(k, list(v.items())) for k, v in table.items()] == [
         (k, list(v.items())) for k, v in want.items()
     ]
-    return len(got)
+    return len(table)
 
 
 def assert_gluing_brackets_match(g) -> int:
@@ -114,21 +120,23 @@ def assert_gluing_brackets_match(g) -> int:
     CA, CB = g.complexes
     entries = 0
     for C in (CA, CB):
-        reps = C.hh1_view.representatives()
-        entries += assert_brackets_match_all_pairs(C, C.ker1.row_vectors())
-        entries += assert_brackets_match_all_pairs(C, reps)
-        entries += assert_brackets_match_all_pairs(C, reps, C.hh1_view.project)
-    rows, reps = CA.ker1.row_vectors(), CA.hh1_view.representatives()
-
-    def psi(v):
-        return g.psi1.apply(f, v)
-
-    entries += assert_brackets_match_all_pairs(CA, rows, psi)
-    entries += assert_brackets_match_all_pairs(CB, [psi(r) for r in rows])
-    entries += assert_brackets_match_all_pairs(CB, [psi(r) for r in reps])
+        rows, view = C.ker1.row_vectors(), C.hh1_view
+        entries += assert_table_matches_all_pairs(C, rows, C.brackets(rows))
+        entries += assert_table_matches_all_pairs(C, rows, C.ker1_brackets)
+        reps = representatives(view)
+        entries += assert_table_matches_all_pairs(C, reps, C.lie.terms, view.project)
+    rows = CA.ker1.row_vectors()
+    psi = partial(g.psi1.apply, f)
+    assert g.psi1_rows == [psi(r) for r in rows]
+    transported = restrict_table(CA.ker1_brackets, range(len(rows)), psi)
+    entries += assert_table_matches_all_pairs(CA, rows, transported, psi)
+    entries += assert_table_matches_all_pairs(CB, g.psi1_rows, g.psi1_brackets)
     if g.source_sink:
         view_b = QuotientView(f, CB.ker1, g.im0_gamma)
-        entries += assert_brackets_match_all_pairs(CB, [psi(r) for r in reps], view_b.project)
+        reps = CA.hh1_view.rep_indices
+        table = restrict_table(g.psi1_brackets, reps, view_b.project)
+        psi_reps = [g.psi1_rows[i] for i in reps]
+        entries += assert_table_matches_all_pairs(CB, psi_reps, table, view_b.project)
     return entries
 
 
@@ -170,16 +178,40 @@ def test_hh1_lie_is_computed_once_per_complex(monkeypatch):
     pres = hh1_lie(A)
     assert calls
     del calls[:]
-    assert hh1_lie(A) is pres is complex_data(A).lie
+    C = complex_data(A)
+    assert hh1_lie(A) is pres is C.lie
+    assert C.ker1_brackets is C.ker1_brackets
     assert not calls
 
 
-def test_fan6_checks_bracket_at_most_958_times(monkeypatch):
-    """The Lie presentation of A is read from its complex, and the checks
-    compare tables that ``brackets`` builds on each side's filtered pairs."""
+def test_fan6_checks_bracket_587_times(monkeypatch):
+    """Each side brackets its kernel rows once, in ``ker1_brackets``, and
+    the gluing brackets the ψ¹ images of A's rows once, in
+    ``psi1_brackets``; the Lie presentations and the checks restrict
+    those tables."""
+    complex_data.cache_clear()  # an earlier test may hold the complexes and their tables
     A = parse(fan(6))
     g = glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"])
     calls = _count_brackets(monkeypatch)
     reports = run_checks(g)
     assert not any(r.failed for r in reports)
-    assert 0 < len(calls) <= 958
+    assert len(calls) == 587
+
+
+def test_fan6_checks_bracket_each_a_kernel_row_pair_once(monkeypatch):
+    complex_data.cache_clear()  # an earlier test may hold the complexes and their tables
+    A = parse(fan(6))
+    g = glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"])
+    CA = g.complexes[0]
+    row_index = {tuple(r): i for i, r in enumerate(CA.ker1.rows)}
+    pairs = []
+    bracket = PairComplex.bracket
+
+    def recording(self, x, y):
+        if self is CA:
+            pairs.append((row_index[tuple(x.items())], row_index[tuple(y.items())]))
+        return bracket(self, x, y)
+
+    monkeypatch.setattr(PairComplex, "bracket", recording)
+    assert not any(r.failed for r in run_checks(g))
+    assert pairs and len(pairs) == len(set(pairs))
