@@ -5,7 +5,9 @@ length at least two generating an admissible ideal.  The monomial basis
 consists of all paths containing no relation as a contiguous subpath.
 ``build`` walks the suffix automaton of relation-free words once: the
 algebra is finite-dimensional exactly when it is acyclic, and then its
-walks from the empty-word states are the basis.  Since the basis holds
+walks from the empty-word states are the basis.  ``add_relation`` cuts
+one more relation into a kept automaton instead of walking it afresh.
+Since the basis holds
 every relation-free path, a path is zero in the algebra iff it is not a
 basis path: ``multiply`` and every other zero test is one basis lookup.
 """
@@ -87,12 +89,25 @@ def _proper_subrelation(r: Path, relations):
     return next((u for u in relations if len(u.arrows) < len(w) and _is_subword(u.arrows, w)), None)
 
 
-def _state_graph(Q: Quiver, words, memory: int) -> dict:
-    """The reachable suffix automaton of relation-free words: each state
-    (vertex, last ``memory`` arrows of such a word), from the empty-word
-    states ``(v, ())`` on, maps to its ``(arrow, next state)`` edges in
-    ``arrows_from`` order.  No relation is longer than ``memory + 1``, so
-    its walks from the ``(v, ())`` states spell the relation-free paths."""
+def minimal_relations(rels) -> list:
+    """The ``rels`` that contain no other of ``rels`` as a proper contiguous subpath."""
+    return [r for r in rels if _proper_subrelation(r, rels) is None]
+
+
+def _memory(rels) -> int:
+    """The arrows a state remembers: the longest relation's length less one."""
+    return max((r.length for r in rels), default=1) - 1
+
+
+def state_graph(Q: Quiver, rels) -> dict:
+    """The reachable suffix automaton of the words free of ``rels``: each
+    state (vertex, last ``_memory(rels)`` arrows of such a word), from the
+    empty-word states ``(v, ())`` on, maps to its ``(arrow, next state)``
+    edges in ``arrows_from`` order.  No relation is longer than the memory
+    plus one, so its walks from the ``(v, ())`` states spell the
+    relation-free paths."""
+    words = tuple(r.arrows for r in rels)
+    memory = _memory(rels)
     adj: dict = {}
     queue = [(v, ()) for v in range(Q.num_vertices)]
     while queue:
@@ -107,6 +122,44 @@ def _state_graph(Q: Quiver, words, memory: int) -> dict:
                 edges.append((a, (Q.target(a), new[-memory:] if memory else ())))
         queue.extend(nxt for _, nxt in edges if nxt not in adj)
     return adj
+
+
+def add_relation(Q: Quiver, rels: list, adj: dict, word: tuple):
+    """The sorted minimal relations and their state graph once the
+    relation-free ``word`` joins the sorted minimal ``rels``, whose state
+    graph is ``adj``.
+
+    Minimalization drops the relations that contain ``word``.  When that
+    changes the memory, the graph is built afresh.  Otherwise ``adj`` is cut
+    in place: the ``word[-1]``-edges out of every state whose suffix ends in
+    ``word[:-1]`` go, and then the states no longer reachable from the
+    ``(v, ())`` states.  Those are the states whose suffix holds ``word``,
+    so there are none unless the memory is at least ``len(word)``.  A
+    dropped relation forbade only edges that the cut removes or that leave
+    such a state, so the result is the graph that ``state_graph`` would
+    build.
+    """
+    new = minimal_relations(rels + [Q.path(word)])
+    new.sort(key=Path.sort_key)
+    if _memory(new) != _memory(rels):
+        return new, state_graph(Q, new)
+    head, last = word[:-1], word[-1]
+    at = Q.target(head[-1])
+    for (v, suffix), edges in adj.items():
+        if v == at and suffix[-len(head) :] == head:
+            edges[:] = [e for e in edges if e[0] != last]
+    if _memory(new) < len(word):
+        return new, adj
+    reached = {(v, ()) for v in range(Q.num_vertices)}
+    stack = list(reached)
+    while stack:
+        for _, nxt in adj[stack.pop()]:
+            if nxt not in reached:
+                reached.add(nxt)
+                stack.append(nxt)
+    for state in adj.keys() - reached:
+        del adj[state]
+    return new, adj
 
 
 def _find_free_cycle(adj: dict):
@@ -180,7 +233,7 @@ def build(
                 f"relation of length {r.length} violates admissibility (need length >= 2)"
             )
     if minimalize:
-        rels = [r for r in rels if _proper_subrelation(r, rels) is None]
+        rels = minimal_relations(rels)
     else:
         for r in rels:
             u = _proper_subrelation(r, rels)
@@ -192,9 +245,13 @@ def build(
                     container=r,
                 )
     rels.sort(key=Path.sort_key)
-    words = tuple(r.arrows for r in rels)
-    memory = max((len(w) for w in words), default=1) - 1
-    adj = _state_graph(quiver, words, memory)
+    return algebra_on_graph(quiver, rels, field, state_graph(quiver, rels))
+
+
+def algebra_on_graph(quiver: Quiver, rels, field: FieldSpec, adj: dict) -> MonomialAlgebra:
+    """The algebra of the sorted minimal ``rels``, read off their state graph
+    ``adj``; raises ``DimensionalityError`` with a witness cycle of ``adj``
+    when its relation-free paths are infinite in number."""
     cycle = _find_free_cycle(adj)
     if cycle is not None:
         names = [quiver.arrow_name(a) for a in cycle]
@@ -203,5 +260,4 @@ def build(
             + " -> ".join(names),
             cycle=cycle,
         )
-    basis = tuple(_basis(quiver, adj))
-    return MonomialAlgebra(quiver, tuple(rels), field, basis)
+    return MonomialAlgebra(quiver, tuple(rels), field, tuple(_basis(quiver, adj)))

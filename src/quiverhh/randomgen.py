@@ -3,7 +3,10 @@
 Generation is reproducible: one ``random.Random`` stream per call, all
 candidate collections iterated in canonical order.  Relation sampling is
 followed by a repair loop that cuts any remaining relation-free cycle, so
-every returned algebra passes build validation.
+every returned algebra passes build validation.  The loop keeps one state
+graph of the relation-free words and cuts each new relation into it,
+rebuilding it only when minimalization changes its memory (the longest
+relation length less one); the algebra is read off the kept graph.
 """
 
 from __future__ import annotations
@@ -11,11 +14,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .algebra import MonomialAlgebra, build
+from .algebra import (
+    MonomialAlgebra,
+    add_relation,
+    algebra_on_graph,
+    build,
+    minimal_relations,
+    state_graph,
+)
 from .errors import DimensionalityError, QuiverHHError
 from .fields import FieldSpec, QQ
 from .gluing import GluingSpec
-from .quiver import Quiver
+from .quiver import Path, Quiver
 
 # Relations are sampled as round(RELATION_DENSITY * arrows) composable words of
 # 2 to MAX_RELATION_LENGTH arrows.
@@ -30,6 +40,12 @@ class RandomSpec:
     max_arrows: int = 6
     field: FieldSpec = QQ
     max_dim: int = 40
+
+    def __post_init__(self):
+        for name, least in (("max_vertices", 1), ("max_arrows", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise QuiverHHError(f"RandomSpec: {name} must be at least {least}, got {value}")
 
 
 def _random_quiver(rng: random.Random, spec: RandomSpec) -> Quiver:
@@ -55,12 +71,8 @@ def _random_composable_word(rng: random.Random, Q: Quiver, length: int):
     return tuple(word) if len(word) >= 2 else None
 
 
-def _sample_algebra(rng: random.Random, Q: Quiver, spec: RandomSpec):
-    """Sample relations on ``Q``, then cut relation-free cycles until it builds.
-
-    Returns None when a cycle survives all its cuts or the algebra exceeds
-    ``spec.max_dim``.  Only the sampling draws from ``rng``.
-    """
+def _sample_words(rng: random.Random, Q: Quiver) -> set:
+    """The sampled relation words on ``Q``; all of generation's draws."""
     n_rel = int(round(RELATION_DENSITY * Q.num_arrows))
     words = set()
     for _ in range(n_rel):
@@ -68,18 +80,44 @@ def _sample_algebra(rng: random.Random, Q: Quiver, spec: RandomSpec):
         w = _random_composable_word(rng, Q, length)
         if w is not None:
             words.add(w)
+    return words
+
+
+def _repair(Q: Quiver, words: set, spec: RandomSpec):
+    """The algebra of ``words`` on ``Q``, once its relation-free cycles are cut.
+
+    Each cut makes the first two arrows of the witness cycle a relation and
+    is added to ``words``.  One state graph is kept across the cuts and
+    rebuilt only when minimalization changes its memory.  Returns None when
+    a cut is already a relation, when 64 tries leave a cycle, or when the
+    algebra exceeds ``spec.max_dim``.
+    """
+    rels = minimal_relations([Q.path(w) for w in words])
+    rels.sort(key=Path.sort_key)
+    adj = state_graph(Q, rels)
     for _ in range(64):
-        rels = [Q.path(w) for w in sorted(words)]
         try:
-            A = build(Q, rels, spec.field, minimalize=True)
+            A = algebra_on_graph(Q, rels, spec.field, adj)
         except DimensionalityError as err:
             cut = tuple((err.cycle * 2)[:2])  # a one-arrow cycle is cut at its square
             if cut in words:
                 return None
             words.add(cut)
+            rels, adj = add_relation(Q, rels, adj, cut)
             continue
         return A if A.dim <= spec.max_dim else None
     return None
+
+
+def _sample_algebra(rng: random.Random, Q: Quiver, spec: RandomSpec):
+    """Sample relations on ``Q``, then cut relation-free cycles until it builds.
+
+    The cuts go into one kept state graph, rebuilt only when minimalization
+    changes its memory; see ``_repair``.  Returns None when a cycle survives
+    all its cuts or the algebra exceeds ``spec.max_dim``.  Only the sampling
+    draws from ``rng``.
+    """
+    return _repair(Q, _sample_words(rng, Q), spec)
 
 
 def random_instance(spec: RandomSpec) -> MonomialAlgebra:

@@ -15,7 +15,6 @@ from quiverhh.quiver import Quiver
 from quiverhh.randomgen import (
     RandomSpec,
     _random_quiver,
-    _sample_algebra,
     gluable_pairs,
     instance_with_gluing,
     random_gluing,
@@ -23,6 +22,8 @@ from quiverhh.randomgen import (
     source_sink_instance,
     source_sink_rad2_instance,
 )
+
+from test_randomgen_reference import ref_sample_algebra
 
 
 def test_determinism():
@@ -168,7 +169,7 @@ def ref_source_sink_instance(spec: RandomSpec):
             ("beta", t1, t2),
         )
         Q = Quiver(names, arrows)
-        A = _sample_algebra(rng, Q, spec)
+        A = ref_sample_algebra(rng, Q, spec)
         if A is None:
             continue
         alpha = Q.arrow_index["alpha"]
@@ -190,25 +191,41 @@ def test_planted_instances_match_reference():
                 A_ref, gs_ref = ref(spec)
                 assert gs == gs_ref
                 assert A == A_ref
+                assert A.basis == A_ref.basis  # equality ignores the basis
                 assert print_algebra(A) == print_algebra(A_ref)
 
 
 @pytest.mark.parametrize(
     "generate, spec, message",
     [
-        (random_instance, RandomSpec(seed=0, max_dim=0), "failed to produce a valid algebra"),
-        (source_sink_instance, RandomSpec(seed=0, max_dim=0), "failed to produce a source-sink"),
-        (instance_with_gluing, RandomSpec(seed=0, max_dim=0), "failed to produce a valid algebra"),
+        (random_instance, {"max_dim": 0}, "failed to produce a valid algebra"),
+        (source_sink_instance, {"max_dim": 0}, "failed to produce a source-sink"),
+        (instance_with_gluing, {"max_dim": 0}, "failed to produce a valid algebra"),
         (
             instance_with_gluing,
-            RandomSpec(seed=0, max_vertices=1, max_arrows=1),
+            {"max_vertices": 1, "max_arrows": 1},
             "no gluable instance found",
         ),
+    ]
+    + [
+        (generate, spec, message)
+        for generate in (
+            random_instance,
+            instance_with_gluing,
+            source_sink_instance,
+            source_sink_rad2_instance,
+        )
+        for spec, message in (
+            ({"max_vertices": 0}, "RandomSpec: max_vertices must be at least 1, got 0"),
+            ({"max_vertices": -1}, "RandomSpec: max_vertices must be at least 1, got -1"),
+            ({"max_arrows": -1}, "RandomSpec: max_arrows must be at least 0, got -1"),
+        )
     ],
 )
 def test_generation_failure_is_a_package_error(generate, spec, message):
+    # the spec is made inside the test: an out-of-range one raises on construction
     with pytest.raises(QuiverHHError, match=message):
-        generate(spec)
+        generate(RandomSpec(seed=0, **spec))
 
 
 def test_generation_failure_exits_2_with_one_line(capsys, monkeypatch):
