@@ -245,9 +245,8 @@ class GluedAlgebra:
         subspaces of the full degree-zero spaces."""
         out = []
         for C in self.complexes:
-            f = C.field
-            cycles = [{i: f.one} for i, (_, p) in enumerate(C.basis0.labels) if p.length >= 1]
-            out.append(restricted_kernel(f, C.delta0, cycles))
+            cycles = [i for i, (_, p) in enumerate(C.basis0.labels) if p.length >= 1]
+            out.append(restricted_kernel(C.field, C.delta0, cycles))
         return tuple(out)
 
     @cached_property
@@ -428,15 +427,13 @@ def special_pairs(g: GluedAlgebra) -> Subspace:
     the one at (l*^m, l*^(m-1)), so it vanishes when the characteristic
     does not divide m.
     """
-    f = g.B.field
-    return restricted_kernel(f, g.complexes[1].delta1, [{i: f.one} for i in g.missed1])
+    return restricted_kernel(g.B.field, g.complexes[1].delta1, g.missed1)
 
 
 def nsp_data(g: GluedAlgebra) -> Subspace:
     """Z_nsp: the part of ker delta0 of B spanned by the vertex/cycle pairs
     that ``psi0`` misses; it controls the center."""
-    f = g.B.field
-    return restricted_kernel(f, g.complexes[1].delta0, [{i: f.one} for i in g.missed0])
+    return restricted_kernel(g.B.field, g.complexes[1].delta0, g.missed0)
 
 
 def assumption_holds(g: GluedAlgebra):

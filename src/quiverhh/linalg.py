@@ -11,7 +11,8 @@ image, intersection, solve and rank goes through the one sparse
 elimination routine :func:`_rref`; :func:`rank` counts its pivots and
 builds no subspace.  Most rows it receives hold a single nonzero
 entry, so it takes each such row's column as a pivot up front, deletes
-those columns from the other rows and eliminates only what is left.
+those columns from the other rows and eliminates only what is left.  A
+restricted kernel is a kernel of label columns, renumbered in place.
 
 Coordinates are sparse too.  Because the stored rows are reduced
 echelon, the coefficient of a member vector along a row is its entry at
@@ -253,13 +254,15 @@ def kernel(field: FieldSpec, m: LinearMap) -> Subspace:
     return null_space(field, m.domain, _transpose(m.columns, len(m.codomain)))
 
 
-def restricted_kernel(field: FieldSpec, m: LinearMap, vectors: Sequence[dict]) -> Subspace:
-    """The combinations of ``vectors`` (over ``m.domain``) that ``m`` sends to zero."""
-    coords = LabeledBasis(tuple(range(len(vectors))))
-    inclusion = LinearMap(coords, m.domain, tuple(vectors))
-    images = tuple(m.apply(field, v) for v in vectors)
-    ker = kernel(field, LinearMap(coords, m.codomain, images))
-    return span(field, m.domain, [inclusion.apply(field, dict(row)) for row in ker.rows])
+def restricted_kernel(field: FieldSpec, m: LinearMap, columns: Sequence[int]) -> Subspace:
+    """The part of ``ker m`` on the label ``columns``: the kernel of those columns
+    renumbered in place, in ascending order, which keeps its rows the canonical
+    reduced echelon form :func:`span` would give, so no second elimination runs."""
+    cols = sorted(columns)
+    sub = LinearMap(LabeledBasis(tuple(cols)), m.codomain, tuple(m.columns[j] for j in cols))
+    ker = kernel(field, sub)
+    rows = tuple(tuple((cols[j], x) for j, x in row) for row in ker.rows)
+    return Subspace(m.domain, rows, tuple(cols[p] for p in ker.pivots))
 
 
 def solve_columns(field: FieldSpec, width: int, columns, target: dict):

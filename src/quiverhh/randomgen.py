@@ -48,8 +48,20 @@ class RandomSpec:
                 raise QuiverHHError(f"RandomSpec: {name} must be at least {least}, got {value}")
 
 
+def _least_vertices(spec: RandomSpec) -> int:
+    """Vertex count of the smallest quiver ``_random_quiver`` draws."""
+    return min(4, spec.max_vertices)
+
+
+def _tries(spec: RandomSpec, planted: int) -> int:
+    """Quivers to draw: 256, or none when no algebra fits ``spec.max_dim``,
+    since each vertex is a basis element and the smallest quiver drawn has
+    ``_least_vertices`` vertices plus ``planted``."""
+    return 256 if spec.max_dim >= _least_vertices(spec) + planted else 0
+
+
 def _random_quiver(rng: random.Random, spec: RandomSpec) -> Quiver:
-    lo_v = min(4, spec.max_vertices)
+    lo_v = _least_vertices(spec)
     n = rng.randint(lo_v, spec.max_vertices)
     lo_a = min(2, spec.max_arrows)
     m = rng.randint(lo_a, spec.max_arrows)
@@ -123,7 +135,7 @@ def _sample_algebra(rng: random.Random, Q: Quiver, spec: RandomSpec):
 def random_instance(spec: RandomSpec) -> MonomialAlgebra:
     """Reproducible monomial algebra; always passes build validation."""
     rng = random.Random(spec.seed)
-    for _ in range(256):
+    for _ in range(_tries(spec, 0)):
         A = _sample_algebra(rng, _random_quiver(rng, spec), spec)
         if A is not None:
             return A
@@ -199,7 +211,7 @@ def source_sink_instance(spec: RandomSpec):
     """(algebra, gluing) whose pair is a planted source arrow and sink arrow;
     relations are sampled as usual on the planted quiver."""
     rng = random.Random(spec.seed)
-    for _ in range(256):
+    for _ in range(_tries(spec, 4)):
         Q, gs = _planted_quiver(rng, spec)
         A = _sample_algebra(rng, Q, spec)
         if A is not None:

@@ -32,6 +32,13 @@ test doubles take the package's ``brackets`` loop and its cached
 ``ker1_brackets`` table, so no table cached on the wrapped complex skips a
 double's ``bracket``, and a forgetful A side carries its own Lie
 presentation as ``lie``.
+
+The check reads the kernel of the transport on A's degree-one kernel by
+rank-nullity, where the reference takes it with ``ref_restricted_kernel``.
+No corpus or fuzz gluing makes that comparison false, so its false branch
+is forged: the transport of a gluing that is not source-sink, whose check
+passes, is replaced by one that kills the diagonal pair of a third arrow
+(``_kill_diagonal``).  Containment still holds, and both forms must fail.
 """
 
 from itertools import combinations
@@ -39,6 +46,9 @@ from itertools import combinations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
+from conftest import glued
 from quiverhh.checks import (
     LOOP_POWER,
     CheckReport,
@@ -57,7 +67,6 @@ from quiverhh.linalg import (
     accumulate,
     contains_subspace,
     member,
-    restricted_kernel,
     solve_columns,
     span,
     subspace_sum,
@@ -65,7 +74,8 @@ from quiverhh.linalg import (
 from quiverhh.paircomplex import LieAlgebraPresentation, PairComplex
 from quiverhh.randomgen import RandomSpec, source_sink_instance
 from test_basis_lookup_reference import substitute
-from test_linalg_reference import RefQuotientView, representatives
+from test_linalg_reference import RefQuotientView, ref_restricted_kernel, representatives
+from test_restricted_kernel_reference import alpha_minus_beta
 
 FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5)}
 
@@ -350,7 +360,7 @@ def ref_check_ker_delta1_hom(g):
         CA.basis1.index[(g.alpha, QA.arrow_path(g.alpha))]: f.one,
         CA.basis1.index[(g.beta, QA.arrow_path(g.beta))]: f.neg(f.one),
     }
-    ok = ok and restricted_kernel(f, g.psi1, CA.ker1.row_vectors()) == span(
+    ok = ok and ref_restricted_kernel(f, g.psi1, CA.ker1.row_vectors()) == span(
         f, CA.basis1, [alpha_minus_beta]
     )
     detail = ""
@@ -420,6 +430,49 @@ def test_ker_delta1_hom_source_sink_instances_match_reference(seed, field, pertu
         perturbation = ("forget", arrow % (A.quiver.num_arrows - 1))
     new, ref = _hom_outcomes(A, gs.alpha, gs.beta, perturbation)
     assert new == ref
+
+
+def _kill_diagonal(g, c):
+    """Put into ``g`` a transport whose column at A's pair (c, c) is empty."""
+    psi = g.psi1
+    cols = list(psi.columns)
+    cols[g.complexes[0].basis1.index[(c, g.A.quiver.arrow_path(c))]] = {}
+    g.__dict__["psi1"] = LinearMap(psi.domain, psi.codomain, tuple(cols))
+    return g
+
+
+# every corpus gluing that is not source-sink and passes the check unforged;
+# biline is not source-sink either, but fails unforged
+KILLABLE = [
+    "bypass",
+    "double-braid",
+    "loop-crowd-2",
+    "loop-power",
+    "twin-pairs-rad2",
+    "two-blocks-deco",
+    "zigzag-6",
+]
+
+
+@pytest.mark.parametrize("name", KILLABLE)
+def test_ker_delta1_hom_fails_when_the_restriction_kernel_grows(name):
+    g = glued(name)
+    assert not g.source_sink
+    assert check_ker_delta1_hom(g).status == "pass"
+    thirds = [c for c in range(g.A.quiver.num_arrows) if c not in (g.alpha, g.beta)]
+    assert thirds
+    for c in thirds:
+        g = _kill_diagonal(glued(name), c)
+        f = g.B.field
+        CA, CB = g.complexes
+        diff = alpha_minus_beta(g)
+        assert contains_subspace(f, CB.ker1, g.psi1_ker1)
+        assert member(f, CA.ker1, diff)
+        assert g.psi1_ker1.dim < CA.ker1.dim - 1
+        restriction = ref_restricted_kernel(f, g.psi1, CA.ker1.row_vectors())
+        assert restriction != span(f, CA.basis1, [diff])
+        assert check_ker_delta1_hom(g).status == "fail"
+        assert ref_check_ker_delta1_hom(_kill_diagonal(glued(name), c)).status == "fail"
 
 
 def ref_hh1_central_summand_body(g):

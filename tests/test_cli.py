@@ -337,6 +337,26 @@ def test_fuzz_all_checks_json_byte_identical(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == FUZZ_ALL_CHECKS_JSON_SHA256
 
 
+# sha256 of ``quiverhh fuzz --seed 7 --count 1000 --checks <RESTRICTED_KERNEL_CHECKS>
+# --json``: the checks that read restricted kernels, with 126 failures that
+# the oracles confirm.
+RESTRICTED_KERNEL_CHECKS = (
+    "ker_delta1_hom,ker_delta1_structure,center_geq1,center_indec,center_diff_blocks"
+)
+FUZZ_SEED7_KERNEL_CHECKS_JSON_SHA256 = (
+    "60d6b32a2682c793069834ba6016f88518a7fd3e7e264db68759d111e55ae44b"
+)
+
+
+def test_fuzz_seed7_kernel_checks_json_byte_identical(capsys):
+    args = ("fuzz", "--seed", "7", "--count", "1000", "--checks", RESTRICTED_KERNEL_CHECKS)
+    code, out, _ = run(capsys, *args, "--json")
+    assert code == 1
+    summary = {"instances": 1000, "fails": 126, "confirmed": 126, "unconfirmed": 0}
+    assert json.loads(out.splitlines()[-1]) == {"summary": summary}
+    assert hashlib.sha256(out.encode()).hexdigest() == FUZZ_SEED7_KERNEL_CHECKS_JSON_SHA256
+
+
 # sha256 of ``quiverhh center <example>``: the basis of Z(A), each element
 # with its pivot, and the multiplication table in that basis.
 CENTER_SHA256 = {

@@ -22,10 +22,18 @@ while it accumulated every entry of a row, its pivot included, into the
 remainder.  The form that drops the pivot entry must return the same
 coefficients and the same remainder, key order included, on vectors
 inside and outside the span.
+
+``ref_restricted_kernel`` is ``restricted_kernel`` as it was while it took
+arbitrary vectors over the domain: it maps them through an inclusion, takes
+the kernel of their images and lifts that kernel back with a second
+elimination.  The form that takes label columns and renumbers their kernel
+in place must return the same rows and the same pivots as this one on the
+unit vectors at those columns, whatever order the columns come in.
 """
 
 import copy
 from fractions import Fraction
+from typing import Sequence
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -34,16 +42,18 @@ import pytest
 
 from quiverhh import linalg
 from quiverhh.errors import ContainmentError
-from quiverhh.fields import GF, QQ
+from quiverhh.fields import GF, QQ, FieldSpec
 from quiverhh.linalg import (
     LabeledBasis,
     LinearMap,
     QuotientView,
+    Subspace,
     accumulate,
     intersect,
     kernel,
     null_space,
     reduce_against,
+    restricted_kernel,
     solve_columns,
     span,
 )
@@ -94,6 +104,15 @@ def ref_reduce_against_sparse(field, space, vec) -> tuple:
         for i, x in space.rows[r]:
             accumulate(field, rem, i, neg(mul(c, x)))
     return coeffs, rem
+
+
+def ref_restricted_kernel(field: FieldSpec, m: LinearMap, vectors: Sequence[dict]) -> Subspace:
+    """The combinations of ``vectors`` (over ``m.domain``) that ``m`` sends to zero."""
+    coords = LabeledBasis(tuple(range(len(vectors))))
+    inclusion = LinearMap(coords, m.domain, tuple(vectors))
+    images = tuple(m.apply(field, v) for v in vectors)
+    ker = kernel(field, LinearMap(coords, m.codomain, images))
+    return span(field, m.domain, [inclusion.apply(field, dict(row)) for row in ker.rows])
 
 
 def _rref(field, rows: list, width: int) -> tuple:
@@ -348,6 +367,25 @@ def test_kernel_matches_dense(case):
         LabeledBasis(tuple(range(len(cols)))), LabeledBasis(tuple(range(width))), tuple(cols)
     )
     assert as_dense(f, kernel(f, m)) == ref_kernel(f, width, cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.lists(st.integers(0, 20), unique=True))
+@example((QQ, 0, []), [])
+@example((QQ, 4, QUARTER), [3, 0, 2])
+@example((GF(2), 2, TALL), [6, 4, 1, 0, 3])
+@example((GF(5), 12, WIDE), [1, 0])
+def test_restricted_kernel_matches_reference(case, picks):
+    # the rows are the columns of a map into range(width); the columns kept
+    # are the picks inside its domain, in the order drawn
+    f, width, cols = case
+    n = len(cols)
+    m = LinearMap(LabeledBasis(tuple(range(n))), LabeledBasis(tuple(range(width))), tuple(cols))
+    columns = [j for j in picks if j < n]
+    got = restricted_kernel(f, m, columns)
+    ref = ref_restricted_kernel(f, m, [{j: f.one} for j in columns])
+    assert got.basis == m.domain
+    assert (got.rows, got.pivots) == (ref.rows, ref.pivots)
 
 
 @settings(max_examples=150, deadline=None)

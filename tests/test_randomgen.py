@@ -228,6 +228,52 @@ def test_generation_failure_is_a_package_error(generate, spec, message):
         generate(RandomSpec(seed=0, **spec))
 
 
+@pytest.fixture
+def quiver_draws(monkeypatch):
+    """Counts the calls of ``_random_quiver`` and ``_planted_quiver``."""
+    calls = {"_random_quiver": 0, "_planted_quiver": 0}
+    for name in calls:
+        original = getattr(randomgen, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(randomgen, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "generate, spec, message",
+    [
+        (random_instance, RandomSpec(1, 6, 9, QQ, 0), "failed to produce a valid algebra"),
+        (random_instance, RandomSpec(1, 6, 9, QQ, 3), "failed to produce a valid algebra"),
+        (random_instance, RandomSpec(1, 1, 0, QQ, 0), "failed to produce a valid algebra"),
+        (instance_with_gluing, RandomSpec(1, 6, 9, QQ, 3), "failed to produce a valid algebra"),
+        (source_sink_instance, RandomSpec(1, 6, 9, QQ, 0), "failed to produce a source-sink"),
+        (source_sink_instance, RandomSpec(1, 6, 9, QQ, 7), "failed to produce a source-sink"),
+        (source_sink_instance, RandomSpec(1, 1, 0, QQ, 4), "failed to produce a source-sink"),
+    ],
+)
+def test_impossible_spec_draws_no_quiver(quiver_draws, generate, spec, message):
+    # an algebra has at least one basis element per vertex, and the smallest
+    # quiver drawn has min(4, max_vertices) vertices, 4 more when planted
+    with pytest.raises(QuiverHHError, match=message):
+        generate(spec)
+    assert quiver_draws == {"_random_quiver": 0, "_planted_quiver": 0}
+
+
+def test_spec_at_the_vertex_bound_still_draws(quiver_draws):
+    # a single vertex without arrows is an algebra of dimension 1
+    A = random_instance(RandomSpec(1, 1, 0, QQ, 1))
+    assert A.dim == 1
+    assert quiver_draws == {"_random_quiver": 1, "_planted_quiver": 0}
+    # five vertices and four arrows never fit in 5 dimensions, but are drawn
+    with pytest.raises(QuiverHHError, match="failed to produce a source-sink"):
+        source_sink_instance(RandomSpec(1, 1, 0, QQ, 5))
+    assert quiver_draws == {"_random_quiver": 257, "_planted_quiver": 256}
+
+
 def test_generation_failure_exits_2_with_one_line(capsys, monkeypatch):
     # fuzz draws its instances through instance_with_gluing; one that cannot
     # be generated is a usage-level error, not a traceback
