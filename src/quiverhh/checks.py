@@ -453,7 +453,7 @@ def check_theta(g: GluedAlgebra) -> CheckReport:
 
 @check("high_degrees", COUNTING_RAD_SQ_ZERO, COUNTING_INDECOMPOSABLE, NOT_A_CROWN)
 def check_high_degrees(g: GluedAlgebra) -> CheckReport:
-    reports = [check_high_degree_gluing(g, n) for n in range(2, 7)]  # degrees 2 to 6
+    reports = check_high_degree_gluing(g, range(2, 7))  # degrees 2 to 6
     ok = all(r.monotone for r in reports)
     return _verdict(ok, [str(r.dim_a) for r in reports], [str(r.dim_b) for r in reports])
 

@@ -12,7 +12,8 @@ the transport maps miss are held once per gluing (``missed0``,
 ``missed1``); Z_sp, Z_spp and Z_nsp are read off them as plain subspaces.
 The crucial paths are enumerated directly.  Per-algebra data, the HH¹ Lie
 presentation included, lives on the pair complexes of ``complex_data``;
-``psi1_rows`` and their bracket table ``psi1_brackets`` live on the gluing.
+``psi1_rows`` and their bracket table ``psi1_brackets``, which reads pairs
+of rows of B's kernel off B's ``ker1_brackets``, live on the gluing.
 """
 
 from __future__ import annotations
@@ -232,8 +233,11 @@ class GluedAlgebra:
 
     @cached_property
     def psi1_brackets(self) -> dict:
-        """The bracket table of ``psi1_rows`` in B."""
-        return self.complexes[1].brackets(self.psi1_rows)
+        """The bracket table of ``psi1_rows`` in B, after B's ``ker1_brackets``:
+        a pair of images that are rows of ker δ¹_B is read off that."""
+        CB = self.complexes[1]
+        CB.ker1_brackets
+        return CB.brackets(self.psi1_rows)
 
     @cached_property
     def psi1_ker1(self) -> Subspace:

@@ -5,8 +5,8 @@ number of (length-n path, arrow) parallel pairs minus the number of
 (length-(n-1) path, vertex) parallel pairs; both counts come from powers
 of the adjacency matrix in exact integer arithmetic.  Crowns fall outside
 the formula and are reported as a typed unsupported status instead of a
-number.  :func:`check_high_degree_gluing` compares one degree across a
-gluing.
+number.  :func:`check_high_degree_gluing` compares a range of degrees
+across a gluing.
 """
 
 from __future__ import annotations
@@ -96,8 +96,9 @@ class HighDegreeReport:
     monotone: bool
 
 
-def check_high_degree_gluing(g: GluedAlgebra, n: int) -> HighDegreeReport:
-    """Compare degree-n dimensions across one gluing of a connected
+def check_high_degree_gluing(g: GluedAlgebra, degrees: range) -> list:
+    """One report per degree in the consecutive ``degrees``, each side read
+    off one :func:`hh_dims_high` iterator, across a gluing of a connected
     radical-square-zero algebra A whose quiver is not a crown: the glued
     dimension must not fall below the source one.
 
@@ -112,14 +113,15 @@ def check_high_degree_gluing(g: GluedAlgebra, n: int) -> HighDegreeReport:
     earlier shared arrow forbids.  Equal paths with distinct arrows are
     parallel to alpha and beta at once, again forbidden by e1 != e3.
     """
-    dim_a = hh_dim_high(g.A, n)  # raises ValueError for n < 2
-    if isinstance(dim_a, CrownUnsupported):
+    if degrees.step != 1:
+        raise ValueError("degrees must be consecutive")
+    dims_a = hh_dims_high(g.A, degrees.start)  # raises ValueError below degree 2
+    if crown_order(g.A.quiver) is not None:
         raise QuiverHHError("higher-degree comparison requires a source quiver that is not a crown")
-    dim_b = hh_dim_high(g.B, n)
-    if isinstance(dim_b, CrownUnsupported):
-        # The glued quiver is a crown only when the source is an oriented
-        # line, a tree with no cycle and no path of length >= 2 parallel to
-        # an arrow, so the source dimension vanishes and the inequality
-        # holds whatever the crown's dimension is.
-        return HighDegreeReport(dim_a, dim_b, dim_a == 0)
-    return HighDegreeReport(dim_a, dim_b, dim_b >= dim_a)
+    # The glued quiver is a crown only when the source is an oriented line, a
+    # tree with no cycle and no path of length >= 2 parallel to an arrow, so
+    # the source dimension vanishes: the inequality holds whatever B's is.
+    return [
+        HighDegreeReport(a, b, a == 0 if isinstance(b, CrownUnsupported) else b >= a)
+        for _, a, b in zip(degrees, dims_a, hh_dims_high(g.B, degrees.start))
+    ]

@@ -11,9 +11,9 @@ two arrow pairs substitutes each into the other.
 The bracket [(a, γ), (b, ε)] substitutes γ for a in ε and ε for b in γ,
 so it vanishes unless a occurs in ε or b occurs in γ.  The one pair loop,
 :meth:`PairComplex.brackets`, brackets only the pairs ``interacting_pairs``
-keeps.  ``lie`` restricts the table of ker δ¹'s rows, ``ker1_brackets``,
-to the HH¹ representatives (rows too) by :func:`restrict_table`, and
-``lie_center_dim`` eliminates only the nonzero rows of its matrix.
+keeps, and reads pairs of kernel rows off ``ker1_brackets``.  ``lie``
+restricts that table to the HH¹ representatives (rows too) by
+:func:`restrict_table`; ``lie_center_dim`` eliminates its nonzero matrix rows.
 
 Both differentials and the bracket are assembled by index arithmetic on
 the pair labels.  A product or substitution of paths parallel to an arrow
@@ -188,10 +188,15 @@ class PairComplex:
 
     def brackets(self, vectors) -> dict:
         """``{(i, j): [v_i, v_j]}`` for ``i < j``, ascending and without empty
-        values, bracketing only the pairs :meth:`interacting_pairs` keeps."""
+        values, over the pairs :meth:`interacting_pairs` keeps; a built
+        ``ker1_brackets`` gives those of rows (item for item) in row order."""
+        table = self.__dict__.get("ker1_brackets")  # None while it is built
+        at = self._ker1_row_at if table else {}
+        pos = [at.get(tuple(v.items()), -1) if at else -1 for v in vectors]
         out = {}
         for i, j in self.interacting_pairs(vectors):
-            v = self.bracket(vectors[i], vectors[j])
+            p, q = pos[i], pos[j]  # -1 off the kernel rows
+            v = table.get((p, q)) if 0 <= p < q else self.bracket(vectors[i], vectors[j])
             if v:
                 out[i, j] = v
         return out
@@ -200,6 +205,10 @@ class PairComplex:
     def ker1_brackets(self) -> dict:
         """The bracket table of the rows of ker δ¹, built on first read."""
         return self.brackets(self.ker1.row_vectors())
+
+    @cached_property
+    def _ker1_row_at(self) -> dict:
+        return {row: n for n, row in enumerate(self.ker1.rows)}
 
     # -- cohomology --------------------------------------------------------------
 

@@ -18,10 +18,20 @@ table must equal its reference entry for entry, with the same keys in the
 same order and the same entries in the same order within each value, and
 the Lie presentation must have the same dimension and labels, on both
 sides of every gluing.
+
+Once a complex holds ``ker1_brackets``, ``PairComplex.brackets`` reads a
+pair of its kernel rows in row order off that table instead of
+bracketing it.  The tests below hold ``brackets`` to ``ref_brackets``,
+strictly, on every call shape that reaches both branches: γ's pair with
+each kernel row of B in both orders, the rows in reverse order and with
+their items reordered, and the ψ¹ images on the W1 gluings where some
+image is not a row of B's kernel.  Each also counts the ``bracket``
+calls, so the split between read and bracketed pairs is pinned.
 """
 
 from functools import partial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +40,7 @@ from quiverhh.fields import GF, QQ
 from quiverhh.fileformat import parse
 from quiverhh.gluing import glue
 from quiverhh.linalg import LabeledBasis, LinearMap, QuotientView
-from quiverhh.paircomplex import LieAlgebraPresentation, pair_str, restrict_table
+from quiverhh.paircomplex import LieAlgebraPresentation, PairComplex, pair_str, restrict_table
 from quiverhh.randomgen import RandomSpec, instance_with_gluing, source_sink_instance
 from test_linalg_reference import representatives
 
@@ -147,3 +157,107 @@ def test_random_gluings_match_reference(seed, field, source_sink):
     spec = RandomSpec(seed=seed, field=FIELDS[field], max_vertices=4, max_arrows=5, max_dim=24)
     A, gs = (source_sink_instance if source_sink else instance_with_gluing)(spec)
     assert_gluing_matches(glue(A, gs.alpha, gs.beta))
+
+
+# -- pairs of kernel rows read off ker1_brackets -----------------------------------
+
+# The number of W1 gluings (those of ``run_fuzz(20260809, 1000, max_dim=32)``)
+# with a ψ¹ image that is not a row of B's kernel: 126 have an image that is no
+# row even as a dict (mostly outside ker δ¹_B), and three more an image that is
+# a row with its items in another order.
+W1_NON_ROW_IMAGES = 129
+
+
+@pytest.fixture
+def bracket_calls(monkeypatch) -> list:
+    calls = []
+    bracket = PairComplex.bracket
+
+    def counting(self, x, y):
+        calls.append(None)
+        return bracket(self, x, y)
+
+    monkeypatch.setattr(PairComplex, "bracket", counting)
+    return calls
+
+
+def readable(C, vectors) -> int:
+    """The number of pairs ``brackets`` reads off ``C.ker1_brackets``."""
+    at = {r: n for n, r in enumerate(C.ker1.rows)}
+    pos = [at.get(tuple(v.items())) for v in vectors]
+    pairs = C.interacting_pairs(vectors)
+    return sum(pos[i] is not None and pos[j] is not None and pos[i] < pos[j] for i, j in pairs)
+
+
+def assert_brackets_match(C, vectors, calls) -> tuple:
+    """``C.brackets`` equals ``ref_brackets`` strictly and brackets every pair
+    it does not read; returns (pairs read, pairs bracketed)."""
+    reads = readable(C, vectors)
+    before = len(calls)
+    new = C.brackets(vectors)
+    computed = len(calls) - before
+    assert computed == len(C.interacting_pairs(vectors)) - reads
+    assert ordered(new) == ordered(ref_brackets(C, vectors))
+    return reads, computed
+
+
+def reference_gluings() -> list:
+    cases = [(e.text, e.alpha, e.beta) for e in EXAMPLES]
+    cases += [(fan(m, p), "alpha", "beta") for m in (2, 3, 4, 6) for p in (0, 2, 3, 5)]
+    out = []
+    for text, alpha, beta in cases:
+        A = parse(text)
+        out.append(glue(A, A.quiver.arrow_index[alpha], A.quiver.arrow_index[beta]))
+    for seed, field in enumerate(sorted(FIELDS) * 10):
+        spec = RandomSpec(seed=seed, field=FIELDS[field], max_vertices=4, max_arrows=5, max_dim=24)
+        A, gs = source_sink_instance(spec)
+        out.append(glue(A, gs.alpha, gs.beta))
+    return out
+
+
+def test_gamma_brackets_read_b_table(bracket_calls):
+    """``hh1_central_summand``'s calls, γ's pair with each kernel row of B,
+    and the same pairs in the other order."""
+    totals = [0, 0]
+    for g in reference_gluings():
+        CB = g.complexes[1]
+        CB.ker1_brackets
+        gamma = g.gamma_pair_vector()
+        for r in CB.ker1.row_vectors():
+            for vectors in ([gamma, r], [r, gamma]):
+                for n, k in enumerate(assert_brackets_match(CB, vectors, bracket_calls)):
+                    totals[n] += k
+    assert totals[0] > 0 and totals[1] > 0
+
+
+def test_rows_out_of_order_are_bracketed(bracket_calls):
+    """Rows in reverse order, or with their items reordered, are not read."""
+    computed = [0, 0]
+    for g in reference_gluings():
+        for C in g.complexes:
+            C.ker1_brackets
+            rows = C.ker1.row_vectors()
+            reads, n = assert_brackets_match(C, rows[::-1], bracket_calls)
+            assert reads == 0
+            computed[0] += n
+            reordered = [dict(reversed(r.items())) for r in rows]
+            computed[1] += assert_brackets_match(C, reordered, bracket_calls)[1]
+    assert computed[0] > 0 and computed[1] > 0
+
+
+def test_psi1_images_off_b_rows_match_reference(w1_gluings, bracket_calls):
+    """On every W1 gluing with a ψ¹ image that is not a row of B's kernel,
+    ``psi1_brackets`` equals ``ref_brackets`` and both branches run."""
+    totals, pinned = [0, 0], 0
+    for _, g in w1_gluings:
+        CB = g.complexes[1]
+        rows = set(CB.ker1.rows)
+        if all(tuple(v.items()) in rows for v in g.psi1_rows):
+            continue
+        pinned += 1
+        CB.ker1_brackets
+        for n, k in enumerate(assert_brackets_match(CB, g.psi1_rows, bracket_calls)):
+            totals[n] += k
+        assert ordered(g.psi1_brackets) == ordered(ref_brackets(CB, g.psi1_rows))
+    assert pinned == W1_NON_ROW_IMAGES
+    assert totals[0] > 0 and totals[1] > 0

@@ -285,6 +285,20 @@ def test_verify_fan6_json_byte_identical(capsys, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FAN6_JSON_SHA256
 
 
+# sha256 of ``quiverhh verify <fan(8)> --alpha alpha --beta beta --json``:
+# all checks on the gluing of the W2 workload, where the ψ¹ images of A's
+# kernel rows are rows of B's kernel and their brackets are read off B's table.
+VERIFY_FAN8_JSON_SHA256 = "f97642ec44c6302ac5351d295d541e60e625617b509abcac747314df71efb05a"
+
+
+def test_verify_fan8_json_byte_identical(capsys, tmp_path):
+    p = tmp_path / "fan8.alg"
+    p.write_text(fan(8))
+    code, out, _ = run(capsys, "verify", str(p), "--alpha", "alpha", "--beta", "beta", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FAN8_JSON_SHA256
+
+
 # sha256 of ``quiverhh hh <fan(5)> --degrees 0..1 --lie``: the 24 basis
 # labels and every nonzero structure constant of a non-abelian HH^1 over Q.
 HH_FAN5_LIE_SHA256 = "0bc6bc71f81d9018cf1d03c1507ba65b90e01b500a0a7c3dc5086d2f23f025ab"

@@ -86,7 +86,7 @@ def test_zigzag_vanishes():
     for n in range(2, 13):
         assert hh_dim_high(A, n) == 0
         assert hh_dim_high(g.B, n) == 0
-        rep = check_high_degree_gluing(g, n)
+        (rep,) = check_high_degree_gluing(g, range(n, n + 1))
         assert rep.monotone and rep.dim_b == rep.dim_a
 
 
@@ -96,7 +96,7 @@ def test_crown_status():
     out = hh_dim_high(A, 3)
     assert isinstance(out, CrownUnsupported) and out.order == 2
     g = glued("line-bound")  # its glued quiver is the 2-crown
-    rep = check_high_degree_gluing(g, 4)
+    (rep,) = check_high_degree_gluing(g, range(4, 5))
     assert rep.monotone
     assert isinstance(rep.dim_b, CrownUnsupported) and rep.dim_a == 0
 
@@ -108,7 +108,7 @@ def test_crown_source_is_not_applicable():
     rep = CHECKS["high_degrees"](g)
     assert (rep.status, rep.reason) == ("not-applicable", "source quiver is a crown")
     with pytest.raises(QuiverHHError):
-        check_high_degree_gluing(g, 2)  # a precondition, not a verdict
+        check_high_degree_gluing(g, range(2, 3))  # a precondition, not a verdict
 
 
 def test_applicability_errors():
@@ -136,9 +136,9 @@ def test_monotonicity_on_random_source_sink():
         status = CHECKS["high_degrees"](g).status
         assert status in ("pass", "not-applicable"), f"seed {seed}"
         if status == "pass":
-            for n in range(2, 7):
+            for n, rep in zip(range(2, 7), check_high_degree_gluing(g, range(2, 7)), strict=True):
                 checked += 1
-                assert check_high_degree_gluing(g, n).monotone, f"seed {seed} degree {n}"
+                assert rep.monotone, f"seed {seed} degree {n}"
     assert checked >= 70
 
 

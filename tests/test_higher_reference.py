@@ -13,6 +13,11 @@ parallel pairs of A, up to a cap, and tests that the gluing keeps them
 distinct.  ``check_high_degree_gluing`` now relies on the proof in its
 docstring instead; the property test below confirms that the enumeration
 never finds a collision.
+
+``ref_high_degrees`` composes the ``high_degrees`` report degree by degree
+from ``ref_hh_dim_high``, as the check did while it compared one degree
+per call; ``check_high_degree_gluing`` now takes the range of degrees and
+walks each side's adjacency powers once.
 """
 
 from itertools import islice
@@ -20,14 +25,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import glued
+from conftest import glued, glued_crown4
 from quiverhh.algebra import build
+from quiverhh.checks import CHECKS
 from quiverhh.cli import main
 from quiverhh.errors import QuiverHHError
 from quiverhh.examples_data import EXAMPLES, example_by_name, fan, zigzag
 from quiverhh.fileformat import parse
 from quiverhh.gluing import glue
-from quiverhh.higher import CrownUnsupported, hh_dim_high, hh_dims_high
+from quiverhh.higher import CrownUnsupported, check_high_degree_gluing, hh_dim_high, hh_dims_high
 from quiverhh.paircomplex import complex_data
 from quiverhh.quiver import Quiver, connected_components, crown_order
 from quiverhh.randomgen import RandomSpec, random_gluing, random_instance, source_sink_rad2_instance
@@ -122,6 +128,57 @@ def test_cli_degrees_match_per_degree_reference(capsys, tmp_path, degrees):
         lines = {0: f"HH^0: {C.hh0.dim}", 1: f"HH^1: {C.hh1_view.dim}"}
         expected = [lines[n] if n < 2 else ref_line(A, n) for n in range(lo, hi + 1)]
         assert capsys.readouterr().out.splitlines() == expected, ex.name
+
+
+# -- the high_degrees check, degree by degree ------------------------------------
+
+HIGH_DEGREES = range(2, 7)
+
+
+def ref_high_degrees(g) -> tuple:
+    """(status, lhs, rhs) of ``high_degrees`` on an applicable gluing, one
+    degree at a time: a crown B passes exactly where A's dimension is 0."""
+    dims = [(ref_hh_dim_high(g.A, n), ref_hh_dim_high(g.B, n)) for n in HIGH_DEGREES]
+    ok = all(a == 0 if isinstance(b, CrownUnsupported) else b >= a for a, b in dims)
+    return "pass" if ok else "fail", [str(a) for a, _ in dims], [str(b) for _, b in dims]
+
+
+def high_degree_gluings() -> list:
+    """The corpus gluings and 200 planted source-sink radical-square-zero ones."""
+    out = [glued(ex.name) for ex in EXAMPLES] + [glued_crown4()]
+    for text in (fan(2), fan(3), zigzag(3)):
+        A = parse(text)
+        out.append(glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"]))
+    for seed in range(200):
+        A, gs = source_sink_rad2_instance(RandomSpec(seed=seed, max_vertices=4, max_arrows=5))
+        out.append(glue(A, gs.alpha, gs.beta))
+    return out
+
+
+def test_high_degrees_match_per_degree_reference():
+    applicable = crown_b = 0
+    for g in high_degree_gluings():
+        rep = CHECKS["high_degrees"](g)
+        if rep.status == "not-applicable":
+            continue
+        applicable += 1
+        assert (rep.status, rep.lhs, rep.rhs) == ref_high_degrees(g)
+        reports = check_high_degree_gluing(g, HIGH_DEGREES)
+        for n, r in zip(HIGH_DEGREES, reports, strict=True):
+            assert (r.dim_a, r.dim_b) == (ref_hh_dim_high(g.A, n), ref_hh_dim_high(g.B, n))
+        crown_b += isinstance(reports[0].dim_b, CrownUnsupported)
+    assert applicable >= 60 and crown_b > 0
+
+
+def test_high_degree_ranges_agree_with_single_degrees():
+    g = glued("line-bound")  # its glued quiver is the 2-crown
+    whole = check_high_degree_gluing(g, range(2, 12))
+    assert whole == [check_high_degree_gluing(g, range(n, n + 1))[0] for n in range(2, 12)]
+    assert check_high_degree_gluing(g, range(5, 5)) == []
+    with pytest.raises(ValueError):
+        check_high_degree_gluing(g, range(2, 12, 2))
+    with pytest.raises(ValueError):
+        check_high_degree_gluing(g, range(1, 3))
 
 
 # -- transport injectivity by enumeration --------------------------------------

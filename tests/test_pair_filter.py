@@ -10,7 +10,9 @@ table as bracketing every pair, and so must each table read off its two
 cached tables through ``restrict_table``: ``ker1_brackets`` of a complex
 feeds the Lie terms and the transported A table, ``psi1_brackets`` of a
 gluing the B side of both bracket checks.  Each table is built once, so
-the checks on ``glue(fan(6))`` bracket no pair of A's kernel rows twice.
+the checks on ``glue(fan(6))`` bracket no pair of A's kernel rows twice,
+and no pair of B's kernel rows in row order twice: ``brackets`` reads a
+pair of B's rows off B's table.
 """
 
 from functools import partial
@@ -184,10 +186,12 @@ def test_hh1_lie_is_computed_once_per_complex(monkeypatch):
     assert not calls
 
 
-def test_fan6_checks_bracket_587_times(monkeypatch):
-    """Each side brackets its kernel rows once, in ``ker1_brackets``, and
-    the gluing brackets the ψ¹ images of A's rows once, in
-    ``psi1_brackets``; the Lie presentations and the checks restrict
+def test_fan6_checks_bracket_392_times(monkeypatch):
+    """Each side brackets its kernel rows once, in ``ker1_brackets``.  The
+    ψ¹ images of A's rows are rows of B's kernel, so ``psi1_brackets``
+    reads them off B's table and brackets only the one pair of equal
+    images; γ's pair with each row of B is read there too, but for γ's
+    pair with itself.  The Lie presentations and the checks restrict
     those tables."""
     complex_data.cache_clear()  # an earlier test may hold the complexes and their tables
     A = parse(fan(6))
@@ -195,7 +199,7 @@ def test_fan6_checks_bracket_587_times(monkeypatch):
     calls = _count_brackets(monkeypatch)
     reports = run_checks(g)
     assert not any(r.failed for r in reports)
-    assert len(calls) == 587
+    assert len(calls) == 392
 
 
 def test_fan6_checks_bracket_each_a_kernel_row_pair_once(monkeypatch):
@@ -215,3 +219,29 @@ def test_fan6_checks_bracket_each_a_kernel_row_pair_once(monkeypatch):
     monkeypatch.setattr(PairComplex, "bracket", recording)
     assert not any(r.failed for r in run_checks(g))
     assert pairs and len(pairs) == len(set(pairs))
+
+
+def test_fan6_checks_bracket_each_b_kernel_row_pair_once(monkeypatch):
+    """B's twin: every vector B brackets is a row of its kernel, no pair of
+    rows in row order is bracketed twice, and the only other brackets are
+    of γ's pair with itself, once for the equal ψ¹ images of α's and β's
+    pairs and once in ``hh1_central_summand``."""
+    complex_data.cache_clear()  # an earlier test may hold the complexes and their tables
+    A = parse(fan(6))
+    g = glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"])
+    CB = g.complexes[1]
+    row_index = {tuple(r): i for i, r in enumerate(CB.ker1.rows)}
+    pairs = []
+    bracket = PairComplex.bracket
+
+    def recording(self, x, y):
+        if self is CB:
+            pairs.append((row_index[tuple(x.items())], row_index[tuple(y.items())]))
+        return bracket(self, x, y)
+
+    monkeypatch.setattr(PairComplex, "bracket", recording)
+    assert not any(r.failed for r in run_checks(g))
+    in_order = [(p, q) for p, q in pairs if p < q]
+    assert in_order and len(in_order) == len(set(in_order))
+    gamma = row_index[tuple(g.gamma_pair_vector().items())]
+    assert [pq for pq in pairs if pq[0] >= pq[1]] == [(gamma, gamma)] * 2
