@@ -443,19 +443,16 @@ def check_gamma_not_in_image(g: GluedAlgebra) -> CheckReport:
 
 @check("theta_diagram", SAME_BLOCK_SOURCE_SINK)
 def check_theta(g: GluedAlgebra) -> CheckReport:
-    rep = check_theta_diagram(g)
-    return _verdict(
-        rep.commutes,
-        rep.generator_results,
-        (rep.new_dual_is_gamma_pair, rep.gamma_pair_outside_image),
-    )
+    generators, new_dual_ok = check_theta_diagram(g)
+    ok = all(agrees for _, agrees in generators) and new_dual_ok and g.gamma_outside_im0
+    return _verdict(ok, generators, (new_dual_ok, g.gamma_outside_im0))
 
 
 @check("high_degrees", COUNTING_RAD_SQ_ZERO, COUNTING_INDECOMPOSABLE, NOT_A_CROWN)
 def check_high_degrees(g: GluedAlgebra) -> CheckReport:
-    reports = check_high_degree_gluing(g, range(2, 7))  # degrees 2 to 6
-    ok = all(r.monotone for r in reports)
-    return _verdict(ok, [str(r.dim_a) for r in reports], [str(r.dim_b) for r in reports])
+    dims = check_high_degree_gluing(g, range(2, 7))  # degrees 2 to 6
+    ok = all(monotone for _, _, monotone in dims)
+    return _verdict(ok, [str(a) for a, _, _ in dims], [str(b) for _, b, _ in dims])
 
 
 def _repro_text(g: GluedAlgebra) -> str:

@@ -210,7 +210,7 @@ def cmd_examples(args) -> int:
     worst = 0
     for e in EXAMPLES:
         A = parse(e.text)
-        g = glue(A, _arrow_id(A, e.alpha), _arrow_id(A, e.beta))
+        g = glue(A, _arrow_id(A, "alpha"), _arrow_id(A, "beta"))
         reports = run_checks(g)
         mismatches = []
         for rep in reports:
@@ -276,8 +276,15 @@ def cmd_fuzz(args) -> int:
     return 1 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line, like every other error."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="quiverhh",
         description="Exact cohomology invariants of monomial quiver algebras and arrow gluings",
     )

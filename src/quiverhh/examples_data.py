@@ -1,7 +1,7 @@
 """Built-in example algebras, stored as algebra files.
 
 Each entry doubles as format documentation: the text parses with
-:func:`quiverhh.fileformat.parse` and carries the arrow pair to glue.
+:func:`quiverhh.fileformat.parse`; every example glues ``alpha`` and ``beta``.
 ``expect_status`` lists the checks whose run status must differ from the
 usual pass / not-applicable outcome, e.g. the characteristic-two variant
 of the loop-power example documents its assumption violations.
@@ -17,8 +17,6 @@ class ExampleEntry:
     name: str
     title: str
     text: str
-    alpha: str
-    beta: str
     expect_status: dict = field(default_factory=dict)
 
 
@@ -233,94 +231,68 @@ EXAMPLES = (
         "biline",
         "radical cube zero with doubled arrows on both sides",
         _BILINE,
-        "alpha",
-        "beta",
         _GENERAL_KERNEL_COUNTEREXAMPLE,
     ),
     ExampleEntry(
         "line-free",
         "four-vertex line, no relations (source-sink, same block)",
         _LINE_FREE,
-        "alpha",
-        "beta",
     ),
     ExampleEntry(
         "two-lines",
         "two disjoint lines (source-sink, different blocks)",
         _TWO_LINES,
-        "alpha",
-        "beta",
     ),
     ExampleEntry(
         "line-bound",
         "four-vertex line with both compositions zero",
         _LINE_BOUND,
-        "alpha",
-        "beta",
     ),
     ExampleEntry(
         "twin-pairs-rad2",
         "radical square zero with a doubled sink pair and a backward arrow",
         _TWIN_PAIRS,
-        "alpha",
-        "beta",
     ),
     ExampleEntry(
         "loop-crowd-2",
         "two loops at the source of alpha and one beside beta, radical square zero",
         loop_crowd(2),
-        "alpha",
-        "beta",
     ),
     ExampleEntry(
         "bypass",
         "path algebra with a long arrow bypassing alpha's target",
         _BYPASS,
-        "alpha",
-        "beta",
     ),
     ExampleEntry(
         "loop-power",
         "square-zero loop at the source of alpha, rationals",
         _LOOP_POWER_Q,
-        "alpha",
-        "beta",
     ),
     ExampleEntry(
         "loop-power-f2",
         "square-zero loop at the source of alpha over the two-element field",
         _LOOP_POWER_F2,
-        "alpha",
-        "beta",
         _ASSUMPTION_SENSITIVE,
     ),
     ExampleEntry(
         "two-blocks-deco",
         "radical square zero fork plus a separate arrow block",
         _TWO_BLOCKS,
-        "alpha",
-        "beta",
     ),
     ExampleEntry(
         "double-braid",
         "two two-cycles with bridging arrow and cube-like relations",
         _DOUBLE_BRAID,
-        "alpha",
-        "beta",
     ),
     ExampleEntry(
         "zigzag-6",
         "alternating line on six vertices, no compositions at all",
         zigzag(3),
-        "alpha",
-        "beta",
     ),
     ExampleEntry(
         "midfan-2",
         "line with two parallel middle arrows, radical square zero",
         fan(2),
-        "alpha",
-        "beta",
     ),
 )
 

@@ -12,7 +12,6 @@ goes to the diagonal pair of its chord with coefficient 1.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .algebra import MonomialAlgebra
 from .errors import BridgeError, QuiverHHError
@@ -89,36 +88,22 @@ def theta_class_rank(A: MonomialAlgebra) -> int:
     return rank(A.field, coord_vecs)
 
 
-@dataclass(frozen=True)
-class ThetaDiagramReport:
-    generator_results: tuple  # (name, bool) per chord of B other than the merged arrow
-    new_dual_is_gamma_pair: bool
-    gamma_pair_outside_image: bool
-
-    @property
-    def commutes(self) -> bool:
-        return (
-            all(ok for _, ok in self.generator_results)
-            and self.new_dual_is_gamma_pair
-            and self.gamma_pair_outside_image
-        )
-
-
-def check_theta_diagram(g: GluedAlgebra) -> ThetaDiagramReport:
+def check_theta_diagram(g: GluedAlgebra) -> tuple:
     """Evaluate both composites of the character-group/cohomology square.
 
     Meant for a same-block source-sink gluing.  The chords of B are taken
     from a spanning forest avoiding the merged arrow, whose dual must map
-    to the merged arrow's diagonal pair outside the degree-zero image.
-    Every other chord of B is the image of exactly one arrow of A, whose
-    dual is carried across by the degree-one pair map; the two results
-    must agree modulo the image plus the merged pair.
+    to the merged arrow's diagonal pair (the ``theta_diagram`` check adds
+    that it lies outside the degree-zero image).  Every other chord of B
+    is the image of exactly one arrow of A, whose dual is carried across
+    by the degree-one pair map; the two results must agree modulo the
+    image plus the merged pair.  Returns a ``(name, agrees)`` pair per
+    such chord and whether the merged dual is the merged pair.
     """
     A, B = g.A, g.B
     QB = B.quiver
     f = B.field
     preimage = {b: a for a, b in enumerate(g.arrow_map) if b != g.gamma}
-    gamma_vec = g.gamma_pair_vector()
 
     results = []
     for c_star in chord_duals(QB, avoid=g.gamma):
@@ -128,5 +113,4 @@ def check_theta_diagram(g: GluedAlgebra) -> ThetaDiagramReport:
         for i, c in theta(B, c_star).items():
             accumulate(f, diff, i, f.neg(c))
         results.append((QB.arrow_name(c_star), member(f, g.im0_gamma, diff)))
-    new_dual_ok = theta(B, g.gamma) == gamma_vec
-    return ThetaDiagramReport(tuple(results), new_dual_ok, g.gamma_outside_im0)
+    return tuple(results), theta(B, g.gamma) == g.gamma_pair_vector()

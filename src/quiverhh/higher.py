@@ -89,18 +89,12 @@ def hh_dim_high(A: MonomialAlgebra, n: int):
     return next(hh_dims_high(A, n))
 
 
-@dataclass(frozen=True)
-class HighDegreeReport:
-    dim_a: int
-    dim_b: object  # int or CrownUnsupported
-    monotone: bool
-
-
 def check_high_degree_gluing(g: GluedAlgebra, degrees: range) -> list:
-    """One report per degree in the consecutive ``degrees``, each side read
-    off one :func:`hh_dims_high` iterator, across a gluing of a connected
-    radical-square-zero algebra A whose quiver is not a crown: the glued
-    dimension must not fall below the source one.
+    """One ``(dim_a, dim_b, monotone)`` triple per degree in the consecutive
+    ``degrees``, each side read off one :func:`hh_dims_high` iterator,
+    across a gluing of a connected radical-square-zero algebra A whose
+    quiver is not a crown: the glued dimension ``dim_b`` (a number or a
+    :class:`CrownUnsupported`) must not fall below the source one.
 
     Unmet preconditions raise :class:`QuiverHHError`; the ``high_degrees``
     check declares them as hypotheses instead.  The map the gluing induces
@@ -122,6 +116,6 @@ def check_high_degree_gluing(g: GluedAlgebra, degrees: range) -> list:
     # tree with no cycle and no path of length >= 2 parallel to an arrow, so
     # the source dimension vanishes: the inequality holds whatever B's is.
     return [
-        HighDegreeReport(a, b, a == 0 if isinstance(b, CrownUnsupported) else b >= a)
+        (a, b, a == 0 if isinstance(b, CrownUnsupported) else b >= a)
         for _, a, b in zip(degrees, dims_a, hh_dims_high(g.B, degrees.start))
     ]

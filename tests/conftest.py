@@ -12,9 +12,8 @@ def algebra(name):
 
 
 def glued(name):
-    ex = example_by_name(name)
-    A = parse(ex.text)
-    return glue(A, A.quiver.arrow_index[ex.alpha], A.quiver.arrow_index[ex.beta])
+    A = algebra(name)
+    return glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"])
 
 
 CROWN4 = """field Q

@@ -336,14 +336,15 @@ def test_criterion_9_higher_degrees():
     for m in (2, 3):
         Am = parse(fan(m))
         gm = glue(Am, Am.quiver.arrow_index["alpha"], Am.quiver.arrow_index["beta"])
-        for n, diff in zip(range(2, 10), check_high_degree_gluing(gm, range(2, 10)), strict=True):
-            assert diff.monotone
+        dims = check_high_degree_gluing(gm, range(2, 10))
+        for n, (dim_a, dim_b, monotone) in zip(range(2, 10), dims, strict=True):
+            assert monotone
             want = 0 if n % 2 == 0 else m ** ((n + 3) // 2) - m ** ((n - 1) // 2)
-            assert diff.dim_b - diff.dim_a == want
-    (rep,) = check_high_degree_gluing(glue(parse(fan(2)), 0, 3), range(3, 4))
-    assert rep.dim_b - rep.dim_a == 6
-    (rep,) = check_high_degree_gluing(glue(parse(fan(3)), 0, 4), range(5, 6))
-    assert rep.dim_b - rep.dim_a == 72
+            assert dim_b - dim_a == want
+    ((dim_a, dim_b, _),) = check_high_degree_gluing(glue(parse(fan(2)), 0, 3), range(3, 4))
+    assert dim_b - dim_a == 6
+    ((dim_a, dim_b, _),) = check_high_degree_gluing(glue(parse(fan(3)), 0, 4), range(5, 6))
+    assert dim_b - dim_a == 72
     from quiverhh.randomgen import source_sink_rad2_instance
 
     for seed in range(40):

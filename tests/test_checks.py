@@ -13,7 +13,7 @@ from quiverhh.paircomplex import complex_data
 def test_corpus_statuses():
     for ex in EXAMPLES:
         A = parse(ex.text)
-        g = glue(A, A.quiver.arrow_index[ex.alpha], A.quiver.arrow_index[ex.beta])
+        g = glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"])
         for rep in run_checks(g):
             expected = ex.expect_status.get(rep.check, ("pass", "not-applicable"))
             if isinstance(expected, str):

@@ -137,6 +137,33 @@ def test_hh_degree_too_long_to_print_exit_code(capsys, tmp_path, digit_limit):
     assert err.splitlines() == [message.format(14284)]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fuzz", "--seed", "abc", "--count", "1"], "argument --seed: invalid int value: 'abc'"),
+        (["verify", "a.alg", "--beta", "beta"], "the following arguments are required: --alpha"),
+        (["fuzz", "--seed", "1", "--count", "0", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: cmd"),
+    ],
+)
+def test_usage_error_is_one_line(capsys, argv, message):
+    # argparse's own errors print no usage block, like the program's errors
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err.splitlines() == [f"error: {message}"]
+
+
+def test_help_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--help"])
+    out = capsys.readouterr()
+    assert exc.value.code == 0 and out.err == ""
+    assert out.out.startswith("usage: quiverhh fuzz [-h] --seed SEED --count COUNT")
+    assert "print reproduction files for failures" in out.out  # the full help block
+
+
 def test_examples_unknown_name_exit_code(capsys):
     code, out, err = run(capsys, "examples", "--show", "nope")
     assert code == 2 and out == ""
@@ -369,6 +396,24 @@ def test_fuzz_seed7_kernel_checks_json_byte_identical(capsys):
     summary = {"instances": 1000, "fails": 126, "confirmed": 126, "unconfirmed": 0}
     assert json.loads(out.splitlines()[-1]) == {"summary": summary}
     assert hashlib.sha256(out.encode()).hexdigest() == FUZZ_SEED7_KERNEL_CHECKS_JSON_SHA256
+
+
+# sha256 of ``quiverhh fuzz --seed 20260809 --count 1000 --checks
+# theta_diagram,high_degrees --json``: the two checks that apply only to
+# source-sink and radical-square-zero gluings, 10 and 36 passes.
+FUZZ_THETA_HIGH_JSON_SHA256 = "aa9fe370b22c1177a987d15a2d495cba3e74abcc42d64883f665c6a35d872d6d"
+
+
+def test_fuzz_theta_high_checks_json_byte_identical(capsys):
+    args = ("fuzz", "--seed", "20260809", "--count", "1000", "--checks", "theta_diagram,high_degrees")
+    code, out, _ = run(capsys, *args, "--json")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    summary = {"instances": 1000, "fails": 0, "confirmed": 0, "unconfirmed": 0}
+    assert rows[-1] == {"summary": summary}
+    passes = [row["check"] for row in rows[:-1] if row["status"] == "pass"]
+    assert (passes.count("theta_diagram"), passes.count("high_degrees")) == (10, 36)
+    assert hashlib.sha256(out.encode()).hexdigest() == FUZZ_THETA_HIGH_JSON_SHA256
 
 
 # sha256 of ``quiverhh center <example>``: the basis of Z(A), each element

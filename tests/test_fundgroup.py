@@ -4,7 +4,9 @@ from conftest import algebra, glued
 from quiverhh.algebra import build
 from quiverhh.checks import run_checks
 from quiverhh.errors import BridgeError
+from quiverhh.examples_data import example_by_name, fan
 from quiverhh.fields import QQ
+from quiverhh.fileformat import parse
 from quiverhh.fundgroup import (
     chord_duals,
     check_theta_diagram,
@@ -68,12 +70,19 @@ def test_theta_rank_equals_betti():
         assert theta_class_rank(g.B) == betti(g.B.quiver)
 
 
+def commutes(g):
+    """The ``theta_diagram`` verdict: every chord agrees, and γ's pair is
+    the merged dual and lies outside the degree-zero image."""
+    generators, new_dual_ok = check_theta_diagram(g)
+    return all(ok for _, ok in generators) and new_dual_ok and g.gamma_outside_im0
+
+
 def test_theta_diagram_golden():
-    rep = check_theta_diagram(glued("line-bound"))
-    assert rep.commutes
-    assert rep.new_dual_is_gamma_pair and rep.gamma_pair_outside_image
-    rep2 = check_theta_diagram(glued("line-free"))
-    assert rep2.commutes
+    g = glued("line-bound")
+    generators, new_dual_ok = check_theta_diagram(g)
+    assert all(ok for _, ok in generators)
+    assert new_dual_ok and g.gamma_outside_im0
+    assert commutes(glued("line-free"))
     # not applicable across blocks
     (rep3,) = run_checks(glued("two-lines"), ["theta_diagram"])
     assert rep3.status == "not-applicable"
@@ -86,9 +95,9 @@ def test_theta_diagram_with_extra_chords():
     )
     A = build(Q, [], QQ)
     g = glue(A, 0, 3)
-    rep = check_theta_diagram(g)
-    assert rep.commutes
-    assert len(rep.generator_results) == 1  # one chord beyond the merged arrow
+    assert commutes(g)
+    generators, _ = check_theta_diagram(g)
+    assert len(generators) == 1  # one chord beyond the merged arrow
 
 
 def test_theta_diagram_random_source_sink():
@@ -103,3 +112,32 @@ def test_theta_diagram_random_source_sink():
             checked += 1
             assert rep.status == "pass", f"seed {seed}"
     assert checked >= 25
+
+
+def _fail_row(g, name):
+    (rep,) = run_checks(g, [name])
+    row = rep.as_dict()
+    row.pop("repro")
+    return row
+
+
+@pytest.mark.parametrize(
+    "text, lhs",
+    [
+        (example_by_name("line-bound").text, "()"),
+        (fan(6), str(tuple((f"d{i}", True) for i in range(2, 7)))),
+    ],
+    ids=["line-bound", "fan6"],
+)
+def test_theta_diagram_fail_row(text, lhs):
+    # only γ's pair can fail the square; forcing it into the image pins the row
+    A = parse(text)
+    g = glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"])
+    g.__dict__["gamma_outside_im0"] = False
+    assert _fail_row(g, "theta_diagram") == {
+        "check": "theta_diagram",
+        "status": "fail",
+        "lhs": lhs,
+        "rhs": "(True, False)",
+        "witness": None,
+    }

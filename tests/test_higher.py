@@ -3,8 +3,9 @@ from itertools import islice
 import pytest
 
 from conftest import glued, glued_crown4
+from quiverhh import higher
 from quiverhh.algebra import build
-from quiverhh.checks import CHECKS
+from quiverhh.checks import CHECKS, run_checks
 from quiverhh.errors import QuiverHHError
 from quiverhh.examples_data import fan, zigzag
 from quiverhh.fields import QQ
@@ -86,8 +87,8 @@ def test_zigzag_vanishes():
     for n in range(2, 13):
         assert hh_dim_high(A, n) == 0
         assert hh_dim_high(g.B, n) == 0
-        (rep,) = check_high_degree_gluing(g, range(n, n + 1))
-        assert rep.monotone and rep.dim_b == rep.dim_a
+        ((dim_a, dim_b, monotone),) = check_high_degree_gluing(g, range(n, n + 1))
+        assert monotone and dim_b == dim_a
 
 
 def test_crown_status():
@@ -96,9 +97,9 @@ def test_crown_status():
     out = hh_dim_high(A, 3)
     assert isinstance(out, CrownUnsupported) and out.order == 2
     g = glued("line-bound")  # its glued quiver is the 2-crown
-    (rep,) = check_high_degree_gluing(g, range(4, 5))
-    assert rep.monotone
-    assert isinstance(rep.dim_b, CrownUnsupported) and rep.dim_a == 0
+    ((dim_a, dim_b, monotone),) = check_high_degree_gluing(g, range(4, 5))
+    assert monotone
+    assert isinstance(dim_b, CrownUnsupported) and dim_a == 0
 
 
 def test_crown_source_is_not_applicable():
@@ -109,6 +110,28 @@ def test_crown_source_is_not_applicable():
     assert (rep.status, rep.reason) == ("not-applicable", "source quiver is a crown")
     with pytest.raises(QuiverHHError):
         check_high_degree_gluing(g, range(2, 3))  # a precondition, not a verdict
+
+
+def test_high_degrees_fail_row(monkeypatch):
+    # no valid gluing lowers a dimension, so B's counting iterator is lowered instead
+    g = glue(parse(fan(3)), 0, 4)
+    real = higher.hh_dims_high
+
+    def lowered(A, start=2):
+        dims = real(A, start)
+        return (d - 1000 for d in dims) if A is g.B else dims
+
+    monkeypatch.setattr(higher, "hh_dims_high", lowered)
+    (rep,) = run_checks(g, ["high_degrees"])
+    row = rep.as_dict()
+    row.pop("repro")
+    assert row == {
+        "check": "high_degrees",
+        "status": "fail",
+        "lhs": str(["0"] * 5),
+        "rhs": str(["-1000", "-976", "-1000", "-928", "-1000"]),
+        "witness": None,
+    }
 
 
 def test_applicability_errors():
@@ -136,9 +159,10 @@ def test_monotonicity_on_random_source_sink():
         status = CHECKS["high_degrees"](g).status
         assert status in ("pass", "not-applicable"), f"seed {seed}"
         if status == "pass":
-            for n, rep in zip(range(2, 7), check_high_degree_gluing(g, range(2, 7)), strict=True):
+            dims = check_high_degree_gluing(g, range(2, 7))
+            for n, (_, _, monotone) in zip(range(2, 7), dims, strict=True):
                 checked += 1
-                assert rep.monotone, f"seed {seed} degree {n}"
+                assert monotone, f"seed {seed} degree {n}"
     assert checked >= 70
 
 

@@ -91,7 +91,7 @@ def test_corpus_matches_reference():
     algebras = []
     for e in EXAMPLES:
         A = parse(e.text)
-        algebras += [A, glue(A, A.quiver.arrow_index[e.alpha], A.quiver.arrow_index[e.beta]).B]
+        algebras += [A, glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"]).B]
     algebras += [parse(fan(m, p)) for m in (2, 3) for p in (0, 2, 3, 5)]
     algebras += [parse(loop_crowd(t)) for t in (1, 2)]
     nonabelian = sum(assert_lie_matches(A) for A in algebras)
