@@ -277,10 +277,11 @@ def cmd_fuzz(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one ``error:`` line, like every other error."""
+    """Reports a usage error as one ``error:`` line, led by the subcommand's name."""
 
     def error(self, message):
-        self.exit(2, f"error: {message}\n")
+        cmd = self.prog.partition(" ")[2]
+        self.exit(2, f"error: {cmd + ': ' if cmd else ''}{message}\n")
 
 
 def main(argv=None) -> int:

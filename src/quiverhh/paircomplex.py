@@ -235,8 +235,14 @@ def restrict_table(table: dict, positions, reduce) -> dict:
     return {(m, n): v for m, n, v in kept if v}
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=2)
 def complex_data(A: MonomialAlgebra) -> PairComplex:
+    """The pair complex of ``A``, cached for the gluing in use.
+
+    Every flow reads at most one gluing's A and B, so two entries serve it.
+    A deeper cache keeps dead complexes and their tables alive, and the
+    garbage collector pays for them on every later gluing.
+    """
     return PairComplex(A)
 
 

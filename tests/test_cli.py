@@ -140,8 +140,8 @@ def test_hh_degree_too_long_to_print_exit_code(capsys, tmp_path, digit_limit):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["fuzz", "--seed", "abc", "--count", "1"], "argument --seed: invalid int value: 'abc'"),
-        (["verify", "a.alg", "--beta", "beta"], "the following arguments are required: --alpha"),
+        (["fuzz", "--seed", "abc", "--count", "1"], "fuzz: argument --seed: invalid int value: 'abc'"),
+        (["verify", "a.alg", "--beta", "beta"], "verify: the following arguments are required: --alpha"),
         (["fuzz", "--seed", "1", "--count", "0", "--bogus"], "unrecognized arguments: --bogus"),
         ([], "the following arguments are required: cmd"),
     ],
