@@ -150,14 +150,25 @@ def _verdict(ok: bool, lhs=None, rhs=None, reason: str = "") -> CheckReport:
     return CheckReport("", "pass" if ok else "fail", lhs=lhs, rhs=rhs, reason=reason)
 
 
-def _first_failure(pairs, holds):
-    """The first index pair ``(i, j)`` of ``pairs`` where ``holds(i, j)`` is false, or None."""
-    return next(((i, j) for i, j in pairs if not holds(i, j)), None)
+def _first_difference(want: dict, got: dict, reduce):
+    """The least key at which ``want`` and ``reduce`` of ``got`` differ, a
+    missing value reading as ``{}``, or None.  The keys are visited in
+    ascending order and ``reduce`` (linear) runs on one value at a time, so
+    a value past the first difference is never reduced."""
+    keys = sorted(want.keys() | got.keys())
+    return next((k for k in keys if want.get(k, {}) != reduce(got.get(k, {}))), None)
 
 
-def _first_difference(x: dict, y: dict):
-    """The least key at which two sparse tables differ, or None."""
-    return min((k for k in x.keys() | y.keys() if x.get(k) != y.get(k)), default=None)
+def _first_unmultiplicative(g: GluedAlgebra, rows, images, transport):
+    """The first ordered pair ``(i, j)`` where ``transport`` of the central
+    product of A's ``rows[i]`` and ``rows[j]`` is not B's product of
+    ``images[i]`` and ``images[j]``, or None; a ``None`` from ``transport``
+    equals no product, so it counts as a failure."""
+    CA, CB = g.complexes
+    for i, j in product(range(len(rows)), repeat=2):
+        if transport(central_mult(CA, rows[i], rows[j])) != central_mult(CB, images[i], images[j]):
+            return i, j
+    return None
 
 
 # -- image of the degree-zero differential ------------------------------------
@@ -219,8 +230,7 @@ def check_ker_delta1_hom(g: GluedAlgebra) -> CheckReport:
         # bracket preservation at the cochain level (source-sink only: the
         # glued arrows appear in no off-diagonal kernel pair there)
         psi1 = functools.partial(g.psi1.apply, f)
-        transported = restrict_table(CA.ker1_brackets, range(CA.ker1.dim), psi1)
-        bad = _first_difference(transported, g.psi1_brackets)
+        bad = _first_difference(g.psi1_brackets, CA.ker1_brackets, psi1)
         if bad is not None:
             ok = False
             detail = f"bracket mismatch on kernel rows {bad}"
@@ -277,7 +287,9 @@ def check_hh1_lie_iso(g: GluedAlgebra) -> CheckReport:
         coord_basis = LabeledBasis(tuple(range(dim_target)))
         transported = LinearMap(coord_basis, coord_basis, tuple(cols))
         want = {k: transported.apply(f, t) for k, t in CA.lie.terms.items()}
-        bad = _first_difference(want, restrict_table(g.psi1_brackets, reps, view_b.project))
+        # B's table re-keyed to the representatives, then projected pair by
+        # pair: a bracket past the first difference may leave ker δ¹_B
+        bad = _first_difference(want, restrict_table(g.psi1_brackets, reps, dict), view_b.project)
         if bad is not None:
             ok = False
             detail = f"structure constants differ at basis pair {bad}"
@@ -374,12 +386,7 @@ def check_center_indec(g: GluedAlgebra) -> CheckReport:
             return _verdict(False, lhs, rhs, reason="transported central element is not central")
         images.append(img)
     ok = ok and rank(f, images) == len(rows)
-
-    def multiplicative(i, j):
-        lhs_vec = mu(central_mult(CA, rows[i], rows[j]))
-        return lhs_vec is not None and lhs_vec == central_mult(CB, images[i], images[j])
-
-    bad = _first_failure(product(range(len(rows)), repeat=2), multiplicative)
+    bad = _first_unmultiplicative(g, rows, images, mu)
     detail = "" if bad is None else f"embedding is not multiplicative at {bad}"
     return _verdict(ok and bad is None, lhs, rhs, reason=detail)
 
@@ -413,14 +420,8 @@ def check_center_diff_blocks(g: GluedAlgebra) -> CheckReport:
     ok = lhs == rhs and g.z_nsp.dim == 0
     ok = ok and g.psi0_ker0_positive == g.ker0_positive[1]
     rows = g.ker0_positive[0].row_vectors()
-    psi = [g.psi0.apply(f, r) for r in rows]
-
-    def multiplicative(i, j):
-        return g.psi0.apply(f, central_mult(CA, rows[i], rows[j])) == central_mult(
-            CB, psi[i], psi[j]
-        )
-
-    bad = _first_failure(product(range(len(rows)), repeat=2), multiplicative)
+    psi0 = functools.partial(g.psi0.apply, f)
+    bad = _first_unmultiplicative(g, rows, [psi0(r) for r in rows], psi0)
     detail = "" if bad is None else f"positive parts are not multiplicative at {bad}"
     return _verdict(ok and bad is None, lhs, rhs, reason=detail)
 

@@ -151,11 +151,16 @@ def cmd_glue(args) -> int:
     return 0
 
 
+def _json_row(rep, **extra) -> None:
+    """Print one report as a JSON line, with ``extra`` keys beside its own."""
+    print(json.dumps({**rep.as_dict(), **extra}, sort_keys=True))
+
+
 def _emit_reports(reports, as_json: bool) -> int:
     worst = 0
     for rep in reports:
         if as_json:
-            print(json.dumps(rep.as_dict(), sort_keys=True))
+            _json_row(rep)
         else:
             extra = ""
             if rep.lhs is not None or rep.rhs is not None:
@@ -225,9 +230,7 @@ def cmd_examples(args) -> int:
         print(f"{e.name:18s} {verdict}")
         if args.json:
             for rep in reports:
-                obj = rep.as_dict()
-                obj["example"] = e.name
-                print(json.dumps(obj, sort_keys=True))
+                _json_row(rep, example=e.name)
         for rep in mismatches:
             print(f"  {rep.check}: got {rep.status} ({rep.reason or rep.lhs})")
     return worst
@@ -249,11 +252,8 @@ def cmd_fuzz(args) -> int:
     if args.json:
         for inst_seed, reps in reports:
             for rep in reps:
-                obj = rep.as_dict()
-                obj["seed"] = inst_seed
-                if rep.failed:
-                    obj["confirmed"] = confirmations[(inst_seed, rep.check)]
-                print(json.dumps(obj, sort_keys=True))
+                extra = {"confirmed": confirmations[(inst_seed, rep.check)]} if rep.failed else {}
+                _json_row(rep, seed=inst_seed, **extra)
         n_confirmed = sum(confirmations.values())
         summary = {
             "instances": args.count,

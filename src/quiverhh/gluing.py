@@ -108,15 +108,10 @@ class GluedAlgebra:
     def complexes(self) -> tuple:
         return complex_data(self.A), complex_data(self.B)
 
-    @cached_property
-    def gamma_pair_index(self) -> int:
-        """Index of the merged arrow's diagonal pair in the degree-one basis of B."""
-        CB = self.complexes[1]
-        g = self.gamma
-        return CB.basis1.index[(g, self.B.quiver.arrow_path(g))]
-
     def gamma_pair_vector(self) -> dict:
-        return {self.gamma_pair_index: self.B.field.one}
+        """The merged arrow's diagonal pair as a degree-one vector of B."""
+        g, B = self.gamma, self.B
+        return {self.complexes[1].basis1.index[(g, B.quiver.arrow_path(g))]: B.field.one}
 
     @cached_property
     def gamma_outside_im0(self) -> bool:
@@ -348,14 +343,7 @@ def glue(A: MonomialAlgebra, alpha: int, beta: int, gamma_name: str = "gamma*") 
     QA_from, QA_into = QA.arrows_from, QA.arrows_into
     raw = new_words(QA_into[e1], QA_from[e3], beta, QA_into[e2], alpha, QA_from[e4])
     raw += new_words(QA_into[e3], QA_from[e1], alpha, QA_into[e4], beta, QA_from[e2])
-    z_new = []
-    seen = set()
-    for word in raw:
-        mapped = tuple(arrow_map[a] for a in word)
-        if mapped not in seen:
-            seen.add(mapped)
-            z_new.append(QB.path(mapped))
-    z_new.sort(key=Path.sort_key)
+    z_new = sorted({QB.path(arrow_map[a] for a in word) for word in raw}, key=Path.sort_key)
 
     transported = []
     for r in A.relations:

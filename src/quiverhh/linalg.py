@@ -24,7 +24,7 @@ returns ``{representative position: coefficient}``; neither has a zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -122,11 +122,15 @@ class Subspace:
 
     basis: LabeledBasis
     rows: tuple = ()
-    pivots: tuple = field(default=(), compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def pivots(self) -> tuple:
+        """Each row's first column, ascending."""
+        return tuple(row[0][0] for row in self.rows)
 
     @cached_property
     def pivot_index(self) -> dict:
@@ -141,9 +145,7 @@ class Subspace:
 def span(field: FieldSpec, basis: LabeledBasis, vectors: Sequence[dict]) -> Subspace:
     """Canonical subspace spanned by sparse vectors."""
     piv = _rref(field, vectors)
-    pivots = tuple(sorted(piv))
-    rows = tuple(tuple(sorted(piv[p].items())) for p in pivots)
-    return Subspace(basis, rows, pivots)
+    return Subspace(basis, tuple(tuple(sorted(piv[p].items())) for p in sorted(piv)))
 
 
 def rank(field: FieldSpec, rows: Sequence[dict]) -> int:
@@ -261,8 +263,7 @@ def restricted_kernel(field: FieldSpec, m: LinearMap, columns: Sequence[int]) ->
     cols = sorted(columns)
     sub = LinearMap(LabeledBasis(tuple(cols)), m.codomain, tuple(m.columns[j] for j in cols))
     ker = kernel(field, sub)
-    rows = tuple(tuple((cols[j], x) for j, x in row) for row in ker.rows)
-    return Subspace(m.domain, rows, tuple(cols[p] for p in ker.pivots))
+    return Subspace(m.domain, tuple(tuple((cols[j], x) for j, x in row) for row in ker.rows))
 
 
 def solve_columns(field: FieldSpec, width: int, columns, target: dict):

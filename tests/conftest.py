@@ -84,8 +84,8 @@ def line_free():
 @pytest.fixture(scope="session")
 def w1_gluings():
     """The 1000 gluings of the fuzz corpus ``run_fuzz(20260809, 1000,
-    max_dim=32)`` as ``(spec, gluing)`` pairs, fields cycling Q, F2, F3, F5;
-    built once per session."""
+    spec_kwargs={"max_dim": 32})`` as ``(spec, gluing)`` pairs, fields
+    cycling Q, F2, F3, F5; built once per session."""
     fields = (QQ, GF(2), GF(3), GF(5))
     out = []
     for i in range(1000):

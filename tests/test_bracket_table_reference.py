@@ -161,10 +161,11 @@ def test_random_gluings_match_reference(seed, field, source_sink):
 
 # -- pairs of kernel rows read off ker1_brackets -----------------------------------
 
-# The number of W1 gluings (those of ``run_fuzz(20260809, 1000, max_dim=32)``)
-# with a ψ¹ image that is not a row of B's kernel: 126 have an image that is no
-# row even as a dict (mostly outside ker δ¹_B), and three more an image that is
-# a row with its items in another order.
+# The number of W1 gluings (those of ``run_fuzz(20260809, 1000,
+# spec_kwargs={"max_dim": 32})``) with a ψ¹ image that is not a row of B's
+# kernel: 126 have an image that is no row even as a dict (mostly outside
+# ker δ¹_B), and three more an image that is a row with its items in another
+# order.
 W1_NON_ROW_IMAGES = 129
 
 

@@ -1,10 +1,17 @@
 from conftest import glued
 from quiverhh.algebra import build
-from quiverhh.checks import confirm_failure, run_checks, run_fuzz
+from quiverhh.checks import (
+    check_center_diff_blocks,
+    check_center_indec,
+    confirm_failure,
+    run_checks,
+    run_fuzz,
+)
 from quiverhh.examples_data import EXAMPLES
 from quiverhh.fields import QQ
 from quiverhh.fileformat import parse
 from quiverhh.gluing import glue
+from quiverhh.linalg import LinearMap
 from quiverhh.oracles import oracle_hh1_dim
 from quiverhh.quiver import Quiver
 from quiverhh.paircomplex import complex_data
@@ -125,3 +132,80 @@ def test_confirm_failure_runs_the_degree_one_oracle_once_per_algebra(monkeypatch
     # one call for A and one for B per failing instance, in that order
     assert len(calls) == 2 * len(failing)
     assert [A.dim - B.dim for A, B in zip(calls[::2], calls[1::2])] == [3] * len(failing)
+
+
+# One block: a cube-zero loop x at v0 whose product with alpha vanishes, so
+# x and x² are central.  Two blocks: a square-zero loop x and a cube-zero
+# loop y, each central in its own block.
+CENTRAL_LOOP = """field Q
+vertex v0
+vertex v1
+vertex v2
+vertex v3
+arrow x v0 v0
+arrow alpha v0 v1
+arrow c v1 v2
+arrow beta v2 v3
+rel x x x
+rel x alpha
+"""
+
+CENTRAL_LOOPS_TWO_BLOCKS = """field Q
+vertex u0
+vertex u1
+vertex w0
+vertex w1
+arrow x u0 u0
+arrow alpha u0 u1
+arrow y w0 w0
+arrow beta w0 w1
+rel x x
+rel x alpha
+rel y y y
+rel y beta
+"""
+
+
+def _doubled_cycles(text):
+    """The alpha/beta gluing of ``text`` with ψ⁰ doubled on every pair of a
+    positive-length cycle.  Over Q it still sends central elements to central
+    ones, but a nonzero product of two positive parts now maps to twice, not
+    four times, the product of the images."""
+    A = parse(text)
+    g = glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"])
+    psi, labels = g.psi0, g.psi0.domain.labels
+    cols = tuple(
+        {k: 2 * x for k, x in col.items()} if labels[j][1].length else col
+        for j, col in enumerate(psi.columns)
+    )
+    g.psi0 = LinearMap(psi.domain, psi.codomain, cols)
+    return g
+
+
+def test_center_checks_report_the_first_unmultiplicative_pair():
+    # rows are ordered by pivot, and the first failing pair squares x
+    rep = check_center_indec(_doubled_cycles(CENTRAL_LOOP))
+    assert rep.as_dict() == {
+        "check": "center_indec",
+        "status": "fail",
+        "lhs": "4",
+        "rhs": "4",
+        "witness": None,
+        "reason": "embedding is not multiplicative at (1, 1)",
+    }
+    rep = check_center_diff_blocks(_doubled_cycles(CENTRAL_LOOPS_TWO_BLOCKS))
+    assert rep.as_dict() == {
+        "check": "center_diff_blocks",
+        "status": "fail",
+        "lhs": "5",
+        "rhs": "5",
+        "witness": None,
+        "reason": "positive parts are not multiplicative at (1, 1)",
+    }
+    for text in (CENTRAL_LOOP, CENTRAL_LOOPS_TWO_BLOCKS):  # the genuine ψ⁰ passes
+        A = parse(text)
+        g = glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"])
+        assert {r.status for r in run_checks(g, ["center_indec", "center_diff_blocks"])} == {
+            "pass",
+            "not-applicable",
+        }
