@@ -220,8 +220,6 @@ def cmd_examples(args) -> int:
         mismatches = []
         for rep in reports:
             expected = e.expect_status.get(rep.check, ("pass", "not-applicable"))
-            if isinstance(expected, str):
-                expected = (expected,)
             if rep.status not in expected:
                 mismatches.append(rep)
         verdict = "ok" if not mismatches else "UNEXPECTED"

@@ -6,18 +6,18 @@ dimension equal to the first Betti number, so the duals of the chords of
 a spanning forest form a basis: the dual of a chord is 1 on that chord
 and 0 on every other arrow.  The map into cohomology sends a character
 to the derivation scaling each arrow by its value there, so a chord dual
-goes to the diagonal pair of its chord with coefficient 1.
+goes to the diagonal pair of its chord with coefficient 1.  The chords
+come from :func:`quiver.spanning_forest`, the one BFS forest that also
+answers components and crowns.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .algebra import MonomialAlgebra
 from .errors import BridgeError, QuiverHHError
 from .gluing import GluedAlgebra
 from .linalg import accumulate, member, rank
-from .quiver import Quiver, betti
+from .quiver import Quiver, betti, spanning_forest
 from .paircomplex import complex_data
 
 
@@ -28,41 +28,13 @@ def pi1_rank(A: MonomialAlgebra) -> int:
 
 
 def chord_duals(Q: Quiver, avoid=None) -> tuple:
-    """The chords, in ascending order, of a deterministic BFS spanning
-    forest that never uses the avoided arrow; the forest is the other
-    arrows.
-
-    The forest is built on the quiver with the avoided arrow removed; if
-    that removal separates the arrow's endpoints the arrow is a bridge
-    and :class:`BridgeError` is raised.
+    """The chords, in ascending order, of :func:`spanning_forest` avoiding
+    ``avoid``; the forest is the other arrows.  If removing the avoided
+    arrow separates its endpoints, it is a bridge: :class:`BridgeError`.
     """
-    incident = [[] for _ in range(Q.num_vertices)]
-    for a in range(Q.num_arrows):
-        if a == avoid:
-            continue
-        incident[Q.source(a)].append(a)
-        if Q.target(a) != Q.source(a):
-            incident[Q.target(a)].append(a)
-
-    comp = [-1] * Q.num_vertices
-    tree = []
-    for root in range(Q.num_vertices):
-        if comp[root] != -1:
-            continue
-        comp[root] = root
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for a in incident[v]:
-                w = Q.target(a) if Q.source(a) == v else Q.source(a)
-                if comp[w] == -1:
-                    comp[w] = root
-                    tree.append(a)
-                    queue.append(w)
-    if avoid is not None and comp[Q.source(avoid)] != comp[Q.target(avoid)]:
-        raise BridgeError(
-            f"arrow {Q.arrow_name(avoid)} is a bridge and cannot be avoided"
-        )
+    root, tree = spanning_forest(Q, avoid)
+    if avoid is not None and root[Q.source(avoid)] != root[Q.target(avoid)]:
+        raise BridgeError(f"arrow {Q.arrow_name(avoid)} is a bridge and cannot be avoided")
     return tuple(sorted(set(range(Q.num_arrows)) - set(tree)))
 
 

@@ -442,11 +442,7 @@ def assumption_holds(g: GluedAlgebra):
         for a in QA.arrows_from[v]:
             if QA.target(a) != v:
                 continue
-            m = None
-            for r in A.relations:
-                if all(x == a for x in r.arrows):
-                    m = r.length
-                    break
+            m = next((r.length for r in A.relations if set(r.arrows) == {a}), None)
             _invariant(m is not None, "loop without a pure power relation in a finite-dimensional algebra")
             if f.divides_char(m):
                 return a, m

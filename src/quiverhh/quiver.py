@@ -6,11 +6,13 @@ tuples; display names are metadata.  A path is a named tuple
 those three fields, so path keys run on the built-in tuple operations.  Its
 arrows are stored in traversal order (first-traversed first).  The
 conventional right-to-left product notation is only used when rendering,
-see :func:`path_str`.
+see :func:`path_str`.  One BFS spanning forest (:func:`spanning_forest`)
+answers the graph questions: components, chords and crowns.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -132,24 +134,46 @@ def path_str(Q: Quiver, p: Path) -> str:
 # -- connectivity ------------------------------------------------------------
 
 
+def spanning_forest(Q: Quiver, avoid=None) -> tuple:
+    """Deterministic BFS spanning forest of the underlying graph that never
+    uses the avoided arrow, as ``(root, tree)``.
+
+    ``root[v]`` is the least vertex of v's component once the avoided arrow
+    is removed, and ``tree`` lists the forest arrows in the order the
+    search takes them.
+    """
+    incident = [[] for _ in range(Q.num_vertices)]
+    for a in range(Q.num_arrows):
+        if a == avoid:
+            continue
+        incident[Q.source(a)].append(a)
+        if Q.target(a) != Q.source(a):
+            incident[Q.target(a)].append(a)
+
+    root = [-1] * Q.num_vertices
+    tree = []
+    for r in range(Q.num_vertices):
+        if root[r] != -1:
+            continue
+        root[r] = r
+        queue = deque([r])
+        while queue:
+            v = queue.popleft()
+            for a in incident[v]:
+                w = Q.target(a) if Q.source(a) == v else Q.source(a)
+                if root[w] == -1:
+                    root[w] = r
+                    tree.append(a)
+                    queue.append(w)
+    return root, tree
+
+
 def connected_components(Q: Quiver) -> list:
     """Partition of vertex ids by underlying-graph connectivity, each sorted."""
-    parent = list(range(Q.num_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _, s, t in Q.arrows:
-        rs, rt = find(s), find(t)
-        if rs != rt:
-            parent[max(rs, rt)] = min(rs, rt)
     groups: dict = {}
-    for v in range(Q.num_vertices):
-        groups.setdefault(find(v), []).append(v)
-    return [sorted(g) for _, g in sorted(groups.items())]
+    for v, r in enumerate(spanning_forest(Q)[0]):
+        groups.setdefault(r, []).append(v)
+    return list(groups.values())
 
 
 def betti(Q: Quiver) -> int:
@@ -160,44 +184,23 @@ def betti(Q: Quiver) -> int:
 # -- arrow classifications ----------------------------------------------------
 
 
+def _sole_arrow(Q: Quiver, a: int) -> bool:
+    """``a`` is the only arrow out of its source and the only arrow into its target."""
+    return Q.arrows_from[Q.source(a)] == (a,) and Q.arrows_into[Q.target(a)] == (a,)
+
+
 def is_source_arrow(Q: Quiver, a: int) -> bool:
-    s, t = Q.source(a), Q.target(a)
-    if Q.arrows_into[s]:
-        return False
-    if any(b != a for b in Q.arrows_from[s]):
-        return False
-    if any(b != a for b in Q.arrows_into[t]):
-        return False
-    return True
+    return _sole_arrow(Q, a) and not Q.arrows_into[Q.source(a)]
 
 
 def is_sink_arrow(Q: Quiver, a: int) -> bool:
-    s, t = Q.source(a), Q.target(a)
-    if Q.arrows_from[t]:
-        return False
-    if any(b != a for b in Q.arrows_into[t]):
-        return False
-    if any(b != a for b in Q.arrows_from[s]):
-        return False
-    return True
+    return _sole_arrow(Q, a) and not Q.arrows_from[Q.target(a)]
 
 
 def crown_order(Q: Quiver):
-    """n if the quiver is a cyclically oriented n-cycle, else None."""
+    """n if the quiver is a cyclically oriented n-cycle, else None: n >= 1
+    vertices, one arrow out of and one arrow into every vertex, and one
+    component."""
     n = Q.num_vertices
-    if n == 0 or Q.num_arrows != n:
-        return None
-    succ = {}
-    for _, s, t in Q.arrows:
-        if s in succ:
-            return None
-        succ[s] = t
-    seen = set()
-    v = 0
-    for _ in range(n):
-        if v in seen or v not in succ:
-            return None
-        seen.add(v)
-        v = succ[v]
-    return n if v == 0 and len(seen) == n else None
-
+    regular = all(len(Q.arrows_from[v]) == 1 == len(Q.arrows_into[v]) for v in range(n))
+    return n if n and regular and len(connected_components(Q)) == 1 else None

@@ -23,8 +23,6 @@ def test_corpus_statuses():
         g = glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"])
         for rep in run_checks(g):
             expected = ex.expect_status.get(rep.check, ("pass", "not-applicable"))
-            if isinstance(expected, str):
-                expected = (expected,)
             assert rep.status in expected, (ex.name, rep.check, rep.status, rep.reason)
 
 

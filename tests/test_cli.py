@@ -7,7 +7,7 @@ import pytest
 from quiverhh import checks
 from quiverhh.checks import CHECKS
 from quiverhh.cli import main
-from quiverhh.examples_data import example_by_name, fan
+from quiverhh.examples_data import EXAMPLES, example_by_name, fan
 from quiverhh.fileformat import parse, print_algebra
 from quiverhh.gluing import glue
 
@@ -107,6 +107,52 @@ def test_hh_largest_degree_is_reached_directly(capsys, tmp_path, source):
 # zero with dim HH^n = 3 * 2^(n - 1) for n >= 2, which has 4215 digits at
 # n = 14000 and first exceeds 4300 digits at n = 14284
 TWO_LOOPS = "field Q\nvertex v\narrow x v v\narrow y v v\nrel x x\nrel x y\nrel y x\nrel y y\n"
+
+# radical square zero, so both parse: every composable pair of arrows is a relation
+CROWN3 = (
+    "field Q\nvertex v0\nvertex v1\nvertex v2\n"
+    "arrow a0 v0 v1\narrow a1 v1 v2\narrow a2 v2 v0\nrel a0 a1\nrel a1 a2\nrel a2 a0\n"
+)
+TWO_CYCLES = (
+    "field Q\nvertex u0\nvertex u1\nvertex w0\nvertex w1\n"
+    "arrow x u0 u1\narrow y u1 u0\narrow z w0 w1\narrow t w1 w0\nrel x y\nrel y x\nrel z t\nrel t z\n"
+)
+
+INFO_KEYS = (
+    "field", "vertices", "arrows", "relations", "dimension", "basis by length", "components",
+    "betti", "radical square zero", "crown", "source arrows", "sink arrows", "node arrows",
+)
+# the complete ``quiverhh info`` output, one value per line of INFO_KEYS
+INFO_PINS = {
+    "biline": ("Q", 4, 7, 17, 21, "0:4, 1:7, 2:10", 1, 4, False, "no", "-", "-", "mu, alpha, eta, lambda, beta, b, xi"),
+    "line-free": ("Q", 4, 3, 0, 10, "0:4, 1:3, 2:2, 3:1", 1, 0, False, "no", "alpha", "beta", "-"),
+    "two-lines": ("Q", 6, 4, 0, 12, "0:6, 1:4, 2:2", 2, 0, False, "no", "alpha, delta", "eps, beta", "-"),
+    "line-bound": ("Q", 4, 3, 2, 7, "0:4, 1:3", 1, 0, True, "no", "alpha", "beta", "eta"),
+    "twin-pairs-rad2": ("Q", 4, 5, 3, 9, "0:4, 1:5", 1, 2, True, "no", "-", "-", "alpha, a, eta, beta, b"),
+    "loop-crowd-2": ("Q", 4, 5, 8, 9, "0:4, 1:5", 2, 3, True, "no", "-", "-", "alpha, a1, a2, p, beta"),
+    "bypass": ("Q", 6, 6, 0, 26, "0:6, 1:6, 2:7, 3:5, 4:2", 1, 1, False, "no", "b", "-", "beta, a"),
+    "loop-power": ("Q", 4, 4, 1, 9, "0:4, 1:4, 2:1", 1, 1, False, "no", "-", "-", "alpha, xi, eta, beta"),
+    "loop-power-f2": ("F2", 4, 4, 1, 9, "0:4, 1:4, 2:1", 1, 1, False, "no", "-", "-", "alpha, xi, eta, beta"),
+    "two-blocks-deco": ("Q", 5, 4, 1, 9, "0:5, 1:4", 2, 1, True, "no", "beta", "beta", "a, alpha, b"),
+    "double-braid": ("Q", 4, 5, 2, 23, "0:4, 1:5, 2:6, 3:5, 4:2, 5:1", 1, 2, False, "no", "-", "-", "alpha, beta"),
+    "zigzag-6": ("Q", 6, 5, 0, 11, "0:6, 1:5", 1, 0, True, "no", "-", "-", "alpha, u1, v1, u2, beta"),
+    "midfan-2": ("Q", 4, 4, 4, 8, "0:4, 1:4", 1, 1, True, "no", "alpha", "beta", "d1, d2"),
+    "crown-3": ("Q", 3, 3, 3, 6, "0:3, 1:3", 1, 1, True, 3, "-", "-", "a0, a1, a2"),
+    "two-2-cycles": ("Q", 4, 4, 4, 8, "0:4, 1:4", 2, 2, True, "no", "-", "-", "x, y, z, t"),
+    "two-loops": ("Q", 1, 2, 4, 3, "0:1, 1:2", 1, 2, True, "no", "-", "-", "x, y"),
+}
+INFO_TEXTS = {
+    **{e.name: e.text for e in EXAMPLES}, "crown-3": CROWN3, "two-2-cycles": TWO_CYCLES, "two-loops": TWO_LOOPS,
+}
+
+
+@pytest.mark.parametrize("name", INFO_TEXTS)
+def test_info_output_pinned(capsys, tmp_path, name):
+    p = tmp_path / "a.alg"
+    p.write_text(INFO_TEXTS[name])
+    code, out, _ = run(capsys, "info", str(p))
+    assert code == 0
+    assert out == "".join(f"{k}: {v}\n" for k, v in zip(INFO_KEYS, INFO_PINS[name]))
 
 
 @pytest.fixture
