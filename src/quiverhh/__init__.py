@@ -3,7 +3,7 @@
 from .algebra import MonomialAlgebra, build
 from .fields import GF, QQ, FieldSpec
 from .gluing import GluedAlgebra, GluingSpec, glue
-from .quiver import Path, Quiver, betti, compose, connected_components, parallel
+from .quiver import Path, Quiver, betti, compose, parallel
 
 __all__ = [
     "FieldSpec",
@@ -14,7 +14,6 @@ __all__ = [
     "compose",
     "parallel",
     "betti",
-    "connected_components",
     "MonomialAlgebra",
     "build",
     "GluedAlgebra",

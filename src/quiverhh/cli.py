@@ -25,7 +25,7 @@ from .fileformat import parse, print_algebra
 from .fundgroup import pi1_rank
 from .gluing import glue
 from .higher import hh_dims_high
-from .quiver import betti, connected_components, crown_order, is_sink_arrow, is_source_arrow, path_str
+from .quiver import betti, crown_order, is_sink_arrow, is_source_arrow, path_str
 from .paircomplex import center_product, complex_data, hh1_lie
 
 
@@ -47,7 +47,6 @@ def _arrow_id(A: MonomialAlgebra, name: str) -> int:
 def cmd_info(args) -> int:
     A = _load(args.file)
     Q = A.quiver
-    comps = connected_components(Q)
     print(f"field: {A.field}")
     print(f"vertices: {Q.num_vertices}")
     print(f"arrows: {Q.num_arrows}")
@@ -57,7 +56,7 @@ def cmd_info(args) -> int:
     for p in A.basis:
         by_len[p.length] = by_len.get(p.length, 0) + 1
     print("basis by length: " + ", ".join(f"{k}:{v}" for k, v in sorted(by_len.items())))
-    print(f"components: {len(comps)}")
+    print(f"components: {len(Q.components)}")
     print(f"betti: {betti(Q)}")
     print(f"radical square zero: {A.is_radical_square_zero()}")
     order = crown_order(Q)

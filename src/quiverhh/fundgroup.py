@@ -54,7 +54,8 @@ def theta(A: MonomialAlgebra, chord: int) -> dict:
 
 def theta_class_rank(A: MonomialAlgebra) -> int:
     """Rank of all chord-dual cocycles inside kernel-mod-image; equals the
-    Betti number for monomial ideals (verified per instance by callers)."""
+    Betti number for monomial ideals.  No program path reads it: only
+    ``tests/test_fundgroup.py`` compares it with :func:`quiver.betti`."""
     C = complex_data(A)
     coord_vecs = [C.hh1_view.project(theta(A, chord)) for chord in chord_duals(A.quiver)]
     return rank(A.field, coord_vecs)

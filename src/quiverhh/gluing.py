@@ -25,13 +25,7 @@ from .algebra import MonomialAlgebra, build
 from .errors import GluingError, QuiverHHError
 from .linalg import LinearMap, Subspace, member, restricted_kernel, span, subspace_sum
 from .oracles import oracle_center, oracle_hh1_dim
-from .quiver import (
-    Path,
-    Quiver,
-    connected_components,
-    is_sink_arrow,
-    is_source_arrow,
-)
+from .quiver import Path, Quiver, is_sink_arrow, is_source_arrow
 from .paircomplex import complex_data
 
 
@@ -169,17 +163,13 @@ class GluedAlgebra:
         return is_source_arrow(QA, self.alpha) and is_sink_arrow(QA, self.beta)
 
     @cached_property
-    def components_a(self) -> list:
-        return connected_components(self.A.quiver)
-
-    @cached_property
     def same_block(self) -> bool:
         e1, _, e3, _ = self.endpoints
-        return any(e1 in comp and e3 in comp for comp in self.components_a)
+        return any(e1 in comp and e3 in comp for comp in self.A.quiver.components)
 
     @cached_property
     def components(self) -> tuple:
-        return len(self.components_a), len(connected_components(self.B.quiver))
+        return len(self.A.quiver.components), len(self.B.quiver.components)
 
     # -- derived subspaces and invariants ---------------------------------------
 

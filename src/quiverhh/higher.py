@@ -17,7 +17,7 @@ from itertools import repeat
 from .algebra import MonomialAlgebra
 from .errors import QuiverHHError
 from .gluing import GluedAlgebra
-from .quiver import Quiver, connected_components, crown_order
+from .quiver import Quiver, crown_order
 
 
 def _product(x: list, y: list) -> list:
@@ -75,7 +75,7 @@ def hh_dims_high(A: MonomialAlgebra, start: int = 2):
         raise ValueError("use the pair complex for degrees 0 and 1")
     if not A.is_radical_square_zero():
         raise QuiverHHError("counting formula requires a radical-square-zero algebra")
-    if len(connected_components(A.quiver)) != 1:
+    if len(A.quiver.components) != 1:
         raise QuiverHHError("counting formula requires a connected quiver")
     order = crown_order(A.quiver)
     if order is not None:

@@ -7,7 +7,9 @@ those three fields, so path keys run on the built-in tuple operations.  Its
 arrows are stored in traversal order (first-traversed first).  The
 conventional right-to-left product notation is only used when rendering,
 see :func:`path_str`.  One BFS spanning forest (:func:`spanning_forest`)
-answers the graph questions: components, chords and crowns.
+answers the graph questions: components, chords and crowns.  The
+component partition is computed once per quiver and cached on it as
+:attr:`Quiver.components`, which every component question reads.
 """
 
 from __future__ import annotations
@@ -72,6 +74,15 @@ class Quiver:
         for i, (_, _, t) in enumerate(self.arrows):
             inc[t].append(i)
         return tuple(tuple(x) for x in inc)
+
+    @cached_property
+    def components(self) -> tuple:
+        """Partition of vertex ids by underlying-graph connectivity, as
+        sorted vertex tuples ordered by least vertex."""
+        groups: dict = {}
+        for v, r in enumerate(spanning_forest(self)[0]):
+            groups.setdefault(r, []).append(v)
+        return tuple(map(tuple, groups.values()))
 
     # -- path construction ---------------------------------------------------
 
@@ -168,17 +179,9 @@ def spanning_forest(Q: Quiver, avoid=None) -> tuple:
     return root, tree
 
 
-def connected_components(Q: Quiver) -> list:
-    """Partition of vertex ids by underlying-graph connectivity, each sorted."""
-    groups: dict = {}
-    for v, r in enumerate(spanning_forest(Q)[0]):
-        groups.setdefault(r, []).append(v)
-    return list(groups.values())
-
-
 def betti(Q: Quiver) -> int:
     """First Betti number of the underlying graph: arrows - vertices + components."""
-    return Q.num_arrows - Q.num_vertices + len(connected_components(Q))
+    return Q.num_arrows - Q.num_vertices + len(Q.components)
 
 
 # -- arrow classifications ----------------------------------------------------
@@ -203,4 +206,4 @@ def crown_order(Q: Quiver):
     component."""
     n = Q.num_vertices
     regular = all(len(Q.arrows_from[v]) == 1 == len(Q.arrows_into[v]) for v in range(n))
-    return n if n and regular and len(connected_components(Q)) == 1 else None
+    return n if n and regular and len(Q.components) == 1 else None

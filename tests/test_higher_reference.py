@@ -36,7 +36,7 @@ from quiverhh.fileformat import parse
 from quiverhh.gluing import glue
 from quiverhh.higher import CrownUnsupported, check_high_degree_gluing, hh_dim_high, hh_dims_high
 from quiverhh.paircomplex import complex_data
-from quiverhh.quiver import Quiver, connected_components, crown_order
+from quiverhh.quiver import Quiver, crown_order
 from quiverhh.randomgen import RandomSpec, random_gluing, random_instance, source_sink_rad2_instance
 
 DEGREES = range(2, 41)
@@ -65,7 +65,7 @@ def ref_hh_dim_high(A, n):
         raise ValueError("use the pair complex for degrees 0 and 1")
     if not A.is_radical_square_zero():
         raise QuiverHHError("counting formula requires a radical-square-zero algebra")
-    if len(connected_components(A.quiver)) != 1:
+    if len(A.quiver.components) != 1:
         raise QuiverHHError("counting formula requires a connected quiver")
     order = crown_order(A.quiver)
     if order is not None:
@@ -90,7 +90,7 @@ def rad2_corpus():
     for text in (fan(2), fan(3), zigzag(3)):
         A = parse(text)
         out += [A, glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"]).B]
-    return [A for A in out if len(connected_components(A.quiver)) == 1]
+    return [A for A in out if len(A.quiver.components) == 1]
 
 
 def test_rad2_corpus_matches_per_degree_reference():

@@ -5,7 +5,6 @@ from quiverhh.quiver import (
     Quiver,
     betti,
     compose,
-    connected_components,
     crown_order,
     is_sink_arrow,
     is_source_arrow,
@@ -63,14 +62,14 @@ def test_parallel():
 
 def test_components_and_betti():
     single = Quiver(("v",), ())
-    assert connected_components(single) == [[0]]
+    assert single.components == ((0,),)
     assert betti(single) == 0
     # two blocks, six vertices, four arrows
     two_lines = Quiver(
         tuple(f"e{i}" for i in range(1, 7)),
         (("alpha", 0, 1), ("eps", 1, 2), ("delta", 3, 4), ("beta", 4, 5)),
     )
-    assert len(connected_components(two_lines)) == 2
+    assert two_lines.components == ((0, 1, 2), (3, 4, 5))
     assert betti(two_lines) == 0
     two_cycle = Quiver(("f1", "f2"), (("g", 0, 1), ("h", 1, 0)))
     assert betti(two_cycle) == 1

@@ -1,7 +1,8 @@
 """Differential tests: one BFS spanning forest against the walks it replaced.
 
 ``quiver.spanning_forest`` answers every graph question of the program.
-Before, ``connected_components`` ran its own union-find, ``chord_duals``
+Before, the component partition (now ``Quiver.components``, computed once
+per quiver and cached on it) ran its own union-find, ``chord_duals``
 ran the BFS that ``spanning_forest`` now is, ``crown_order`` followed the
 successor of each vertex around the cycle, and ``is_source_arrow`` and
 ``is_sink_arrow`` each spelled out three conditions.  Those bodies are
@@ -9,7 +10,8 @@ kept below unchanged as ``ref_*``.  Both forms must give the same
 components, the same chords (or the same ``BridgeError``) for every
 avoided arrow, the same crown order and the same source and sink arrows
 on hypothesis quivers, loops, multiple arrows and the empty quiver
-included, and on both sides of every fuzz-corpus gluing.
+included, and on both sides of every fuzz-corpus gluing.  A fuzz pass
+over that corpus walks each quiver once for its components.
 """
 
 from collections import deque
@@ -18,15 +20,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quiverhh import fundgroup, quiver
+from quiverhh.checks import FUZZ_CHECKS, run_checks
 from quiverhh.errors import BridgeError
 from quiverhh.fundgroup import chord_duals
-from quiverhh.quiver import (
-    Quiver,
-    connected_components,
-    crown_order,
-    is_sink_arrow,
-    is_source_arrow,
-)
+from quiverhh.gluing import glue
+from quiverhh.quiver import Quiver, crown_order, is_sink_arrow, is_source_arrow
+from quiverhh.randomgen import instance_with_gluing
 
 
 def ref_connected_components(Q: Quiver) -> list:
@@ -138,7 +138,8 @@ def chords_or_bridge(duals, Q, avoid):
 
 
 def assert_same_graph_answers(Q: Quiver):
-    assert connected_components(Q) == ref_connected_components(Q)
+    assert Q.components == tuple(map(tuple, ref_connected_components(Q)))
+    assert Q.components is Q.components
     for avoid in [None, *range(Q.num_arrows)]:
         assert chords_or_bridge(chord_duals, Q, avoid) == chords_or_bridge(ref_chord_duals, Q, avoid)
     assert crown_order(Q) == ref_crown_order(Q)
@@ -189,6 +190,27 @@ def test_w1_graph_answers_match_reference(w1_gluings):
     for _, g in w1_gluings:
         assert_same_graph_answers(g.A.quiver)
         assert_same_graph_answers(g.B.quiver)
+
+
+def test_fuzz_pass_walks_each_quiver_once(w1_gluings, monkeypatch):
+    """``g.components``, ``same_block`` and ``pi1_rank`` read one cached
+    partition per quiver, so the fuzz checks walk A and B once each.  The
+    gluings are rebuilt from their specs, so no earlier test has filled
+    the caches."""
+    walked = []
+    forest = quiver.spanning_forest
+
+    def counting_forest(Q, avoid=None):
+        if avoid is None:
+            walked.append(Q)
+        return forest(Q, avoid)
+
+    monkeypatch.setattr(quiver, "spanning_forest", counting_forest)
+    monkeypatch.setattr(fundgroup, "spanning_forest", counting_forest)
+    for spec, _ in w1_gluings:
+        A, gs = instance_with_gluing(spec)
+        run_checks(glue(A, gs.alpha, gs.beta), FUZZ_CHECKS)
+    assert len(walked) == len({id(Q) for Q in walked}) == 2 * len(w1_gluings)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

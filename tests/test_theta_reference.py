@@ -33,7 +33,7 @@ from quiverhh.fundgroup import chord_duals, check_theta_diagram, theta
 from quiverhh.gluing import GluedAlgebra, glue
 from quiverhh.linalg import accumulate, member
 from quiverhh.paircomplex import complex_data
-from quiverhh.quiver import Quiver, connected_components
+from quiverhh.quiver import Quiver
 from quiverhh.randomgen import (
     RandomSpec,
     instance_with_gluing,
@@ -136,7 +136,7 @@ def parade(Q: Quiver, tree, base_override=None) -> ParadeData:
     for lst in adjacency:
         lst.sort()
     walks: list = [None] * Q.num_vertices
-    for comp in connected_components(Q):
+    for comp in Q.components:
         base = base_override.get(comp[0], comp[0])
         walks[base] = trivial_walk(base)
         queue = deque([base])
@@ -147,7 +147,7 @@ def parade(Q: Quiver, tree, base_override=None) -> ParadeData:
                     step = arrow_walk(Q, a, direction)
                     walks[w] = walk_compose(step, walks[v])
                     queue.append(w)
-    for comp in connected_components(Q):
+    for comp in Q.components:
         for v in comp:
             if walks[v] is None:
                 raise QuiverHHError("spanning forest does not reach every vertex")
@@ -211,7 +211,7 @@ def ref_theta_parades(g: GluedAlgebra):
     f1, f2 = g.vertex_map[e1], g.vertex_map[e2]
 
     duals_B = chord_duals(QB, avoid=g.gamma)
-    walks_B = parade(QB, forest(QB, avoid=g.gamma), base_override={min(c): f2 for c in connected_components(QB) if f2 in c})
+    walks_B = parade(QB, forest(QB, avoid=g.gamma), base_override={min(c): f2 for c in QB.components if f2 in c})
 
     preimage = {}
     for a in range(QA.num_arrows):
@@ -231,7 +231,7 @@ def ref_theta_parades(g: GluedAlgebra):
     v_walk = pull_back(walks_B.walks[f1], e2)
     if v_walk.target != e3:
         raise QuiverHHError("connecting walk does not reach the merged source vertex")
-    glued_comp = next(set(c) for c in connected_components(QB) if f2 in c)
+    glued_comp = next(set(c) for c in QB.components if f2 in c)
     walks_A_list: list = [None] * QA.num_vertices
     walks_A_list[e1] = walk_inverse(arrow_walk(QA, g.alpha))
     walks_A_list[e2] = trivial_walk(e2)
@@ -359,7 +359,7 @@ def test_parade_walks_are_valid_and_based():
     for ex in EXAMPLES:
         Q = parse(ex.text).quiver
         walks = parade(Q, forest(Q))
-        for comp in connected_components(Q):
+        for comp in Q.components:
             for v in comp:
                 w = walks.walks[v]
                 assert walk_is_valid(Q, w) and (w.source, w.target) == (comp[0], v)
