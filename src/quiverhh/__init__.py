@@ -3,7 +3,7 @@
 from .algebra import MonomialAlgebra, build
 from .fields import GF, QQ, FieldSpec
 from .gluing import GluedAlgebra, GluingSpec, glue
-from .quiver import Path, Quiver, betti, compose, parallel
+from .quiver import Path, Quiver, betti, compose
 
 __all__ = [
     "FieldSpec",
@@ -12,7 +12,6 @@ __all__ = [
     "Quiver",
     "Path",
     "compose",
-    "parallel",
     "betti",
     "MonomialAlgebra",
     "build",

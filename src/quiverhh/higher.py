@@ -5,8 +5,8 @@ number of (length-n path, arrow) parallel pairs minus the number of
 (length-(n-1) path, vertex) parallel pairs; both counts come from powers
 of the adjacency matrix in exact integer arithmetic.  Crowns fall outside
 the formula and are reported as a typed unsupported status instead of a
-number.  :func:`check_high_degree_gluing` compares a range of degrees
-across a gluing.
+number.  :func:`check_high_degree_gluing` compares degrees 2 to 6 across
+a gluing.
 """
 
 from __future__ import annotations
@@ -89,12 +89,12 @@ def hh_dim_high(A: MonomialAlgebra, n: int):
     return next(hh_dims_high(A, n))
 
 
-def check_high_degree_gluing(g: GluedAlgebra, degrees: range) -> list:
-    """One ``(dim_a, dim_b, monotone)`` triple per degree in the consecutive
-    ``degrees``, each side read off one :func:`hh_dims_high` iterator,
-    across a gluing of a connected radical-square-zero algebra A whose
-    quiver is not a crown: the glued dimension ``dim_b`` (a number or a
-    :class:`CrownUnsupported`) must not fall below the source one.
+def check_high_degree_gluing(g: GluedAlgebra) -> list:
+    """One ``(dim_a, dim_b, monotone)`` triple per degree 2 to 6, each side
+    read off one :func:`hh_dims_high` iterator, across a gluing of a
+    connected radical-square-zero algebra A whose quiver is not a crown:
+    the glued dimension ``dim_b`` (a number or a :class:`CrownUnsupported`)
+    must not fall below the source one.
 
     Unmet preconditions raise :class:`QuiverHHError`; the ``high_degrees``
     check declares them as hypotheses instead.  The map the gluing induces
@@ -107,9 +107,7 @@ def check_high_degree_gluing(g: GluedAlgebra, degrees: range) -> list:
     earlier shared arrow forbids.  Equal paths with distinct arrows are
     parallel to alpha and beta at once, again forbidden by e1 != e3.
     """
-    if degrees.step != 1:
-        raise ValueError("degrees must be consecutive")
-    dims_a = hh_dims_high(g.A, degrees.start)  # raises ValueError below degree 2
+    dims_a = hh_dims_high(g.A)
     if crown_order(g.A.quiver) is not None:
         raise QuiverHHError("higher-degree comparison requires a source quiver that is not a crown")
     # The glued quiver is a crown only when the source is an oriented line, a
@@ -117,5 +115,5 @@ def check_high_degree_gluing(g: GluedAlgebra, degrees: range) -> list:
     # the source dimension vanishes: the inequality holds whatever B's is.
     return [
         (a, b, a == 0 if isinstance(b, CrownUnsupported) else b >= a)
-        for _, a, b in zip(degrees, dims_a, hh_dims_high(g.B, degrees.start))
+        for _, a, b in zip(range(2, 7), dims_a, hh_dims_high(g.B))
     ]

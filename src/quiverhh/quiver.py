@@ -131,10 +131,6 @@ def compose(later: Path, earlier: Path) -> Path:
     return Path(earlier.source, later.target, earlier.arrows + later.arrows)
 
 
-def parallel(p: Path, q: Path) -> bool:
-    return p.source == q.source and p.target == q.target
-
-
 def path_str(Q: Quiver, p: Path) -> str:
     """Right-to-left rendering; trivial paths show as ``(vertex)``."""
     if not p.arrows:
@@ -151,15 +147,13 @@ def spanning_forest(Q: Quiver, avoid=None) -> tuple:
 
     ``root[v]`` is the least vertex of v's component once the avoided arrow
     is removed, and ``tree`` lists the forest arrows in the order the
-    search takes them.
+    search takes them.  A vertex's incident arrows are read off the cached
+    :attr:`Quiver.arrows_from` and :attr:`Quiver.arrows_into` in ascending
+    order, a loop once.
     """
-    incident = [[] for _ in range(Q.num_vertices)]
-    for a in range(Q.num_arrows):
-        if a == avoid:
-            continue
-        incident[Q.source(a)].append(a)
-        if Q.target(a) != Q.source(a):
-            incident[Q.target(a)].append(a)
+    incident = [
+        sorted(set(out + into) - {avoid}) for out, into in zip(Q.arrows_from, Q.arrows_into)
+    ]
 
     root = [-1] * Q.num_vertices
     tree = []

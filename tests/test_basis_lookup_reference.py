@@ -71,7 +71,7 @@ from quiverhh.linalg import (
     span,
 )
 from quiverhh.paircomplex import PairComplex
-from quiverhh.quiver import Path, compose, is_sink_arrow, is_source_arrow, parallel
+from quiverhh.quiver import Path, compose, is_sink_arrow, is_source_arrow
 from quiverhh.randomgen import (
     RandomSpec,
     instance_with_gluing,
@@ -82,6 +82,11 @@ from quiverhh.randomgen import (
 from test_linalg_reference import ref_restricted_kernel, representatives
 
 FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F5": GF(5)}
+
+
+def parallel(p, q):
+    """``p`` and ``q`` share source and target."""
+    return p[:2] == q[:2]
 
 
 def _is_subword(needle, haystack):

@@ -39,6 +39,14 @@ No corpus or fuzz gluing makes that comparison false, so its false branch
 is forged: the transport of a gluing that is not source-sink, whose check
 passes, is replaced by one that kills the diagonal pair of a third arrow
 (``_kill_diagonal``).  Containment still holds, and both forms must fail.
+
+``ref_center_embedding`` is ``checks._center_embedding`` before it read
+A's unit on one vertex of each glued pair: it pushed all of A's trivial
+pairs through ψ⁰ and then subtracted the scalar part again on B's two
+merged vertices.  Both forms must send every HH⁰ row of A, and every
+central product of two rows, to the same vector (or both to None), on the
+connected gluings of the fuzz corpus, on random source-sink gluings, on
+the corpus and on the two forged ψ⁰ of ``test_checks._doubled_cycles``.
 """
 
 from itertools import combinations
@@ -52,6 +60,7 @@ from conftest import glued
 from quiverhh.checks import (
     LOOP_POWER,
     CheckReport,
+    _center_embedding,
     check_hh1_central_summand,
     check_hh1_lie_iso,
     check_ker_delta1_hom,
@@ -71,9 +80,10 @@ from quiverhh.linalg import (
     span,
     subspace_sum,
 )
-from quiverhh.paircomplex import LieAlgebraPresentation, PairComplex
+from quiverhh.paircomplex import LieAlgebraPresentation, PairComplex, central_mult
 from quiverhh.randomgen import RandomSpec, source_sink_instance
 from test_basis_lookup_reference import substitute
+from test_checks import CENTRAL_LOOP, CENTRAL_LOOPS_TWO_BLOCKS, _doubled_cycles
 from test_linalg_reference import RefQuotientView, ref_restricted_kernel, representatives
 from test_restricted_kernel_reference import alpha_minus_beta
 
@@ -524,3 +534,61 @@ def test_hh1_central_summand_random_matches_reference(seed, scale):
     A, gs = source_sink_instance(spec)
     out = _central_outcomes(A, gs.alpha, gs.beta, scale)
     assert out is None or out[0] == out[1]
+
+
+def ref_center_embedding(g):
+    f = g.B.field
+    CA, CB = g.complexes
+    QA, QB = g.A.quiver, g.B.quiver
+    triv_a = [CA.basis0.index[(v, QA.trivial_path(v))] for v in range(QA.num_vertices)]
+    merged = [
+        CB.basis0.index[(m, QB.trivial_path(m))]
+        for m in (g.vertex_map[g.endpoints[0]], g.vertex_map[g.endpoints[1]])
+    ]
+
+    def mu(vec: dict):
+        c = vec.get(triv_a[0], f.zero)
+        if any(vec.get(i, f.zero) != c for i in triv_a):
+            return None  # degree-zero part not scalar: unexpected
+        out = g.psi0.apply(f, vec)
+        for i in merged:
+            accumulate(f, out, i, f.neg(c))
+        return out
+
+    return mu
+
+
+def assert_same_embedding(g) -> int:
+    """Compare both embeddings on A's HH⁰ rows and their pairwise central
+    products; return the number of vectors compared."""
+    CA = g.complexes[0]
+    rows = CA.hh0.row_vectors()
+    vectors = rows + [central_mult(CA, x, y) for x in rows for y in rows]
+    new, ref = _center_embedding(g), ref_center_embedding(g)
+    for v in vectors:
+        assert new(v) == ref(v), v
+    return len(vectors)
+
+
+def test_center_embedding_matches_reference_on_fuzz_corpus(w1_gluings):
+    connected = [g for _, g in w1_gluings if g.components[0] == 1]
+    assert sum(assert_same_embedding(g) for g in connected) == 1854
+    assert len(connected) == 531
+    assert sum(g.B.field.char == 2 for g in connected) == 142  # where 2c = 0
+
+
+def test_center_embedding_matches_reference_on_source_sink_instances():
+    fields = list(FIELDS.values())
+    for seed in range(300):
+        spec = RandomSpec(seed=seed, field=fields[seed % 4], max_vertices=4, max_arrows=5)
+        A, gs = source_sink_instance(spec)
+        assert_same_embedding(glue(A, gs.alpha, gs.beta))
+
+
+def test_center_embedding_matches_reference_on_corpus_and_forgeries():
+    texts = [e.text for e in EXAMPLES] + [fan(m, p) for m in (2, 3, 4) for p in (0, 2, 3, 5)]
+    for text in texts:
+        A = parse(text)
+        assert_same_embedding(glue(A, A.quiver.arrow_index["alpha"], A.quiver.arrow_index["beta"]))
+    for text in (CENTRAL_LOOP, CENTRAL_LOOPS_TWO_BLOCKS):
+        assert_same_embedding(_doubled_cycles(text))

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import algebra, glued, path_of, vertex_id
 from test_basis_lookup_reference import (
+    parallel,
     ref_missed_nsp_data,
     ref_missed_special_pairs,
     ref_missed_special_paths,
@@ -18,7 +19,7 @@ from quiverhh.fileformat import parse
 from quiverhh import gluing
 from quiverhh.gluing import assumption_holds, crucial_paths, glue
 from quiverhh.linalg import member, span
-from quiverhh.quiver import Quiver, parallel
+from quiverhh.quiver import Quiver
 from quiverhh.paircomplex import complex_data
 
 

@@ -8,7 +8,6 @@ from quiverhh.quiver import (
     crown_order,
     is_sink_arrow,
     is_source_arrow,
-    parallel,
     path_str,
 )
 from test_theta_reference import (
@@ -50,14 +49,6 @@ def test_compose_length_additive_on_chain():
     Q = line4()
     p = compose(Q.arrow_path(2), compose(Q.arrow_path(1), Q.arrow_path(0)))
     assert p.length == 3 and (p.source, p.target) == (0, 3)
-
-
-def test_parallel():
-    Q = line4()
-    assert parallel(Q.trivial_path(0), Q.trivial_path(0))
-    assert not parallel(Q.arrow_path(0), Q.arrow_path(2))
-    loopq = Quiver(("e1",), (("xi", 0, 0),))
-    assert parallel(loopq.arrow_path(0), loopq.trivial_path(0))
 
 
 def test_components_and_betti():
