@@ -3,7 +3,7 @@
 from .algebra import MonomialAlgebra, build
 from .fields import GF, QQ, FieldSpec
 from .gluing import GluedAlgebra, GluingSpec, glue
-from .quiver import Path, Quiver, betti, compose
+from .quiver import Path, Quiver, betti
 
 __all__ = [
     "FieldSpec",
@@ -11,7 +11,6 @@ __all__ = [
     "GF",
     "Quiver",
     "Path",
-    "compose",
     "betti",
     "MonomialAlgebra",
     "build",

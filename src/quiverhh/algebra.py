@@ -19,7 +19,7 @@ from functools import cached_property
 
 from .errors import AdmissibilityError, DimensionalityError, MinimalityError
 from .fields import FieldSpec, QQ
-from .quiver import Path, Quiver, compose, is_sink_arrow, is_source_arrow
+from .quiver import Path, Quiver, is_sink_arrow, is_source_arrow
 
 
 def _is_subword(needle: tuple, haystack: tuple) -> bool:
@@ -64,7 +64,7 @@ class MonomialAlgebra:
         is exactly when the concatenation is not a basis path."""
         if later.source != earlier.target:
             return None
-        prod = compose(later, earlier)
+        prod = Path(earlier.source, later.target, earlier.arrows + later.arrows)
         return prod if self.in_basis(prod) else None
 
     def is_radical_square_zero(self) -> bool:

@@ -218,11 +218,7 @@ def check_ker_delta1_hom(g: GluedAlgebra) -> CheckReport:
     ok = contains_subspace(f, CB.ker1, g.psi1_ker1)
     # kernel of the restriction is spanned by the arrow-pair difference: psi1
     # kills it, so it must be a cocycle and, by rank-nullity, the rank one less
-    QA = g.A.quiver
-    alpha_minus_beta = {
-        CA.basis1.index[(g.alpha, QA.arrow_path(g.alpha))]: f.one,
-        CA.basis1.index[(g.beta, QA.arrow_path(g.beta))]: f.neg(f.one),
-    }
+    alpha_minus_beta = {CA.diagonal(g.alpha): f.one, CA.diagonal(g.beta): f.neg(f.one)}
     ok = ok and member(f, CA.ker1, alpha_minus_beta) and g.psi1_ker1.dim == CA.ker1.dim - 1
     detail = ""
     if g.source_sink:
@@ -350,9 +346,7 @@ def _center_embedding(g: GluedAlgebra):
     its trivial pairs at e3 and e4 dropped, once its degree-zero part is
     checked to be a scalar c times the unit."""
     f = g.B.field
-    CA = g.complexes[0]
-    QA = g.A.quiver
-    triv_a = [CA.basis0.index[(v, QA.trivial_path(v))] for v in range(QA.num_vertices)]
+    triv_a = g.complexes[0].unit
     _, _, e3, e4 = g.endpoints
     glued_twice = (triv_a[e3], triv_a[e4])
 

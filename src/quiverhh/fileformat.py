@@ -5,7 +5,8 @@ Directives, one per line: ``field Q`` or ``field F <p>``; ``vertex <name>``
 listing arrows in traversal order (first-traversed first, which is the
 reverse of the right-to-left product notation used in rendered output).
 ``#`` starts a comment.  Parsing is total with positioned diagnostics and
-``parse(print_algebra(A))`` reproduces ``A``.
+``parse(print_algebra(A))`` reproduces ``A``.  Lines end at CR LF, CR or LF
+alone, as in a text-mode file, so a form feed moves no line number.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ def parse(text: str) -> MonomialAlgebra:
     arrow_at: list = []  # (line, column) of each arrow directive
     rel_lines: list = []
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")  # \f ends no line
+    for lineno, line in enumerate(lines, start=1):
         toks = _tokens(line.replace("\t", " "))
         if not toks:
             continue

@@ -46,7 +46,7 @@ def theta(A: MonomialAlgebra, chord: int) -> dict:
     The result is asserted to be a degree-one cocycle.
     """
     C = complex_data(A)
-    vec = {C.basis1.index[(chord, A.quiver.arrow_path(chord))]: A.field.one}
+    vec = {C.diagonal(chord): A.field.one}
     if C.delta1.apply(A.field, vec):
         raise QuiverHHError("chord dual cocycle failed the kernel membership assertion")
     return vec

@@ -104,8 +104,7 @@ class GluedAlgebra:
 
     def gamma_pair_vector(self) -> dict:
         """The merged arrow's diagonal pair as a degree-one vector of B."""
-        g, B = self.gamma, self.B
-        return {self.complexes[1].basis1.index[(g, B.quiver.arrow_path(g))]: B.field.one}
+        return {self.complexes[1].diagonal(self.gamma): self.B.field.one}
 
     @cached_property
     def gamma_outside_im0(self) -> bool:
@@ -230,13 +229,13 @@ class GluedAlgebra:
 
     @cached_property
     def ker0_positive(self) -> tuple:
-        """Degree-zero kernels on cycles of length >= 1, of A and of B, as
-        subspaces of the full degree-zero spaces."""
-        out = []
-        for C in self.complexes:
-            cycles = [i for i, (_, p) in enumerate(C.basis0.labels) if p.length >= 1]
-            out.append(restricted_kernel(C.field, C.delta0, cycles))
-        return tuple(out)
+        """Degree-zero kernels on cycles of length >= 1, of A and of B: the
+        rows of HH⁰ with no trivial-pair pivot, as δ⁰ sends those pairs and
+        the longer cycles to disjoint labels."""
+        return tuple(
+            Subspace(C.basis0, tuple(r for r in C.hh0.rows if r[0][0] not in C.unit))
+            for C in self.complexes
+        )
 
     @cached_property
     def psi0_ker0_positive(self) -> Subspace:
@@ -381,13 +380,11 @@ def special_paths(g: GluedAlgebra) -> Subspace:
     return span(g.B.field, CB.basis1, [CB.delta0.columns[i] for i in g.missed0])
 
 
-def crucial_paths(g: GluedAlgebra):
+def crucial_paths(g: GluedAlgebra) -> tuple:
     """Basis paths p from t(alpha) to s(beta) with beta.p.alpha relation-free.
 
-    Only meaningful for a source-sink gluing; returns None for any other.
+    Only ``ker_delta1_structure`` reads them, on source-sink gluings.
     """
-    if not g.source_sink:
-        return None
     A = g.A
     e1, e2, e3, e4 = g.endpoints
     return tuple(

@@ -24,6 +24,7 @@ relations, read off a table built once per complex; the bracket only
 those of ``a`` in ε and of ``b`` in γ.  The image of δ⁰, the kernel of δ¹
 and the complex property are computed on construction; ker δ⁰, the
 bracket table and the Lie presentation are computed on their first read.
+``unit`` and ``diagonal`` index the pairs (v, e_v) and (a, a), which δ⁰ maps between.
 """
 
 from __future__ import annotations
@@ -94,6 +95,15 @@ class PairComplex:
         self.hh1_view = QuotientView(self.field, self.ker1, self.im0)
 
     # -- differentials -------------------------------------------------------
+
+    @cached_property
+    def unit(self) -> tuple:
+        """The index of each vertex's trivial pair ``(v, e_v)``, by vertex."""
+        return tuple(i for i, (_, p) in enumerate(self.basis0.labels) if not p.arrows)
+
+    def diagonal(self, a: int) -> int:
+        """The index of the diagonal pair ``(a, a)`` of arrow ``a``."""
+        return self.basis1.index[(a, self.A.quiver.arrow_path(a))]
 
     def _build_delta0(self) -> LinearMap:
         """Column of a cycle ``p`` at ``v``: +1 at ``(a, a·p)`` for each arrow
@@ -373,8 +383,7 @@ def center_product(A: MonomialAlgebra) -> CenterTable:
             if rem:
                 raise ShapeError("central product left the center; this is a bug")
             table[(i, j)] = dense(coords)
-    unit_vec = {C.basis0.index[(v, A.quiver.trivial_path(v))]: f.one for v in range(A.quiver.num_vertices)}
-    unit, rem = reduce_against(f, C.hh0, unit_vec)
+    unit, rem = reduce_against(f, C.hh0, dict.fromkeys(C.unit, f.one))
     if rem:
         raise ShapeError("identity element is not central; this is a bug")
     labels = tuple(pair_str(A, labels0[p], "0") for p in C.hh0.pivots)

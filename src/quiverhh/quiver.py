@@ -124,13 +124,6 @@ class Path(NamedTuple):
         return (len(self.arrows), self.arrows, self.source)
 
 
-def compose(later: Path, earlier: Path) -> Path:
-    """Concatenation realizing the right-to-left product ``later * earlier``."""
-    if later.source != earlier.target:
-        raise CompositionError("paths do not compose: endpoint mismatch")
-    return Path(earlier.source, later.target, earlier.arrows + later.arrows)
-
-
 def path_str(Q: Quiver, p: Path) -> str:
     """Right-to-left rendering; trivial paths show as ``(vertex)``."""
     if not p.arrows:

@@ -41,6 +41,25 @@ def test_unknown_directive_position():
     assert (e.line, e.column) == (2, 1)
 
 
+@pytest.mark.parametrize("boundary", ["\f", "\x85", "\u2028"])
+def test_unicode_line_boundary_stays_inside_its_line(boundary):
+    """``str.splitlines`` also ends lines at these; a file read in text mode
+    does not, so they move no later line number."""
+    e = err(f"field Q\n{boundary}vertex a\nbogus\n")
+    assert (e.line, e.column) == (3, 1)
+    assert str(e) == "line 3, column 1: unknown directive bogus"
+    e = err(f"field Q\nvertex a{boundary}\nvertex b\nvertex a\n")
+    assert (e.line, e.column) == (4, 8)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_crlf_and_cr_line_ends_keep_positions(end):
+    e = err(end.join(["field Q", "vertex a", "  bogus", ""]))
+    assert (e.line, e.column) == (3, 3)
+    e = err(end.join(["vertex v", "vertex v", ""]))
+    assert (e.line, e.column) == (2, 8)
+
+
 def test_duplicate_vertex():
     e = err("vertex v\nvertex v\n")
     assert e.line == 2 and e.column == 8

@@ -170,7 +170,6 @@ def test_crucial_paths():
     assert [p.arrows for p in cp] == [path_of(g.A, "eta").arrows]
     assert len(cp) == g.z_sp.dim == g.z_spp.dim
     assert crucial_paths(glued("two-lines")) == ()
-    assert crucial_paths(glued("twin-pairs-rad2")) is None  # not source-sink
 
 
 def test_special_pairs_twin():

@@ -1,10 +1,9 @@
-import pytest
 
-from quiverhh.errors import CompositionError
+from quiverhh.algebra import build
+from quiverhh.fields import QQ
 from quiverhh.quiver import (
     Quiver,
     betti,
-    compose,
     crown_order,
     is_sink_arrow,
     is_source_arrow,
@@ -29,25 +28,32 @@ def line4():
     return Quiver(("e1", "e2", "e3", "e4"), (("alpha", 0, 1), ("eta", 1, 2), ("beta", 2, 3)))
 
 
+def line4_path_algebra():
+    """The path algebra of :func:`line4`: no relation, so every path is a basis path."""
+    return build(line4(), [], QQ)
+
+
 def test_compose_identity_and_lengths():
-    Q = line4()
+    A = line4_path_algebra()
+    Q = A.quiver
     a = Q.arrow_path(0)
-    assert compose(a, Q.trivial_path(0)) == a
-    assert compose(Q.trivial_path(1), a) == a
-    two = compose(Q.arrow_path(1), a)
+    assert A.multiply(a, Q.trivial_path(0)) == a
+    assert A.multiply(Q.trivial_path(1), a) == a
+    two = A.multiply(Q.arrow_path(1), a)
     assert two.length == 2 and two.source == 0 and two.target == 2
     assert path_str(Q, two) == "eta.alpha"
 
 
 def test_compose_mismatch():
-    Q = line4()
-    with pytest.raises(CompositionError):
-        compose(Q.arrow_path(0), Q.arrow_path(1))
+    A = line4_path_algebra()
+    Q = A.quiver
+    assert A.multiply(Q.arrow_path(0), Q.arrow_path(1)) is None
 
 
 def test_compose_length_additive_on_chain():
-    Q = line4()
-    p = compose(Q.arrow_path(2), compose(Q.arrow_path(1), Q.arrow_path(0)))
+    A = line4_path_algebra()
+    Q = A.quiver
+    p = A.multiply(Q.arrow_path(2), A.multiply(Q.arrow_path(1), Q.arrow_path(0)))
     assert p.length == 3 and (p.source, p.target) == (0, 3)
 
 
@@ -94,7 +100,7 @@ def test_crown_order():
 
 def test_walks():
     Q = line4()
-    w = walk_of_path(compose(Q.arrow_path(1), Q.arrow_path(0)))
+    w = walk_of_path(Q.path((0, 1)))
     assert w.source == 0 and w.target == 2
     back = walk_inverse(w)
     loop = walk_compose(back, w)

@@ -10,12 +10,14 @@ both, ``test_linalg_reference.ref_restricted_kernel``, and the check's
 rank-nullity test must hold exactly where it is the span of the
 arrow-pair difference; the second must equal ``GluedAlgebra.ker0_positive``.
 
-The program takes every restricted kernel on label columns: Z_spp on the
-degree-one labels ψ¹ misses, Z_nsp on the degree-zero labels ψ⁰ misses,
-and the two degree-zero kernels on the positive cycles of A and of B.  Each
-must have the rows and the pivots of ``ref_restricted_kernel`` on the unit
-vectors at those columns, on the corpus, on hypothesis-drawn gluings over
-Q, F2, F3 and F5, and on the 1000 gluings of the fuzz corpus.
+The program takes two restricted kernels on label columns: Z_spp on the
+degree-one labels ψ¹ misses and Z_nsp on the degree-zero labels ψ⁰ misses.
+The two degree-zero kernels on the positive cycles of A and of B are no
+longer eliminated: ``ker0_positive`` keeps the rows of HH⁰ whose pivot is
+no trivial pair.  All four must have the rows and the pivots of
+``ref_restricted_kernel`` on the unit vectors at their columns, on the
+corpus, on hypothesis-drawn gluings over Q, F2, F3 and F5, and on the 1000
+gluings of the fuzz corpus.
 """
 
 from hypothesis import example, given, settings
