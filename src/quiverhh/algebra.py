@@ -6,10 +6,10 @@ consists of all paths containing no relation as a contiguous subpath.
 ``build`` walks the suffix automaton of relation-free words once: the
 algebra is finite-dimensional exactly when it is acyclic, and then its
 walks from the empty-word states are the basis.  ``add_relation`` cuts
-one more relation into a kept automaton instead of walking it afresh.
-Since the basis holds
-every relation-free path, a path is zero in the algebra iff it is not a
-basis path: ``multiply`` and every other zero test is one basis lookup.
+one more relation into a kept automaton; the states a cut strands stay,
+and neither the witness search nor the basis reads them.  Since the basis
+holds every relation-free path, a path is zero in the algebra iff it is
+not a basis path: ``multiply`` and every other zero test is one lookup.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ def _proper_subrelation(r: Path, relations):
 
 
 def minimal_relations(rels) -> list:
-    """The ``rels`` that contain no other of ``rels`` as a proper contiguous subpath."""
-    return [r for r in rels if _proper_subrelation(r, rels) is None]
+    """The ``rels`` with no other of ``rels`` as a proper contiguous subpath, sorted."""
+    return sorted((r for r in rels if _proper_subrelation(r, rels) is None), key=Path.sort_key)
 
 
 def _memory(rels) -> int:
@@ -132,15 +132,15 @@ def add_relation(Q: Quiver, rels: list, adj: dict, word: tuple):
     Minimalization drops the relations that contain ``word``.  When that
     changes the memory, the graph is built afresh.  Otherwise ``adj`` is cut
     in place: the ``word[-1]``-edges out of every state whose suffix ends in
-    ``word[:-1]`` go, and then the states no longer reachable from the
-    ``(v, ())`` states.  Those are the states whose suffix holds ``word``,
-    so there are none unless the memory is at least ``len(word)``.  A
-    dropped relation forbade only edges that the cut removes or that leave
-    such a state, so the result is the graph that ``state_graph`` would
-    build.
+    ``word[:-1]`` go.  A dropped relation forbade only edges that the cut
+    removes or that leave a state whose suffix holds ``word``, so the part
+    reachable from the ``(v, ())`` states is the graph ``state_graph``
+    builds.  The stranded rest stays: each walk from a stranded ``(v, s)``
+    also runs from ``(v, ())``, so ``_find_free_cycle`` starts at the same
+    empty-word state and finds the same witness, and ``_basis`` reads only
+    the walks from the ``(v, ())`` states.
     """
     new = minimal_relations(rels + [Q.path(word)])
-    new.sort(key=Path.sort_key)
     if _memory(new) != _memory(rels):
         return new, state_graph(Q, new)
     head, last = word[:-1], word[-1]
@@ -148,17 +148,6 @@ def add_relation(Q: Quiver, rels: list, adj: dict, word: tuple):
     for (v, suffix), edges in adj.items():
         if v == at and suffix[-len(head) :] == head:
             edges[:] = [e for e in edges if e[0] != last]
-    if _memory(new) < len(word):
-        return new, adj
-    reached = {(v, ()) for v in range(Q.num_vertices)}
-    stack = list(reached)
-    while stack:
-        for _, nxt in adj[stack.pop()]:
-            if nxt not in reached:
-                reached.add(nxt)
-                stack.append(nxt)
-    for state in adj.keys() - reached:
-        del adj[state]
     return new, adj
 
 
@@ -244,7 +233,7 @@ def build(
                     contained=u,
                     container=r,
                 )
-    rels.sort(key=Path.sort_key)
+        rels.sort(key=Path.sort_key)
     return algebra_on_graph(quiver, rels, field, state_graph(quiver, rels))
 
 

@@ -18,13 +18,13 @@ from .quiver import Quiver
 
 
 def _tokens(line: str):
-    """(token, 1-based column) pairs, comments stripped."""
+    """(token, 1-based column of its first character) pairs, comments stripped."""
     code = line.split("#", 1)[0]
     out = []
     col = 1
     for raw in code.split(" "):
         if raw.strip():
-            out.append((raw.strip(), col))
+            out.append((raw.strip(), col + len(raw) - len(raw.lstrip())))
         col += len(raw) + 1
     return out
 

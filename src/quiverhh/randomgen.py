@@ -25,7 +25,7 @@ from .algebra import (
 from .errors import DimensionalityError, QuiverHHError
 from .fields import FieldSpec, QQ
 from .gluing import GluingSpec
-from .quiver import Path, Quiver
+from .quiver import Quiver
 
 # Relations are sampled as round(RELATION_DENSITY * arrows) composable words of
 # 2 to MAX_RELATION_LENGTH arrows.
@@ -71,15 +71,14 @@ def _random_quiver(rng: random.Random, spec: RandomSpec) -> Quiver:
 
 
 def _random_composable_word(rng: random.Random, Q: Quiver, length: int):
-    starts = [a for a in range(Q.num_arrows)]
-    if not starts:
+    if not Q.num_arrows:
         return None
-    word = [rng.choice(starts)]
+    word = [rng.choice(range(Q.num_arrows))]
     while len(word) < length:
         nxt = Q.arrows_from[Q.target(word[-1])]
         if not nxt:
             break
-        word.append(rng.choice(list(nxt)))
+        word.append(rng.choice(nxt))
     return tuple(word) if len(word) >= 2 else None
 
 
@@ -100,12 +99,12 @@ def _repair(Q: Quiver, words: set, spec: RandomSpec):
 
     Each cut makes the first two arrows of the witness cycle a relation and
     is added to ``words``.  One state graph is kept across the cuts and
-    rebuilt only when minimalization changes its memory.  Returns None when
-    a cut is already a relation, when 64 tries leave a cycle, or when the
+    rebuilt only when minimalization changes its memory; the states a cut
+    strands stay in it, unread (see ``add_relation``).  Returns None when a
+    cut is already a relation, when 64 tries leave a cycle, or when the
     algebra exceeds ``spec.max_dim``.
     """
     rels = minimal_relations([Q.path(w) for w in words])
-    rels.sort(key=Path.sort_key)
     adj = state_graph(Q, rels)
     for _ in range(64):
         try:

@@ -3,10 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import algebra, path_of, vertex_id
-from quiverhh.algebra import build
+from quiverhh.algebra import build, minimal_relations
 from quiverhh.errors import AdmissibilityError, DimensionalityError, MinimalityError
 from quiverhh.fields import QQ
-from quiverhh.quiver import Quiver
+from quiverhh.quiver import Path, Quiver
 from quiverhh.randomgen import RandomSpec, random_instance
 
 
@@ -219,6 +219,15 @@ def test_minimality_matches_pairwise_reference(words):
     except DimensionalityError:
         return
     assert A.relations == tuple(sorted(ref_minimalize(rels), key=lambda r: r.sort_key()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(_two_vertex_words()[1]), max_size=7, unique=True), st.randoms())
+def test_minimal_relations_sorted_whatever_the_input_order(words, rnd):
+    Q = _two_vertex_words()[0]
+    rels = [Q.path(w) for w in words]
+    rnd.shuffle(rels)
+    assert minimal_relations(rels) == sorted(ref_minimalize(rels), key=Path.sort_key)
 
 
 @settings(max_examples=25, deadline=None)

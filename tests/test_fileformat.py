@@ -52,6 +52,18 @@ def test_unicode_line_boundary_stays_inside_its_line(boundary):
     assert (e.line, e.column) == (4, 8)
 
 
+@pytest.mark.parametrize("space", ["\f", "\x85", "\u2028"])
+def test_token_column_skips_whitespace_before_it(space):
+    """A token's column is that of its first non-space character, not that of
+    the space-separated chunk holding it; a chunk with whitespace inside
+    stays one token."""
+    assert str(err(f"vertex v\nvertex {space}v\n")) == "line 2, column 9: duplicate vertex name v"
+    assert err(f"vertex v\nvertex v{space}\n").column == 8
+    assert err(f"vertex v\nvertex {space} v\n").column == 10
+    e = err(f"vertex a{space}b\nvertex a{space}b\n")
+    assert str(e) == f"line 2, column 8: duplicate vertex name a{space}b"
+
+
 @pytest.mark.parametrize("end", ["\r\n", "\r"])
 def test_crlf_and_cr_line_ends_keep_positions(end):
     e = err(end.join(["field Q", "vertex a", "  bogus", ""]))

@@ -10,8 +10,10 @@ test can read the final word set, which records the whole cut sequence.
 ``compared_sampling`` runs the reference next to every sampling call of
 the generators and asserts the same algebra and basis (or None), the same
 final word set and the same random state afterwards.  It also asserts that
-every cut leaves exactly the state graph ``state_graph`` builds afresh, and
-that ``build`` gives every generated algebra back unchanged.
+the part of every cut graph reachable from the ``(v, ())`` states is exactly
+the state graph ``state_graph`` builds afresh, that the stranded rest leaves
+``_find_free_cycle`` its witness, and that ``build`` gives every generated
+algebra back unchanged.
 """
 
 import random
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverhh import randomgen
-from quiverhh.algebra import add_relation, build, state_graph
+from quiverhh.algebra import _find_free_cycle, add_relation, build, state_graph
 from quiverhh.errors import DimensionalityError
 from quiverhh.fields import GF, QQ
 from quiverhh.quiver import Quiver
@@ -79,6 +81,14 @@ def outcome(A):
     return None if A is None else (A.quiver, A.relations, A.field, A.basis)
 
 
+def assert_cut_as_fresh(Q, new, out):
+    """The cut graph ``out`` of the relations ``new`` holds the fresh graph
+    as its reachable part and gives the fresh graph's witness cycle."""
+    fresh = state_graph(Q, new)
+    assert {s: out[s] for s in fresh} == fresh
+    assert _find_free_cycle(out) == _find_free_cycle(fresh)
+
+
 @contextmanager
 def compared_sampling():
     """Compare every ``_sample_algebra`` call with the reference (see the
@@ -94,7 +104,7 @@ def compared_sampling():
 
     def checked_cut(Q, rels, adj, word):
         new, out = add_relation(Q, rels, adj, word)
-        assert out == state_graph(Q, new)
+        assert_cut_as_fresh(Q, new, out)
         counts["cuts"] += 1
         counts["rebuilds"] += out is not adj
         return new, out
@@ -167,7 +177,7 @@ def repair_with_cuts(Q, words):
 
     def logged_cut(Q, rels, adj, word):
         new, out = add_relation(Q, rels, adj, word)
-        assert out == state_graph(Q, new)
+        assert_cut_as_fresh(Q, new, out)
         cuts.append((tuple(Q.arrow_name(a) for a in word), out is not adj))
         return new, out
 
@@ -196,14 +206,16 @@ def test_cut_dropping_the_only_length_three_relation_rebuilds():
     assert [r.arrows for r in A.relations] == [(0, 0), (1, 0), (1, 1)]
 
 
-def test_stranded_state_is_dropped():
+def test_stranded_state_stays_unread():
     # y y y keeps the memory at 2.  Cutting x x strands the state (v, (x, x)),
     # whose y-edge still leads into the cycles through x y and y x; the cut
-    # drops it and the next witness is read from (v, ()) as before.
+    # keeps it, and the next witness is read from (v, ()) as before.
     Q = loops("x", "y")
     stranded = (0, (0, 0))
     before = state_graph(Q, [Q.path((1, 1, 1))])
     assert (1, (0, (0, 1))) in before[stranded]
+    rels, cut = add_relation(Q, [Q.path((1, 1, 1))], before, (0, 0))
+    assert stranded in cut and stranded not in state_graph(Q, rels)
     A, cuts = repair_with_cuts(Q, {(1, 1, 1)})
     assert cuts == [(("x", "x"), False), (("x", "y"), False)]
     assert [p.arrows for p in A.basis] == [(), (0,), (1,), (1, 0), (1, 1), (1, 1, 0)]
