@@ -34,13 +34,13 @@ def _load(path: str) -> MonomialAlgebra:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as err:
-        raise QuiverHHError(f"{path}: not UTF-8 text (byte {err.start})") from None
+        raise QuiverHHError(f"{path!r}: not UTF-8 text (byte {err.start})") from None
     return parse(text)
 
 
 def _arrow_id(A: MonomialAlgebra, name: str) -> int:
     if name not in A.quiver.arrow_index:
-        raise QuiverHHError(f"no arrow named {name}")
+        raise QuiverHHError(f"no arrow named {name!r}")
     return A.quiver.arrow_index[name]
 
 
@@ -216,11 +216,8 @@ def cmd_examples(args) -> int:
         A = parse(e.text)
         g = glue(A, _arrow_id(A, "alpha"), _arrow_id(A, "beta"))
         reports = run_checks(g)
-        mismatches = []
-        for rep in reports:
-            expected = e.expect_status.get(rep.check, ("pass", "not-applicable"))
-            if rep.status not in expected:
-                mismatches.append(rep)
+        default = ("pass", "not-applicable")
+        mismatches = [r for r in reports if r.status not in e.expect_status.get(r.check, default)]
         verdict = "ok" if not mismatches else "UNEXPECTED"
         if mismatches:
             worst = 1
@@ -274,10 +271,11 @@ def cmd_fuzz(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one ``error:`` line, led by the subcommand's name."""
+    """Reports a usage error as one escaped ``error:`` line, led by the subcommand's name."""
 
     def error(self, message):
         cmd = self.prog.partition(" ")[2]
+        message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
         self.exit(2, f"error: {cmd + ': ' if cmd else ''}{message}\n")
 
 

@@ -4,7 +4,8 @@ Directives, one per line: ``field Q`` or ``field F <p>``; ``vertex <name>``
 (order defines ids); ``arrow <name> <src> <tgt>``; ``rel <arrow> ...``
 listing arrows in traversal order (first-traversed first, which is the
 reverse of the right-to-left product notation used in rendered output).
-``#`` starts a comment.  Parsing is total with positioned diagnostics and
+``#`` starts a comment; :func:`tokens` holds the token rule of the README's
+"Algebra files" section.  Parsing is total with positioned diagnostics and
 ``parse(print_algebra(A))`` reproduces ``A``.  Lines end at CR LF, CR or LF
 alone, as in a text-mode file, so a form feed moves no line number.
 """
@@ -17,22 +18,23 @@ from .fields import GF, QQ, FieldSpec
 from .quiver import Quiver
 
 
-def _tokens(line: str):
-    """(token, 1-based column of its first character) pairs, comments stripped."""
+def tokens(line: str, lineno: int = 1) -> list:
+    """(token, 1-based column) pairs of ``line``; an unprintable token is a ParseError."""
     code = line.split("#", 1)[0]
-    out = []
-    col = 1
-    for raw in code.split(" "):
-        if raw.strip():
-            out.append((raw.strip(), col + len(raw) - len(raw.lstrip())))
-        col += len(raw) + 1
+    words = code.split()
+    out, end = [], 0
+    for word in words:
+        end = code.index(word, end) + len(word)
+        out.append((word, end - len(word) + 1))
+    if not "".join(words).isprintable():
+        word, col = next(t for t in out if not t[0].isprintable())
+        raise ParseError(f"unprintable token {word!r}", lineno, col)
     return out
 
 
 def parse(text: str) -> MonomialAlgebra:
     field: FieldSpec = None
-    vertices: list = []
-    vertex_ids: dict = {}
+    vertex_ids: dict = {}  # name -> id, in file order
     arrows: list = []
     arrow_ids: dict = {}
     arrow_at: list = []  # (line, column) of each arrow directive
@@ -40,11 +42,10 @@ def parse(text: str) -> MonomialAlgebra:
 
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")  # \f ends no line
     for lineno, line in enumerate(lines, start=1):
-        toks = _tokens(line.replace("\t", " "))
+        toks = tokens(line, lineno)
         if not toks:
             continue
-        head, col0 = toks[0]
-        args = toks[1:]
+        (head, col0), *args = toks
         if head == "field":
             if field is not None:
                 raise ParseError("duplicate field directive", lineno, col0)
@@ -64,8 +65,7 @@ def parse(text: str) -> MonomialAlgebra:
             name, col = args[0]
             if name in vertex_ids:
                 raise ParseError(f"duplicate vertex name {name}", lineno, col)
-            vertex_ids[name] = len(vertices)
-            vertices.append(name)
+            vertex_ids[name] = len(vertex_ids)
         elif head == "arrow":
             if len(args) != 3:
                 raise ParseError("expected 'arrow <name> <src> <tgt>'", lineno, col0)
@@ -88,7 +88,7 @@ def parse(text: str) -> MonomialAlgebra:
         else:
             raise ParseError(f"unknown directive {head}", lineno, col0)
 
-    quiver = Quiver(tuple(vertices), tuple(arrows))
+    quiver = Quiver(tuple(vertex_ids), tuple(arrows))
     relations = []
     rel_at: dict = {}  # arrow word -> (line, column, text) of its first rel line
     for lineno, col0, args in rel_lines:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import MonomialAlgebra, build
-from .errors import GluingError, QuiverHHError
+from .errors import GluingError, ParseError, QuiverHHError
+from .fileformat import tokens
 from .linalg import LinearMap, Subspace, member, restricted_kernel, span, subspace_sum
 from .oracles import oracle_center, oracle_hh1_dim
 from .quiver import Path, Quiver, is_sink_arrow, is_source_arrow
@@ -255,24 +256,27 @@ def glue(A: MonomialAlgebra, alpha: int, beta: int, gamma_name: str = "gamma*") 
 
     Raises :class:`GluingError` when an arrow is a loop, the arrows agree,
     the four endpoint vertices are not pairwise distinct, or ``gamma_name``
-    is not one token of the file format (non-empty, no whitespace, no
-    ``#``).  The merged vertices are named ``f1``/``f2`` and the merged
-    arrow ``gamma_name``, each with ``*`` appended until it differs from
-    every kept name; everything else keeps its name.
+    is not one token of the file format (:func:`fileformat.tokens`).  The
+    merged vertices are named ``f1``/``f2`` and the merged arrow
+    ``gamma_name``, each with ``*`` appended until it differs from every
+    kept name; everything else keeps its name.
     """
-    if gamma_name.split() != [gamma_name] or "#" in gamma_name:
+    try:
+        one_token = tokens(gamma_name) == [(gamma_name, 1)]
+    except ParseError:
+        one_token = False
+    if not one_token:
         raise GluingError(
-            f"merged arrow name must be one token without whitespace or '#', got {gamma_name!r}"
+            f"merged arrow name must be one token of the file format, got {gamma_name!r}"
         )
     QA = A.quiver
     if alpha == beta:
         raise GluingError("cannot glue an arrow with itself")
     e1, e2 = QA.source(alpha), QA.target(alpha)
     e3, e4 = QA.source(beta), QA.target(beta)
-    if e1 == e2:
-        raise GluingError(f"arrow {QA.arrow_name(alpha)} is a loop; gluing is undefined for loops")
-    if e3 == e4:
-        raise GluingError(f"arrow {QA.arrow_name(beta)} is a loop; gluing is undefined for loops")
+    for a in (alpha, beta):
+        if QA.source(a) == QA.target(a):
+            raise GluingError(f"arrow {QA.arrow_name(a)} is a loop; gluing is undefined for loops")
     if len({e1, e2, e3, e4}) != 4:
         raise GluingError(
             "the four endpoint vertices must be pairwise distinct; "

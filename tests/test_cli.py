@@ -1,8 +1,15 @@
+import ast
 import hashlib
+import io
 import json
+import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quiverhh import checks
 from quiverhh.checks import CHECKS
@@ -561,7 +568,7 @@ def test_field_zero_exit_code(capsys, tmp_path):
     assert err == "error: line 1, column 9: field characteristic must be prime, got 0\n"
 
 
-@pytest.mark.parametrize("name", ["g h", "", "g#h", "g\th"])
+@pytest.mark.parametrize("name", ["g h", "", "g#h", "g\th", "g\fh", "g\x85h", "g\u200bh"])
 def test_glue_rejects_names_the_file_format_cannot_hold(capsys, tmp_path, line_free_file, name):
     out_path = tmp_path / "b.alg"
     code, out, err = run(
@@ -599,3 +606,115 @@ def test_non_utf8_input_exit_code(capsys, tmp_path):
     code, out, err = run(capsys, "info", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "not UTF-8" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a form feed used to stay inside the token and split the message in two
+        ("field Q\nvertex e2\nvertex e3\narro\fw b e3 e2\n", "line 4, column 1: unknown directive arro"),
+        # a terminal that swallows \x85 used to show "unknown directive vertex"
+        ("field Q\nve\x85rtex a\n", "line 2, column 1: unknown directive ve"),
+    ],
+)
+def test_echoed_token_holds_no_whitespace(capsys, tmp_path, text, message):
+    path = tmp_path / "a.alg"
+    path.write_bytes(text.encode("utf-8"))
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_unknown_arrow_option_is_echoed_on_one_line(capsys, line_free_file):
+    code, out, err = run(capsys, "verify", line_free_file, "--alpha", "a\fb", "--beta", "beta")
+    assert code == 2 and out == ""
+    assert err == "error: no arrow named 'a\\x0cb'\n"
+
+
+def test_glue_name_that_is_not_utf8_is_refused(capsys, tmp_path, line_free_file):
+    """A byte that is not UTF-8 reaches ``sys.argv`` as a lone surrogate; it
+    used to pass the name check and fail in the write, with a traceback."""
+    out_path = tmp_path / "out.txt"
+    argv = ["glue", line_free_file, "--alpha", "alpha", "--beta", "beta", "--name", "g\udc85h"]
+    for extra in (["--out", str(out_path)], []):
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 2 and out == ""
+        assert err == "error: merged arrow name must be one token of the file format, got 'g\\udc85h'\n"
+    assert not out_path.exists()
+
+
+def test_usage_error_escapes_unprintable_arguments(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["info", "a.alg", "x\fy"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert out.err == "error: unrecognized arguments: x\\x0cy\n"
+
+
+def test_non_utf8_input_path_is_echoed_on_one_line(capsys, tmp_path):
+    path = tmp_path / "a\fb.alg"
+    path.write_bytes(b"\xff vertex\n")
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {str(path)!r}: not UTF-8 text (byte 0)\n"
+
+
+# -- the error contract on edited examples -------------------------------------
+
+CONTRACT_TEXTS = [e.text for e in EXAMPLES if len(e.text) < 400]
+CONTRACT_CHARS = (
+    "\f", "\v", "\x85", "\x1c", "\t", "\r", "\n", "\u2028", "\u2029", "\u200b", "\ufeff",
+    "#", "0", "7", "\u00e9", "\u03b2", "\u0436",
+)
+CONTRACT_COMMANDS = (["info"], ["hh", "--degrees", "0..3"], ["center"], ["pi1-rank"])
+# errors that name a token: the text at their position starts with it
+NAMED_TOKEN = re.compile(
+    r"error: line (\d+), column (\d+): (unknown directive|duplicate vertex name|unknown vertex"
+    r"|duplicate arrow name|unknown arrow|unprintable token) (.+)$"
+)
+
+
+@st.composite
+def edited_examples(draw):
+    """A small built-in example with 1-3 one-character inserts, deletes or
+    replacements."""
+    text = draw(st.sampled_from(CONTRACT_TEXTS))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        i = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(CONTRACT_CHARS))
+        text = text[:i] + (char if op != "delete" else "") + text[i + (op != "insert"):]
+    return text
+
+
+@pytest.fixture(scope="module")
+def contract_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "edited.alg"
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=2))
+@given(edited_examples())
+@example("field Q\n\fvertex a\nbogus\n")  # line numbers counted by str.splitlines()
+@example("vertex v\nvertex \fv\n")  # columns counted per space-separated chunk
+@example("field Q\nvertex e2\nvertex e3\narro\fw b e3 e2\n")  # whitespace inside a token
+def test_error_contract_on_edited_examples(contract_file, text):
+    """Exit 0, 1 or 2; exit 2 prints one ``error:`` line; an error that names
+    a token points at it (lines split at CR LF, CR and LF)."""
+    contract_file.write_bytes(text.encode("utf-8"))
+    lines = re.split(r"\r\n|\r|\n", text)
+    for command in CONTRACT_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command[0], str(contract_file), *command[1:]])
+        assert code in (0, 1, 2)
+        if code != 2:
+            assert err.getvalue() == ""
+            continue
+        (message,) = err.getvalue().splitlines()
+        assert message.startswith("error: ")
+        m = NAMED_TOKEN.match(message)
+        if m:
+            line, column, kind, token = m.groups()
+            if kind == "unprintable token":
+                token = ast.literal_eval(token)
+            assert lines[int(line) - 1][int(column) - 1 :].startswith(token)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from quiverhh.errors import ParseError
 from quiverhh.examples_data import EXAMPLES
 from quiverhh.fields import GF
-from quiverhh.fileformat import parse, print_algebra
+from quiverhh.fileformat import parse, print_algebra, tokens
 
 
 def test_round_trip_corpus():
@@ -55,13 +55,53 @@ def test_unicode_line_boundary_stays_inside_its_line(boundary):
 @pytest.mark.parametrize("space", ["\f", "\x85", "\u2028"])
 def test_token_column_skips_whitespace_before_it(space):
     """A token's column is that of its first non-space character, not that of
-    the space-separated chunk holding it; a chunk with whitespace inside
-    stays one token."""
+    the space-separated chunk holding it; whitespace inside a chunk splits it
+    in two, as ``str.split()`` does."""
     assert str(err(f"vertex v\nvertex {space}v\n")) == "line 2, column 9: duplicate vertex name v"
     assert err(f"vertex v\nvertex v{space}\n").column == 8
     assert err(f"vertex v\nvertex {space} v\n").column == 10
     e = err(f"vertex a{space}b\nvertex a{space}b\n")
-    assert str(e) == f"line 2, column 8: duplicate vertex name a{space}b"
+    assert str(e) == "line 1, column 1: expected 'vertex <name>'"
+    assert tokens(f"vertex a{space}b") == [("vertex", 1), ("a", 8), ("b", 10)]
+
+
+@pytest.mark.parametrize("char", ["\x00", "\x7f", "\x9f", "\xad", "\u200b", "\ufeff", "\udc85"])
+def test_unprintable_token_is_an_error_at_its_column(char):
+    """A token must be printable; the message shows it as ``repr`` does, so it
+    stays on one line."""
+    e = err(f"vertex v\narrow x v a{char}b # {char}\n")
+    assert (e.line, e.column) == (2, 11)
+    assert str(e) == f"line 2, column 11: unprintable token {f'a{char}b'!r}"
+    assert len(str(e).splitlines()) == 1 and str(e).isprintable()
+    # a comment is not tokenized
+    assert parse(f"vertex v # {char}\n").dim == 1
+
+
+def ref_tokens(line: str):
+    """The tokenizer before the shared token rule: split at spaces only, the
+    caller having turned tabs into spaces."""
+    code = line.split("#", 1)[0]
+    out = []
+    col = 1
+    for raw in code.split(" "):
+        if raw.strip():
+            out.append((raw.strip(), col + len(raw) - len(raw.lstrip())))
+        col += len(raw) + 1
+    return out
+
+
+def test_tokens_match_reference_on_corpus():
+    for ex in EXAMPLES:
+        for line in ex.text.splitlines():
+            assert tokens(line) == ref_tokens(line.replace("\t", " "))
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=2))
+@given(st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E) | st.just("\t"), max_size=40))
+@example("\tvertex  a\t\tb # c")
+@example("  #vertex a")
+def test_tokens_match_reference_on_printable_ascii(line):
+    assert tokens(line) == ref_tokens(line.replace("\t", " "))
 
 
 @pytest.mark.parametrize("end", ["\r\n", "\r"])
