@@ -35,7 +35,9 @@ def _load(path: str) -> MonomialAlgebra:
             text = fh.read()
     except UnicodeDecodeError as err:
         raise QuiverHHError(f"{path!r}: not UTF-8 text (byte {err.start})") from None
-    return parse(text)
+    # one byte-order mark before the text is dropped, as utf-8-sig does; the
+    # text is decoded as utf-8 so that an error's byte counts from the file start
+    return parse(text.removeprefix("\ufeff"))
 
 
 def _arrow_id(A: MonomialAlgebra, name: str) -> int:

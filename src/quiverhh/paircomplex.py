@@ -13,7 +13,11 @@ so it vanishes unless a occurs in ε or b occurs in γ.  The one pair loop,
 :meth:`PairComplex.brackets`, brackets only the pairs ``interacting_pairs``
 keeps, and reads pairs of kernel rows off ``ker1_brackets``.  ``lie``
 restricts that table to the HH¹ representatives (rows too) by
-:func:`restrict_table`; ``lie_center_dim`` eliminates its nonzero matrix rows.
+:func:`restrict_table` and projects each bracket to HH¹ classes; most
+brackets are one-entry vectors at the pivot of a one-entry kernel row,
+whose class ``QuotientView.project`` reads off a table without a
+reduction (1604 of 1676 on the F5 fans 12 and 4).  ``lie_center_dim``
+eliminates the nonzero matrix rows of the presentation.
 
 Both differentials and the bracket are assembled by index arithmetic on
 the pair labels.  A product or substitution of paths parallel to an arrow
@@ -21,7 +25,9 @@ the pair labels.  A product or substitution of paths parallel to an arrow
 the pair key in the label index both tests for zero and finds the row.
 δ¹ visits, for a column ``(a, γ)``, only the occurrences of ``a`` in the
 relations, read off a table built once per complex; the bracket only
-those of ``a`` in ε and of ``b`` in γ.  The image of δ⁰, the kernel of δ¹
+those of ``a`` in ε and of ``b`` in γ, probing the index with plain
+``(source, target, arrows)`` tuples, which equal and hash as the ``Path``
+labels do.  The image of δ⁰, the kernel of δ¹
 and the complex property are computed on construction; ker δ⁰, the
 bracket table and the Lie presentation are computed on their first read.
 ``unit`` and ``diagonal`` index the pairs (v, e_v) and (a, a), which δ⁰ maps between.
@@ -167,14 +173,14 @@ class PairComplex:
                     c = f.mul(ci, cj)
                     for n, arr in enumerate(e):
                         if arr == a:
-                            k = idx.get((b, Path(es, et, e[:n] + g + e[n + 1 :])))
+                            k = idx.get((b, (es, et, e[:n] + g + e[n + 1 :])))
                             if k is not None:
                                 accumulate(f, out, k, c)
                 if b in g:
                     c = f.neg(f.mul(ci, cj))
                     for n, arr in enumerate(g):
                         if arr == b:
-                            k = idx.get((a, Path(gs, gt, g[:n] + e + g[n + 1 :])))
+                            k = idx.get((a, (gs, gt, g[:n] + e + g[n + 1 :])))
                             if k is not None:
                                 accumulate(f, out, k, c)
         return out

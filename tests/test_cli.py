@@ -659,6 +659,35 @@ def test_non_utf8_input_path_is_echoed_on_one_line(capsys, tmp_path):
     assert err == f"error: {str(path)!r}: not UTF-8 text (byte 0)\n"
 
 
+def test_byte_order_mark_before_the_text_is_dropped(capsys, tmp_path):
+    """A file that an editor saved with a byte-order mark reads as the same
+    file without it; a second mark, or one later in the file, is a token
+    character like any other, and a decode error counts the mark's bytes."""
+    text = example_by_name("line-bound").text
+    plain, marked = tmp_path / "plain.alg", tmp_path / "marked.alg"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    for command in CONTRACT_COMMANDS:
+        want = run(capsys, command[0], str(plain), *command[1:])
+        assert want[0] == 0
+        assert run(capsys, command[0], str(marked), *command[1:]) == want
+    twice = tmp_path / "twice.alg"
+    twice.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbffield Q\nvertex a\n")
+    code, out, err = run(capsys, "info", str(twice))
+    assert code == 2 and out == ""
+    assert err == "error: line 1, column 1: unprintable token '\\ufefffield'\n"
+    later = tmp_path / "later.alg"
+    later.write_bytes(b"field Q\n\xef\xbb\xbfvertex a\n")
+    code, out, err = run(capsys, "info", str(later))
+    assert code == 2 and out == ""
+    assert err == "error: line 2, column 1: unprintable token '\\ufeffvertex'\n"
+    broken = tmp_path / "broken.alg"
+    broken.write_bytes(b"\xef\xbb\xbf\xff")
+    code, out, err = run(capsys, "info", str(broken))
+    assert code == 2 and out == ""
+    assert err == f"error: {str(broken)!r}: not UTF-8 text (byte 3)\n"
+
+
 # -- the error contract on edited examples -------------------------------------
 
 CONTRACT_TEXTS = [e.text for e in EXAMPLES if len(e.text) < 400]
@@ -687,21 +716,51 @@ def edited_examples(draw):
     return text
 
 
+# whitespace that ends a token but no line, and text that only a comment holds
+SEPARATORS = (" ", "  ", "\t", "\f", "\v", "\x1c", "\x85", "\u2028", "\u3000", "\u00a0")
+NAME_CHARS = "az_'*09\u00e9\u03b2\u0436"
+COMMENT_TEXT = st.text(st.sampled_from(NAME_CHARS + "# \t\f\x85\u2028\u200b\ufeff"), max_size=6)
+
+
+@st.composite
+def respelled_examples(draw):
+    """A small built-in example edited only in names, comments and the
+    whitespace between tokens: up to three vertex or arrow names are each
+    spelled anew wherever they occur, and every line is rebuilt from its
+    tokens with whitespace drawn around them, a line ending and perhaps a
+    comment.  Most of these still parse, so the commands after ``parse``
+    run on them too."""
+    lines = [line.split() for line in draw(st.sampled_from(CONTRACT_TEXTS)).splitlines()]
+    names = sorted({w for line in lines if line[0] in ("vertex", "arrow") for w in line[1:]})
+    spelling = draw(
+        st.dictionaries(
+            st.sampled_from(names), st.text(st.sampled_from(NAME_CHARS), min_size=1, max_size=3),
+            max_size=3,
+        )
+    )
+    out = []
+    for head, *rest in lines:
+        words = [head] + [spelling.get(w, w) if head != "field" else w for w in rest]
+        gaps = [draw(st.sampled_from(SEPARATORS)) for _ in words[1:]]
+        edge = st.sampled_from(("",) + SEPARATORS)
+        body = words[0] + "".join(g + w for g, w in zip(gaps, words[1:]))
+        comment = draw(st.one_of(st.just(""), COMMENT_TEXT.map("#".__add__)))
+        out.append(draw(edge) + body + draw(edge) + comment)
+        out.append(draw(st.sampled_from(("\n", "\r\n", "\r"))))
+    return "".join(out)
+
+
 @pytest.fixture(scope="module")
 def contract_file(tmp_path_factory):
     return tmp_path_factory.mktemp("contract") / "edited.alg"
 
 
-@settings(max_examples=150, deadline=timedelta(seconds=2))
-@given(edited_examples())
-@example("field Q\n\fvertex a\nbogus\n")  # line numbers counted by str.splitlines()
-@example("vertex v\nvertex \fv\n")  # columns counted per space-separated chunk
-@example("field Q\nvertex e2\nvertex e3\narro\fw b e3 e2\n")  # whitespace inside a token
-def test_error_contract_on_edited_examples(contract_file, text):
+def assert_error_contract(contract_file, text):
     """Exit 0, 1 or 2; exit 2 prints one ``error:`` line; an error that names
-    a token points at it (lines split at CR LF, CR and LF)."""
+    a token points at it (lines split at CR LF, CR and LF, after the one
+    byte-order mark that may come first)."""
     contract_file.write_bytes(text.encode("utf-8"))
-    lines = re.split(r"\r\n|\r|\n", text)
+    lines = re.split(r"\r\n|\r|\n", text.removeprefix("\ufeff"))
     for command in CONTRACT_COMMANDS:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
@@ -718,3 +777,18 @@ def test_error_contract_on_edited_examples(contract_file, text):
             if kind == "unprintable token":
                 token = ast.literal_eval(token)
             assert lines[int(line) - 1][int(column) - 1 :].startswith(token)
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=2))
+@given(edited_examples())
+@example("field Q\n\fvertex a\nbogus\n")  # line numbers counted by str.splitlines()
+@example("vertex v\nvertex \fv\n")  # columns counted per space-separated chunk
+@example("field Q\nvertex e2\nvertex e3\narro\fw b e3 e2\n")  # whitespace inside a token
+def test_error_contract_on_edited_examples(contract_file, text):
+    assert_error_contract(contract_file, text)
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=2))
+@given(respelled_examples())
+def test_error_contract_on_respelled_examples(contract_file, text):
+    assert_error_contract(contract_file, text)

@@ -23,6 +23,12 @@ remainder.  The form that drops the pivot entry must return the same
 coefficients and the same remainder, key order included, on vectors
 inside and outside the span.
 
+``ref_project_reduced`` is ``QuotientView.project`` as it was before it
+read one-entry vectors off its table of one-entry rows: every vector is
+reduced against the total space, and the rows at pivots of the sub space
+are folded onto the representatives.  The table must give the same
+coordinates, key order included, and raise wherever the reduction raises.
+
 ``ref_restricted_kernel`` is ``restricted_kernel`` as it was while it took
 arbitrary vectors over the domain: it maps them through an inclusion, takes
 the kernel of their images and lifts that kernel back with a second
@@ -104,6 +110,23 @@ def ref_reduce_against_sparse(field, space, vec) -> tuple:
         for i, x in space.rows[r]:
             accumulate(field, rem, i, neg(mul(c, x)))
     return coeffs, rem
+
+
+def ref_project_reduced(view: QuotientView, vec: dict) -> dict:
+    """Coordinates of the class of ``vec`` as ``{representative position:
+    coefficient}``, ascending and without zeros, reducing once against total."""
+    coeffs, rem = reduce_against(view.field, view.total, vec)
+    if rem:
+        raise ContainmentError("vector lies outside the total space")
+    position = view._rep_position
+    out = {position[i]: c for i, c in coeffs.items() if i in position}
+    if len(out) == len(coeffs):
+        return out
+    f, fold = view.field, view._fold
+    for i, c in coeffs.items():
+        for k, x in fold.get(i, ()):
+            accumulate(f, out, k, f.mul(c, x))
+    return dict(sorted(out.items()))
 
 
 def ref_restricted_kernel(field: FieldSpec, m: LinearMap, vectors: Sequence[dict]) -> Subspace:
@@ -497,3 +520,54 @@ def test_project_matches_dense(case, cut, combos):
             view.project({i: f.one})
         with pytest.raises(ContainmentError):
             ref.project({i: f.one})
+
+
+def _project_or_raise(project, vec):
+    """``project(vec)`` as its item list, or ``ContainmentError`` if it raises."""
+    try:
+        return list(project(vec).items())
+    except ContainmentError:
+        return ContainmentError
+
+
+# row 0 of total is {0: 1} at the pivot of sub's row {0: 1, 1: 2}: its class
+# is read off the fold, as minus two times the class of {1: 1}
+FOLDED_UNIT_ROW = [{0: Fraction(1), 1: Fraction(2)}, {1: Fraction(1)}]
+# total is one row {0: 1, 2: 2}: the vector {0: c} is not in it
+UNIT_ON_LONG_ROW = [{0: 1, 2: 2}, {1: 1}]
+# total's pivots are 0 and 1: the unit vectors at 2 and 3 are not in it
+UNITS_OFF_PIVOTS = [{0: 1, 2: 3}, {1: 4, 3: 1}]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    matrices(),
+    st.integers(0, 20),
+    st.lists(st.lists(st.tuples(st.integers(0, 30), st.integers(-3, 3)), max_size=4), max_size=6),
+    st.integers(1, 4),
+)
+@example((QQ, 2, FOLDED_UNIT_ROW), 1, [[(0, 3)], [(1, -1)]], 1)
+@example((GF(3), 3, UNIT_ON_LONG_ROW), 1, [[(0, 1)]], 2)
+@example((GF(5), 4, UNITS_OFF_PIVOTS), 1, [[(1, 2)]], 3)
+@example((GF(2), 2, TALL), 3, [[(0, 1), (3, 1)]], 1)
+def test_project_matches_reduced_reference(case, cut, combos, scale):
+    # total is spanned by all rows, sub by the first ``cut``; every row of
+    # total, every combination of the rows and every multiple of a unit
+    # vector goes through both projections, members or not
+    f, width, rows = case
+    basis = LabeledBasis(tuple(range(width)))
+    total = span(f, basis, rows)
+    view = QuotientView(f, total, span(f, basis, rows[:cut]))
+    c = f.mul(scale, f.one) or f.one  # nonzero in f
+    units = [{i: c} for i in range(width)]
+    vectors = [_combination(f, rows, picks) for picks in combos if rows]
+    for vec in total.row_vectors() + vectors + units:
+        assert _project_or_raise(view.project, vec) == _project_or_raise(
+            lambda v: ref_project_reduced(view, v), vec
+        )
+    # a multiple of a unit vector lies in total iff it sits on a one-entry row
+    one_entry = {row[0][0] for row in total.rows if len(row) == 1}
+    for i, vec in enumerate(units):
+        if i not in one_entry:
+            with pytest.raises(ContainmentError):
+                view.project(vec)
